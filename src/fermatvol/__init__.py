@@ -1,14 +1,14 @@
 """fermatvol: error-bounded Ceresa-cycle invariants of Fermat curves.
 
-Layers, bottom up: exact cyclotomic arithmetic (``cyclotomic``),
-bounded special functions and the unit-argument series engine
-(``specfun``), curve periods and harmonic volume (``fermat``),
+Layers, bottom up: bounded special functions and the unit-argument
+series engine (``specfun``), exact cyclotomic arithmetic
+(``cyclotomic``), curve periods and harmonic volume (``fermat``),
 exterior-algebra permutation sums (``extalg``), invariant values and
 verdicts (``ceresa``), and a CLI (``cli``).
 """
 
 from .ceresa import (CeresaResult, ScanResult, f_value, klein_value,
-                     multiples_scan, nonintegrality_check, table1)
+                     multiples_scan, table1)
 from .cyclotomic import CycloElem, EmbeddingIndex, cyclo_from_power, embed, trace_to_rationals
 from .fermat import (FermatCurve, FermatIndex, LoopIndex, TripleConfig,
                      assumption_check, delta_iterated_integral,
@@ -29,6 +29,6 @@ __all__ = [
     "delta_iterated_integral", "dixon_family", "embed",
     "euler_double_integral", "f_value", "gamma_quotient",
     "harmonic_volume_sigma", "harmonic_volume_trace", "hyp3f2_unit",
-    "klein_value", "ln_gamma", "multiples_scan", "nonintegrality_check",
-    "table1", "trace_to_rationals",
+    "klein_value", "ln_gamma", "multiples_scan", "table1",
+    "trace_to_rationals",
 ]

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import mpmath
 from mpmath import mp
@@ -94,8 +95,12 @@ def holomorphic_twists(n: int) -> list[int]:
     return [h for h in range(1, (n - 1) // 2 + 1) if math.gcd(h, n) == 1]
 
 
-def _bucket(digits: int, step: int = 10) -> int:
-    return step * math.ceil(digits / step)
+def _bucket(digits: int) -> int:
+    return 10 * math.ceil(digits / 10)
+
+
+def _prefactor(n: int, k: int) -> int:
+    return math.factorial(k) * 2 * n ** (2 * k)
 
 
 @lru_cache(maxsize=4096)
@@ -131,35 +136,34 @@ def _fractional(value: BoundedReal, wp: int) -> tuple[mpmath.mpf, mpmath.mpf]:
         return frac, dist
 
 
-def f_value(n: int, k: int, digits: int = 30) -> CeresaResult:
-    """f(N,k) with certified error, fractional part and verdict.
+def _certify(n: int, k: int, prefactor: int, digits: int,
+             inner_sum: Callable[[int], tuple[BoundedReal, int]]) -> CeresaResult:
+    """prefactor * inner sum with certified error, fractional part and verdict.
 
-    The precision is escalated internally so that after multiplying by
-    k! * 2 * N^{2k} at least ``digits`` fractional digits survive (with
+    ``inner_sum(inner_digits)`` returns (value, h_terms) at its own working
+    precision.  The inner digits are escalated so that after multiplying by
+    the exact prefactor at least ``digits`` fractional digits survive (with
     a floor of 8, per the margin rule's needs).
     """
-    if n < 4:
-        raise DomainError("degree must be at least 4")
-    if not (1 <= k <= genus(n) - 2):
-        raise DomainError(f"k={k} outside [1, {genus(n) - 2}] for N={n}")
-    prefactor = math.factorial(k) * 2 * n ** (2 * k)
-    pref_digits = len(str(prefactor))
-    want = max(digits, 8)
-    inner = _bucket(want + pref_digits + 10)
-    total, h_terms = _h_sum(n, inner)
+    inner = _bucket(max(digits, 8) + len(str(prefactor)) + 10)
+    total, h_terms = inner_sum(inner)
     wp = _bits(inner) + 40
     with mp.workprec(wp):
         value = total * prefactor
         frac, dist = _fractional(value, wp)
-        res = CeresaResult(n=n, k=k, value=value, frac=frac, int_distance=dist,
-                           err=value.err, h_terms=h_terms,
-                           verdict=verdict_for(dist, value.err))
-        return res
+        return CeresaResult(n=n, k=k, value=value, frac=frac, int_distance=dist,
+                            err=value.err, h_terms=h_terms,
+                            verdict=verdict_for(dist, value.err))
 
 
-def nonintegrality_check(n: int, k: int, digits: int = 30) -> CeresaResult:
-    """f_value with the verdict as the headline result."""
-    return f_value(n, k, digits)
+def f_value(n: int, k: int, digits: int = 30) -> CeresaResult:
+    """f(N,k) with certified error, fractional part and verdict; at least
+    ``digits`` fractional digits survive the prefactor k! * 2 * N^{2k}."""
+    if n < 4:
+        raise DomainError("degree must be at least 4")
+    if not (1 <= k <= genus(n) - 2):
+        raise DomainError(f"k={k} outside [1, {genus(n) - 2}] for N={n}")
+    return _certify(n, k, _prefactor(n, k), digits, lambda inner: _h_sum(n, inner))
 
 
 def _row(args) -> Union[CeresaResult, RowFailure]:
@@ -175,13 +179,15 @@ def table1(n_values: Iterable[int], k: int = 1, digits: int = 30,
     """Fractional parts of f(N,k) for the given degrees, ascending.
 
     Rows are independent work items; results are sorted by degree so the
-    output is identical for any thread count.
+    output is identical for any thread count.  The worker count is capped
+    at the number of rows and of CPUs.
     """
     ns = sorted(set(n_values))
     jobs = [(n, k, digits) for n in ns]
-    if threads > 1:
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_row, jobs))
     else:
         rows = [_row(j) for j in jobs]
@@ -224,7 +230,7 @@ def multiples_scan(n: int, k: int, m_max: int, digits: int = 30) -> ScanResult:
     if m_max * base.err >= mp.mpf("0.1"):
         raise PrecisionError(
             f"m_max * err = {mpmath.nstr(m_max * base.err, 3)} >= 0.1; raise digits")
-    pref_digits = len(str(math.factorial(k) * 2 * n ** (2 * k)))
+    pref_digits = len(str(_prefactor(n, k)))
     wp = _bits(digits + pref_digits + 14) + 40
     with mp.workprec(wp):
         step = base.frac
@@ -261,22 +267,18 @@ def klein_value(k: int, digits: int = 30) -> CeresaResult:
     """
     if not (1 <= k <= 13):
         raise DomainError(f"k={k} outside [1, 13]")
-    prefactor = math.factorial(k) * 2 * 7 ** (2 * k)
-    want = max(digits, 8)
-    inner = _bucket(want + len(str(prefactor)) + 10)
-    wp = _bits(inner) + 40
+    return _certify(7, k, _prefactor(7, k), digits, _klein_sum)
+
+
+def _klein_sum(inner: int) -> tuple[BoundedReal, int]:
     s7 = Fraction(1, 7)
-    with mp.workprec(wp):
+    with mp.workprec(_bits(inner) + 40):
         acc = BoundedReal(mp.mpf(0), 0)
         for (x, y, z) in ((3, 6, 2), (5, 6, 4), (3, 5, 1)):
             g = gamma_quotient([x * s7, y * s7], [z * s7], inner + 6)
             acc = acc + g * g
         f = hyp_unit_sum([s7, 2 * s7, 4 * s7], [1, 1], inner + 6)
-        value = (acc * f) * prefactor
-        frac, dist = _fractional(value, wp)
-        return CeresaResult(n=7, k=k, value=value, frac=frac, int_distance=dist,
-                            err=value.err, h_terms=3,
-                            verdict=verdict_for(dist, value.err))
+        return acc * f, 3
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +337,9 @@ def klein_trace_route(k: int, digits: int = 30) -> BoundedReal:
     from .fermat import FermatCurve, harmonic_volume_trace, klein_triple
     curve = FermatCurve(7)
     t = klein_triple()
+
+    def traced(inner: int) -> tuple[BoundedReal, int]:
+        return harmonic_volume_trace(curve, t, inner), len(t.holo_twists)
+
     prefactor = math.factorial(k) * 2 * 49 ** (k - 1)
-    inner = _bucket(max(digits, 8) + len(str(prefactor)) + 10)
-    wp = _bits(inner) + 40
-    with mp.workprec(wp):
-        tr = harmonic_volume_trace(curve, t, inner)
-        return tr * prefactor
+    return _certify(7, k, prefactor, digits, traced).value

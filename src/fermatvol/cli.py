@@ -21,23 +21,16 @@ from .ceresa import CeresaResult, RowFailure
 from .specfun import QuadratureSpec
 
 
-def _default_digits() -> int:
-    env = os.environ.get("CERESA_DIGITS")
-    if env:
-        try:
-            return max(10, int(env))
-        except ValueError:
-            pass
-    return 30
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fermatvol",
         description="Error-bounded Ceresa-cycle invariants of Fermat curves")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=int, default=None,
-                        help="decimal accuracy target (default 30, env CERESA_DIGITS)")
+    # a string default goes through type=int, so a malformed CERESA_DIGITS exits 2
+    common.add_argument("--digits", type=int,
+                        default=os.environ.get("CERESA_DIGITS") or "30",
+                        help="decimal accuracy target, at least 10 "
+                             "(default: env CERESA_DIGITS, else 30)")
     common.add_argument("--format", choices=("csv", "json", "text"), default="text")
     common.add_argument("--threads", type=int, default=1,
                         help="worker processes for independent rows")
@@ -118,7 +111,7 @@ def cmd_value(args, digits, out) -> int:
 
 
 def cmd_check(args, digits, out) -> int:
-    res = ceresa.nonintegrality_check(args.n, args.k, digits)
+    res = ceresa.f_value(args.n, args.k, digits)
     _emit_result(res, args.format, out)
     return 0 if res.verdict == "non-integral" else 1
 
@@ -206,9 +199,9 @@ def cmd_oracle_test(args, digits, out) -> int:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    digits = args.digits if args.digits is not None else _default_digits()
+    digits = args.digits
     if digits < 10:
-        ap.error("--digits must be at least 10")
+        ap.error("--digits (or CERESA_DIGITS) must be at least 10")
     out = sys.stdout
     dispatch = {
         "table": cmd_table,

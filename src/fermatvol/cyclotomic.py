@@ -22,7 +22,7 @@ from typing import Sequence, Union
 import mpmath
 from mpmath import mp
 
-from .specfun import BoundedComplex, _bits
+from .specfun import BoundedComplex, _bits, _poly_mul
 
 Rational = Union[int, Fraction]
 
@@ -76,37 +76,14 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     den = [1]
     for d in _divisors(n):
         if d < n:
-            den = _int_poly_mul(den, list(cyclotomic_polynomial(d)))
-    quot, rem = _int_poly_divmod(num, den)
-    if any(rem):
+            den = _poly_mul(den, cyclotomic_polynomial(d))
+    quot, rem = _poly_divmod_q([Fraction(c) for c in num], den)
+    if any(q.denominator != 1 for q in quot):
+        raise AssertionError("non-exact integer polynomial division")
+    if rem:
         raise AssertionError(f"Phi_{n}: nonzero remainder")
-    return tuple(quot)
-
-
-def _int_poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _int_poly_divmod(num, den):
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    quot = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c % lead:
-            raise AssertionError("non-exact integer polynomial division")
-        q = c // lead
-        quot[i - dn] = q
-        if q:
-            for j, y in enumerate(den):
-                num[i - dn + j] -= q * y
-    return quot, num[:dn]
+    # ints, not Fractions: _reduce_mod_phi multiplies by these on every construction
+    return tuple(int(q) for q in quot)
 
 
 @dataclass(frozen=True)
@@ -193,13 +170,7 @@ class CycloElem:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        raw = [Fraction(0)] * (2 * len(self.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        raw[i + j] += a * b
-        return CycloElem(self.n, raw)
+        return CycloElem(self.n, _poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -293,28 +264,21 @@ def _reduce_mod_phi(n: int, coeffs: list[Fraction]) -> list[Fraction]:
     return cs[:deg]
 
 
-def _poly_mod(a: list[Fraction], m: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) > dm:
-        c = a[-1] / m[-1]
-        if c:
-            for j in range(dm + 1):
-                a[len(a) - 1 - dm + j] -= c * m[j]
-        a.pop()
+def _trim(a: list) -> list:
+    # drop trailing zero coefficients in place
     while a and a[-1] == 0:
         a.pop()
     return a
 
 
 def _ext_gcd_mod(a: list[Fraction], m: list[Fraction]):
-    """Return (gcd_is_unit, a^{-1} mod m) over Q[x]."""
-    r0, r1 = list(m), _poly_mod(a, m)
+    """Return (gcd_is_unit, a^{-1} mod m) over Q[x]; deg a < deg m."""
+    r0, r1 = list(m), _trim(list(a))
     t0, t1 = [Fraction(0)], [Fraction(1)]
     while r1:
         q, r = _poly_divmod_q(r0, r1)
         r0, r1 = r1, r
-        t0, t1 = t1, _poly_sub(t0, _poly_mul_q(q, t1))
+        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
     if len(r0) != 1:
         return None, None
     lead = r0[0]
@@ -322,21 +286,17 @@ def _ext_gcd_mod(a: list[Fraction], m: list[Fraction]):
 
 
 def _poly_divmod_q(num, den):
-    num = list(num)
+    # num: Fraction coefficients; den: trimmed, Fraction or int coefficients
+    num = _trim(list(num))
     dn = len(den) - 1
     quot = [Fraction(0)] * max(1, len(num) - dn)
-    while len(num) - 1 >= dn and any(num):
+    while len(num) > dn:
         shift = len(num) - 1 - dn
         c = num[-1] / den[-1]
         quot[shift] = c
         for j in range(dn + 1):
             num[shift + j] -= c * den[j]
-        while num and num[-1] == 0:
-            num.pop()
-        if not num:
-            break
-    while num and num[-1] == 0:
-        num.pop()
+        _trim(num)
     return quot, num
 
 
@@ -346,20 +306,7 @@ def _poly_sub(a, b):
         out[i] += x
     for i, x in enumerate(b):
         out[i] -= x
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_mul_q(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+    return _trim(out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ identities and over bounded complex values in the analytic assembly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
@@ -117,7 +118,7 @@ def pi_pq(word: Sequence[Hashable], p: int, q: int):
     if len(labels) != p + q:
         raise ValueError(f"word length {len(labels)} != p+q = {p + q}")
     out = []
-    for left_pos in _combinations(range(p + q), p):
+    for left_pos in itertools.combinations(range(p + q), p):
         left_set = set(left_pos)
         right_pos = [i for i in range(p + q) if i not in left_set]
         perm = list(left_pos) + right_pos
@@ -125,11 +126,6 @@ def pi_pq(word: Sequence[Hashable], p: int, q: int):
                     tuple(labels[i] for i in left_pos),
                     tuple(labels[i] for i in right_pos)))
     return out
-
-
-def _combinations(pool, r):
-    import itertools
-    return itertools.combinations(pool, r)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +232,6 @@ def ceresa_eval_k(k: int, labels: Sequence[Hashable],
     labels = tuple(labels)
     if len(labels) != 2 * k + 1:
         raise ValueError(f"expected 2k+1 = {2 * k + 1} labels, got {len(labels)}")
-    import itertools
     acc = None
     all_pos = range(len(labels))
     for triple in itertools.combinations(all_pos, 3):
@@ -261,7 +256,6 @@ def ceresa_eval_k(k: int, labels: Sequence[Hashable],
 
 def v_pairing_bruteforce(k: int, labels: Sequence[Hashable], pair_fn: Callable):
     """Filter all of S_{2(k-1)} by the stated ordering constraints."""
-    import itertools
     labels = tuple(labels)
     m = 2 * (k - 1)
     if k == 1:
@@ -284,7 +278,6 @@ def v_pairing_bruteforce(k: int, labels: Sequence[Hashable], pair_fn: Callable):
 
 def ceresa_eval_k_bruteforce(k: int, labels, phi1_fn, pair_fn):
     """Filter all of S_{2k+1} by the stated ordering constraints."""
-    import itertools
     labels = tuple(labels)
     m = 2 * k + 1
     acc = None

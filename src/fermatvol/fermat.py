@@ -213,11 +213,6 @@ class PathData:
         return PathData(self.s1 * f1, self.s2 * f2, self.dbl * (f1 * f2))
 
 
-def chen_compose(gamma: PathData, gamma_prime: PathData) -> PathData:
-    """Concatenation rule for length-two iterated integrals."""
-    return gamma.concat(gamma_prime)
-
-
 def delta_path_data(curve: FermatCurve, idx1: FermatIndex, idx2: FermatIndex,
                     r: int = 0, s: int = 0) -> PathData:
     """Path record of the (r,s)-rotated arc; singles are unit periods times
@@ -297,10 +292,6 @@ def delta_iterated_integral(curve: FermatCurve, idx1: FermatIndex, idx2: FermatI
         return gq * f
 
 
-def _embedded(e: CycloElem, sigma: EmbeddingIndex, digits: int) -> BoundedComplex:
-    return embed(e, sigma, digits)
-
-
 def kappa_iterated_integral(curve: FermatCurve, idx1: FermatIndex, idx2: FermatIndex,
                             sigma: EmbeddingIndex, digits: int = 30) -> BoundedComplex:
     """Loop integral at the embedding sigma: exact part embedded, delta part
@@ -322,8 +313,8 @@ def _evaluate_delta_linear(curve, ex: DeltaLinear, idx1, idx2,
     wp = _bits(digits) + 40
     with mp.workprec(wp):
         i_delta = delta_iterated_integral(curve, idx1.scaled(h), idx2.scaled(h), digits + 4)
-        part1 = _embedded(ex.c1, sigma, digits + 4) * BoundedComplex(i_delta.value, i_delta.err)
-        part0 = _embedded(ex.c0, sigma, digits + 4)
+        part1 = embed(ex.c1, sigma, digits + 4) * BoundedComplex(i_delta.value, i_delta.err)
+        part0 = embed(ex.c0, sigma, digits + 4)
         return part1 + part0
 
 

@@ -48,6 +48,7 @@ from typing import Optional, Sequence, Union
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import to_rational
 
 Rational = Union[int, Fraction]
 
@@ -278,7 +279,8 @@ def ln_gamma(x, digits: int = 30) -> BoundedReal:
     input additionally pays |psi| * x.err.
     """
     if isinstance(x, BoundedReal):
-        base = ln_gamma_rational_like(x.value, digits + 2)
+        # the binary midpoint is an exact rational
+        base = ln_gamma(Fraction(*to_rational(x.value._mpf_)), digits + 2)
         # |psi(y)| <= ln(y)+1/y for y>=1; below 1 use the reflection-free crude 2/y + 2
         y = abs(x.value)
         psi_bound = (mpmath.log(y) + 1 / y + 2) if y >= 1 else (2 / y + 2)
@@ -286,13 +288,9 @@ def ln_gamma(x, digits: int = 30) -> BoundedReal:
     q = Fraction(x)
     if q <= 0:
         raise DomainError(f"ln_gamma requires a positive argument, got {q}")
-    return ln_gamma_rational_like(q, digits)
-
-
-def ln_gamma_rational_like(x, digits: int) -> BoundedReal:
     wp = _bits(digits) + 30
     with mp.workprec(wp):
-        xv = _to_mpf(x) if isinstance(x, Fraction) else mp.mpf(x)
+        xv = _to_mpf(q)
         y0 = max(10.0, 0.4 * digits + 6)
         m = max(0, int(math.ceil(y0 - float(xv))))
         J = _stirling_order(float(xv) + m, digits)
@@ -391,14 +389,17 @@ class AppellF3Params:
                 self.gamma - self.alpha2 - self.beta2)
 
 
-def _poly_mul(A, B, cut=None):
-    out = [Fraction(0)] * (len(A) + len(B) - 1)
+def _poly_mul(A, B):
+    # ascending coefficient lists; the accumulator starts at int 0 so int inputs stay ints
+    if not A or not B:
+        return []
+    out = [0] * (len(A) + len(B) - 1)
     for i, a in enumerate(A):
         if a:
             for j, b in enumerate(B):
                 if b:
                     out[i + j] += a * b
-    return out[:cut + 1] if cut is not None else out
+    return out
 
 
 def _poly_from_factors(params):
@@ -474,14 +475,10 @@ def _tail_defect_majorant(p, q, v, K, M):
 
 
 def _ratio_eventually_below_one(uppers, lowers, M):
-    # Q(n) - P(n) >= 0 for all n >= M, certified by nonnegative shifted coefficients
-    def n_poly(params):
-        out = [Fraction(1)]
-        for a in params:
-            out = _poly_mul(out, [Fraction(a), Fraction(1)])
-        return out
-    P = n_poly(uppers)
-    Q = n_poly(list(lowers) + [Fraction(1)])
+    # Q(n) - P(n) >= 0 for all n >= M, certified by nonnegative shifted coefficients;
+    # prod (n + a) is the coefficient reversal of prod (1 + a x)
+    P = _poly_from_factors(uppers)[::-1]
+    Q = _poly_from_factors(list(lowers) + [Fraction(1)])[::-1]
     D = [Fraction(0)] * max(len(P), len(Q))
     for i, c in enumerate(Q):
         D[i] += c
@@ -525,11 +522,7 @@ def hyp_unit_sum(uppers: Sequence[Rational], lowers: Sequence[Rational],
     wp = _bits(digits) + 46
     if stop is not None:
         with mp.workprec(wp):
-            t = mp.mpf(1)
-            S = mp.mpf(0)
-            for n in range(stop + 1):
-                S += t
-                t = t * _term_ratio_mpf(uppers, lowers, n)
+            S = _partial_sum(uppers, lowers, stop + 1)[0]
             return BoundedReal(S, (3 * stop + 8) * mp.mpf(2) ** (4 - wp) * (abs(S) + 1))
 
     K = series_order or min(48, max(12, int(digits * 0.42) + 6))
@@ -560,6 +553,18 @@ def _term_ratio_mpf(uppers, lowers, n):
     return mp.mpf(num) / den
 
 
+def _partial_sum(uppers, lowers, terms):
+    """(sum of t_n, sum of |t_n|, t_terms) over n < terms, at the ambient precision."""
+    t = mp.mpf(1)
+    S = mp.mpf(0)
+    S_abs = mp.mpf(0)
+    for n in range(terms):
+        S += t
+        S_abs += abs(t)
+        t = t * _term_ratio_mpf(uppers, lowers, n)
+    return S, S_abs, t
+
+
 def _hyp_unit_attempt(uppers, lowers, digits, M, K, wp):
     if not _ratio_eventually_below_one(uppers, lowers, M):
         return None
@@ -572,13 +577,7 @@ def _hyp_unit_attempt(uppers, lowers, digits, M, K, wp):
             qscale *= 1 + Fraction(b) / M
     HM = HM / qscale
     with mp.workprec(wp):
-        t = mp.mpf(1)
-        S = mp.mpf(0)
-        S_abs = mp.mpf(0)
-        for n in range(M):
-            S += t
-            S_abs += abs(t)
-            t = t * _term_ratio_mpf(uppers, lowers, n)
+        S, S_abs, t = _partial_sum(uppers, lowers, M)
         W = mp.mpf(0)
         for k in range(K, -1, -1):
             W = W / M + _to_mpf(v[k])
@@ -599,14 +598,7 @@ def hyp3f2_unit(p: Hyp3F2Params, digits: int = 30, **kw) -> BoundedReal:
 
 def hyp3f2_partial_sum(p: Hyp3F2Params, terms: int) -> mpmath.mpf:
     """Plain truncated sum, for tail-soundness tests."""
-    uppers = [p.a, p.b, p.c]
-    lowers = [p.d, p.e]
-    t = mp.mpf(1)
-    S = mp.mpf(0)
-    for n in range(terms):
-        S += t
-        t = t * _term_ratio_mpf(uppers, lowers, n)
-    return S
+    return _partial_sum([p.a, p.b, p.c], [p.d, p.e], terms)[0]
 
 
 # ---------------------------------------------------------------------------

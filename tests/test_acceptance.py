@@ -19,7 +19,7 @@ import pytest
 from mpmath import mp
 
 from fermatvol.ceresa import (f_value, genus, klein_trace_route, klein_value,
-                              multiples_scan, nonintegrality_check, table1)
+                              multiples_scan, table1)
 from fermatvol.extalg import (ceresa_eval_k, ceresa_eval_k_bruteforce, pi_pq,
                               perm_sign, v_pairing, v_pairing_bruteforce)
 from fermatvol.fermat import (FermatCurve, delta_iterated_integral,
@@ -137,11 +137,11 @@ def test_criterion_3_scaled_scans():
     t0 = time.time()
     bad = []
     for n in range(4, 101):
-        if nonintegrality_check(n, 1, 30).verdict != "non-integral":
+        if f_value(n, 1, 30).verdict != "non-integral":
             bad.append((n, 1))
     for n in range(4, 9):
         for k in range(1, genus(n) - 1):
-            if nonintegrality_check(n, k, 30).verdict != "non-integral":
+            if f_value(n, k, 30).verdict != "non-integral":
                 bad.append((n, k))
     scan = multiples_scan(5, 1, 10 ** 4, 30)
     ok = not bad and scan.all_verified

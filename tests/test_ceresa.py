@@ -1,6 +1,8 @@
+import concurrent.futures
 import functools
 import json
 import math
+import os
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +11,7 @@ from mpmath import mp
 
 from fermatvol.ceresa import (CeresaResult, RowFailure, f_value,
                               genus, klein_trace_route, klein_value,
-                              multiples_scan, nonintegrality_check, table1,
+                              multiples_scan, table1,
                               verdict_for)
 from fermatvol.fermat import FermatCurve, example_triple, harmonic_volume_trace
 from fermatvol.specfun import DomainError, PrecisionError
@@ -56,10 +58,10 @@ def test_verdict_logic():
 
 
 def test_nonintegrality_check_examples():
-    assert nonintegrality_check(5, 1, 30).verdict == "non-integral"
+    assert f_value(5, 1, 30).verdict == "non-integral"
     # degree 8 at the top admissible k (genus 21 -> k = 19)
     assert genus(8) == 21
-    r = nonintegrality_check(8, 19, 30)
+    r = f_value(8, 19, 30)
     assert r.verdict == "non-integral"
 
 
@@ -87,6 +89,33 @@ def test_table_threads_deterministic():
     a = table1([4, 5, 6, 7], 1, 30, threads=1)
     b = table1([4, 5, 6, 7], 1, 30, threads=2)
     assert [r.csv_row() for r in a] == [r.csv_row() for r in b]
+
+
+def test_table_threads_clamped(monkeypatch):
+    # a serial stand-in pool records the worker count; no real process is started
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    rows = table1([4, 5], threads=10 ** 6)
+    assert seen == [2]
+    assert [r.n for r in rows] == [4, 5]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    table1([4, 5], threads=10 ** 6)
+    assert seen == [2]
 
 
 def test_multiples_scan_small():

@@ -83,3 +83,11 @@ def test_env_digits_default(monkeypatch, capsys):
     code, out, _ = run(capsys, ["value", "--n", "4", "--format", "json"])
     assert code == 0
     assert json.loads(out)["frac"].startswith("0.262995")
+
+
+@pytest.mark.parametrize("env", ["abc", "5"])
+def test_env_digits_invalid_exits_2(monkeypatch, capsys, env):
+    monkeypatch.setenv("CERESA_DIGITS", env)
+    with pytest.raises(SystemExit) as exc:
+        main(["value", "--n", "4"])
+    assert exc.value.code == 2

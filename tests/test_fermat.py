@@ -9,7 +9,7 @@ from fermatvol.cyclotomic import (CycloElem, EmbeddingIndex, cyclo_from_power,
                                   embed, one_minus_power, trace_to_rationals)
 from fermatvol.fermat import (DeltaLinear, EtaNotZeroError, FermatCurve,
                               FermatIndex, LoopIndex, angle_rep,
-                              assumption_check, chen_compose,
+                              assumption_check,
                               delta_iterated_integral, delta_path_data,
                               example_triple, harmonic_volume_exact_parts,
                               harmonic_volume_sigma, harmonic_volume_trace,
@@ -115,7 +115,7 @@ def test_concat_is_chen_rule():
     curve = FermatCurve(5)
     a = delta_path_data(curve, FermatIndex(5, 1, 2), FermatIndex(5, 2, 1), 0, 0)
     b = delta_path_data(curve, FermatIndex(5, 1, 2), FermatIndex(5, 2, 1), 1, 1)
-    joined = chen_compose(a, b)
+    joined = a.concat(b)
     assert joined.dbl == a.dbl + DeltaLinear.constant(a.s1 * b.s2) + b.dbl
 
 
