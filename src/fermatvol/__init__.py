@@ -13,22 +13,21 @@ from .cyclotomic import CycloElem, EmbeddingIndex, cyclo_from_power, embed, trac
 from .fermat import (FermatCurve, FermatIndex, LoopIndex, TripleConfig,
                      assumption_check, delta_iterated_integral,
                      harmonic_volume_sigma, harmonic_volume_trace)
-from .specfun import (AppellF3Params, BoundedComplex, BoundedReal, DivergenceError,
-                      DomainError, Hyp3F2Params, PrecisionError, QuadratureSpec,
-                      appell_f3_unit, dixon_family, euler_double_integral,
-                      gamma_quotient, hyp3f2_unit, ln_gamma)
+from .specfun import (BoundedComplex, BoundedReal, DivergenceError, DomainError,
+                      PrecisionError, appell_f3_unit, dixon_family,
+                      euler_double_integral, gamma_quotient, hyp_unit_sum, ln_gamma)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AppellF3Params", "BoundedComplex", "BoundedReal", "CeresaResult",
+    "BoundedComplex", "BoundedReal", "CeresaResult",
     "CycloElem", "DivergenceError", "DomainError", "EmbeddingIndex",
-    "FermatCurve", "FermatIndex", "Hyp3F2Params", "LoopIndex",
-    "PrecisionError", "QuadratureSpec", "ScanResult", "TripleConfig",
+    "FermatCurve", "FermatIndex", "LoopIndex",
+    "PrecisionError", "ScanResult", "TripleConfig",
     "appell_f3_unit", "assumption_check", "cyclo_from_power",
     "delta_iterated_integral", "dixon_family", "embed",
     "euler_double_integral", "f_value", "gamma_quotient",
-    "harmonic_volume_sigma", "harmonic_volume_trace", "hyp3f2_unit",
+    "harmonic_volume_sigma", "harmonic_volume_trace", "hyp_unit_sum",
     "klein_value", "ln_gamma", "multiples_scan", "table1",
     "trace_to_rationals",
 ]

@@ -21,6 +21,9 @@ import numpy as np
 from mpmath import mp
 from scipy.special import roots_jacobi
 
+_TOL = 1e-12        # stop doubling once two consecutive orders agree this well
+_DOUBLINGS = 4      # order-doubling budget per sub-integral
+
 
 def _jacobi_01(n: int, left_exp: float, right_exp: float):
     """Nodes/weights on [0,1] for weight x^left_exp * (1-x)^right_exp."""
@@ -46,12 +49,11 @@ def _converge(eval_at, start_order, max_doublings, tol):
     return prev, (best_err if best_err is not None else abs(prev))
 
 
-def simplex_beta_integral(a1: Fraction, b1: Fraction, a2: Fraction, b2: Fraction, spec):
+def simplex_beta_integral(a1: Fraction, b1: Fraction, a2: Fraction, b2: Fraction):
     """See specfun.euler_double_integral for the decomposition."""
     from .specfun import BoundedReal  # local import avoids a cycle
 
     fa1, fb1, fa2, fb2 = float(a1), float(b1), float(a2), float(b2)
-    tol = 10.0 ** (-min(spec.digits, 13))
     n0 = 24
 
     # region A: 0 <= v <= 1/2, u = v w
@@ -97,10 +99,10 @@ def simplex_beta_integral(a1: Fraction, b1: Fraction, a2: Fraction, b2: Fraction
         scale = 0.5 ** (fb1 + fb2)
         return scale * float(np.dot(tw, vals))
 
-    va, ea = _converge(region_a, n0, spec.max_subdivisions, tol)
-    vb, eb = _converge(full_beta, n0, spec.max_subdivisions, tol)
-    vc, ec = _converge(region_c, n0, spec.max_subdivisions, tol)
-    vd, ed = _converge(region_d, n0, spec.max_subdivisions, tol)
+    va, ea = _converge(region_a, n0, _DOUBLINGS, _TOL)
+    vb, eb = _converge(full_beta, n0, _DOUBLINGS, _TOL)
+    vc, ec = _converge(region_c, n0, _DOUBLINGS, _TOL)
+    vd, ed = _converge(region_d, n0, _DOUBLINGS, _TOL)
 
     total = va + vb * vc - vd
     scale = abs(va) + abs(vb * vc) + abs(vd) + 1.0

@@ -31,7 +31,8 @@ from typing import Callable, Iterable, Optional, Union
 import mpmath
 from mpmath import mp
 
-from .specfun import (BoundedReal, DomainError, PrecisionError, _bits,
+from .cyclotomic import euler_phi
+from .specfun import (BoundedReal, DomainError, PrecisionError, _bits, _gamma_hyp,
                       gamma_quotient, hyp_unit_sum)
 
 MARGIN_FACTOR = 10  # non-integrality requires distance > MARGIN_FACTOR * err
@@ -106,11 +107,7 @@ def _prefactor(n: int, k: int) -> int:
 @lru_cache(maxsize=4096)
 def _h_term(n: int, h: int, digits: int) -> BoundedReal:
     hn = Fraction(h, n)
-    wp = _bits(digits) + 40
-    with mp.workprec(wp):
-        gq = gamma_quotient([1 - hn] * 4, [1 - 2 * hn] * 2, digits + 6)
-        f = hyp_unit_sum([hn, hn, 1 - 2 * hn], [1, 1], digits + 6)
-        return gq * f
+    return _gamma_hyp([1 - hn] * 4, [1 - 2 * hn] * 2, [hn, hn, 1 - 2 * hn], [1, 1], digits)
 
 
 def _h_sum(n: int, digits: int) -> tuple[BoundedReal, int]:
@@ -225,7 +222,7 @@ def multiples_scan(n: int, k: int, m_max: int, digits: int = 30) -> ScanResult:
     margin rule is applied at every m.
     """
     if m_max < 1:
-        raise ValueError("m_max must be at least 1")
+        raise DomainError("m_max must be at least 1")
     base = f_value(n, k, digits)
     if m_max * base.err >= mp.mpf("0.1"):
         raise PrecisionError(
@@ -316,7 +313,7 @@ def cyclotomic_membership_diagnostic(n: int, h: int = 1, digits: int = 50,
     if math.gcd(h, n) != 1 or not (0 < h < n / 2):
         raise ValueError(f"h={h} must be a unit below n/2")
     term = _h_term(n, h, _bucket(digits + 10))
-    dim = _totient(n) // 2
+    dim = euler_phi(n) // 2
     with mp.workdps(digits + 20):
         vec = [mp.mpf(term.value)]
         for j in range(dim):
@@ -325,11 +322,6 @@ def cyclotomic_membership_diagnostic(n: int, h: int = 1, digits: int = 50,
                           maxsteps=20000)
     return MembershipDiagnostic(n=n, h=h, digits=digits, max_coeff=max_coeff,
                                 relation=list(rel) if rel else None)
-
-
-def _totient(n: int) -> int:
-    from .cyclotomic import euler_phi
-    return euler_phi(n)
 
 
 def klein_trace_route(k: int, digits: int = 30) -> BoundedReal:

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit status: 0 on success, 1 when a check or scan is inconclusive (or a
-self-test disagrees), 2 on usage errors.  Output is a pure function of
-the arguments; ``--threads`` only changes wall time.
+self-test disagrees), 2 on usage errors, which include arguments outside
+the mathematical domain (``DomainError``) and work budgets above the
+limits below.  Output is a pure function of the arguments; ``--threads``
+only changes wall time.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from mpmath import mp
 
 from . import ceresa, specfun
 from .ceresa import CeresaResult, RowFailure
-from .specfun import QuadratureSpec
+from .specfun import DomainError
+
+SCAN_M_MAX = 10 ** 7  # about 3 minutes of multiples at 1.9 s per 10^5
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,14 +56,15 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("scan", parents=[common], help="multiples scan m*f for m <= m-max")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--k", type=int, default=1)
-    s.add_argument("--m-max", type=int, required=True)
+    s.add_argument("--m-max", type=int, required=True,
+                   help=f"largest multiple, at most {SCAN_M_MAX}")
 
     kq = sub.add_parser("klein", parents=[common], help="Klein-quartic triple value at degree 7")
     kq.add_argument("--k", type=int, default=13)
 
     d = sub.add_parser("dixon-test", parents=[common],
                        help="ten-way closed-form consistency self-test")
-    d.add_argument("--trials", type=int, default=50)
+    d.add_argument("--trials", type=int, default=50, help="at least 1")
     d.add_argument("--seed", type=int, default=20100301)
 
     o = sub.add_parser("oracle-test", parents=[common],
@@ -173,7 +178,6 @@ def cmd_oracle_test(args, digits, out) -> int:
     from .fermat import FermatCurve, delta_iterated_integral, index_set
     curve = FermatCurve(args.n)
     idxs = index_set(args.n)
-    spec = QuadratureSpec(digits=12)
     worst = 0.0
     bad = 0
     total = 0
@@ -181,7 +185,7 @@ def cmd_oracle_test(args, digits, out) -> int:
         for i2 in idxs:
             total += 1
             closed = delta_iterated_integral(curve, i1, i2, max(20, digits))
-            quad = specfun.euler_double_integral(i1.alpha, i1.beta, i2.alpha, i2.beta, spec)
+            quad = specfun.euler_double_integral(i1.alpha, i1.beta, i2.alpha, i2.beta)
             b1 = specfun.gamma_quotient([i1.alpha, i1.beta], [i1.alpha + i1.beta], 25)
             b2 = specfun.gamma_quotient([i2.alpha, i2.beta], [i2.alpha + i2.beta], 25)
             normalized = closed * b1 * b2
@@ -202,6 +206,10 @@ def main(argv=None) -> int:
     digits = args.digits
     if digits < 10:
         ap.error("--digits (or CERESA_DIGITS) must be at least 10")
+    if args.command == "scan" and args.m_max > SCAN_M_MAX:
+        ap.error(f"--m-max must be at most {SCAN_M_MAX}")
+    if args.command == "dixon-test" and args.trials < 1:
+        ap.error("--trials must be at least 1")
     out = sys.stdout
     dispatch = {
         "table": cmd_table,
@@ -212,7 +220,10 @@ def main(argv=None) -> int:
         "dixon-test": cmd_dixon_test,
         "oracle-test": cmd_oracle_test,
     }
-    return dispatch[args.command](args, digits, out)
+    try:
+        return dispatch[args.command](args, digits, out)
+    except DomainError as exc:
+        ap.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from typing import Sequence, Union
 import mpmath
 from mpmath import mp
 
-from .specfun import BoundedComplex, _bits, _poly_mul
+from .specfun import BoundedComplex, _bits, _poly_mul, _poly_sub, _trim
 
 Rational = Union[int, Fraction]
 
@@ -264,13 +264,6 @@ def _reduce_mod_phi(n: int, coeffs: list[Fraction]) -> list[Fraction]:
     return cs[:deg]
 
 
-def _trim(a: list) -> list:
-    # drop trailing zero coefficients in place
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _ext_gcd_mod(a: list[Fraction], m: list[Fraction]):
     """Return (gcd_is_unit, a^{-1} mod m) over Q[x]; deg a < deg m."""
     r0, r1 = list(m), _trim(list(a))
@@ -298,15 +291,6 @@ def _poly_divmod_q(num, den):
             num[shift + j] -= c * den[j]
         _trim(num)
     return quot, num
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _trim(out)
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,7 @@ from mpmath import mp
 
 from .cyclotomic import (CycloElem, EmbeddingIndex, cyclo_from_power, embed,
                          one_minus_power)
-from .specfun import (BoundedComplex, BoundedReal, _bits, gamma_quotient,
-                      hyp_unit_sum)
+from .specfun import BoundedComplex, BoundedReal, DomainError, _bits, _gamma_hyp
 
 
 class EtaNotZeroError(ValueError):
@@ -50,7 +49,7 @@ class FermatCurve:
 
     def __post_init__(self):
         if self.n < 4:
-            raise ValueError("degree must be at least 4")
+            raise DomainError("degree must be at least 4")
 
     @property
     def genus(self) -> int:
@@ -283,13 +282,10 @@ def delta_iterated_integral(curve: FermatCurve, idx1: FermatIndex, idx2: FermatI
     as gamma quotient times unit-argument 3F2 (the symmetric closed form)."""
     a1, b1 = idx1.alpha, idx1.beta
     a2, b2 = idx2.alpha, idx2.beta
-    wp = _bits(digits) + 40
-    with mp.workprec(wp):
-        gq = gamma_quotient([a1 + a2, b1 + b2, a1 + b1, a2 + b2],
-                            [a2, b1, a1 + a2 + b2, a1 + b1 + b2], digits + 6)
-        f = hyp_unit_sum([a1, b2, a1 + a2 + b1 + b2 - 1],
-                         [a1 + a2 + b2, a1 + b1 + b2], digits + 6)
-        return gq * f
+    return _gamma_hyp([a1 + a2, b1 + b2, a1 + b1, a2 + b2],
+                      [a2, b1, a1 + a2 + b2, a1 + b1 + b2],
+                      [a1, b2, a1 + a2 + b1 + b2 - 1],
+                      [a1 + a2 + b2, a1 + b1 + b2], digits)
 
 
 def kappa_iterated_integral(curve: FermatCurve, idx1: FermatIndex, idx2: FermatIndex,

@@ -349,46 +349,6 @@ def _gamma_quotient_once(nums, dens, digits):
 # unit-argument hypergeometric series with rigorous tail
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Hyp3F2Params:
-    """Parameters of 3F2(a,b,c; d,e; 1), all exact rationals."""
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-    e: Fraction
-
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d", "e"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        for low in (self.d, self.e):
-            if low <= 0 and low.denominator == 1:
-                raise DomainError(f"lower parameter {low} is a non-positive integer")
-
-    @property
-    def margin(self) -> Fraction:
-        return self.d + self.e - self.a - self.b - self.c
-
-
-@dataclass(frozen=True)
-class AppellF3Params:
-    """Parameters of Appell F3(alpha, alpha', beta, beta', gamma; 1, 1)."""
-    alpha: Fraction
-    alpha2: Fraction
-    beta: Fraction
-    beta2: Fraction
-    gamma: Fraction
-
-    def __post_init__(self):
-        for name in ("alpha", "alpha2", "beta", "beta2", "gamma"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-
-    @property
-    def margins(self) -> tuple[Fraction, Fraction]:
-        return (self.gamma - self.alpha - self.beta,
-                self.gamma - self.alpha2 - self.beta2)
-
-
 def _poly_mul(A, B):
     # ascending coefficient lists; the accumulator starts at int 0 so int inputs stay ints
     if not A or not B:
@@ -400,6 +360,22 @@ def _poly_mul(A, B):
                 if b:
                     out[i + j] += a * b
     return out
+
+
+def _trim(a: list) -> list:
+    # drop trailing zero coefficients in place
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_sub(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, x in enumerate(b):
+        out[i] -= x
+    return _trim(out)
 
 
 def _poly_from_factors(params):
@@ -416,17 +392,15 @@ def _binom_int(top: int, i: int) -> int:
     return (-1) ** i * math.comb(-top + i - 1, i)
 
 
-def _solve_tail_series(uppers, lowers, K):
+def _solve_tail_series(p, q, s, K):
     """Coefficients v_0..v_K of W(n) = n V(1/n) for the tail recurrence.
 
     Writing the functional equation q V = x q + p (1+x) V(x/(1+x)) order
     by order gives a triangular linear system: the unknown v_m enters
     the x^{m+1} equation with coefficient (s + m), s the convergence
-    margin, via C[k][j] = q_{j-k} - [p (1+x)^{1-k}]_{j-k}.
+    margin, via C[k][j] = q_{j-k} - [p (1+x)^{1-k}]_{j-k}.  Here p and q
+    are prod (1 + a x) over the upper and the lower parameters (with 1).
     """
-    p = _poly_from_factors(uppers)
-    q = _poly_from_factors(list(lowers) + [Fraction(1)])
-    s = sum(lowers) - sum(uppers)
     # B_k[i] = coefficient of x^i in p(x) (1+x)^{1-k}, needed for i <= K+1-k
     v: list[Fraction] = []
     for m in range(K + 1):
@@ -439,7 +413,7 @@ def _solve_tail_series(uppers, lowers, K):
                      Fraction(0))
             rhs -= v[k] * (qc - bk)
         v.append(rhs / (s + m))
-    return v, p, q
+    return v
 
 
 def _tail_defect_majorant(p, q, v, K, M):
@@ -474,16 +448,10 @@ def _tail_defect_majorant(p, q, v, K, M):
     return sum(abs(h) / Mq ** j for j, h in enumerate(H))
 
 
-def _ratio_eventually_below_one(uppers, lowers, M):
+def _ratio_eventually_below_one(p, q, M):
     # Q(n) - P(n) >= 0 for all n >= M, certified by nonnegative shifted coefficients;
     # prod (n + a) is the coefficient reversal of prod (1 + a x)
-    P = _poly_from_factors(uppers)[::-1]
-    Q = _poly_from_factors(list(lowers) + [Fraction(1)])[::-1]
-    D = [Fraction(0)] * max(len(P), len(Q))
-    for i, c in enumerate(Q):
-        D[i] += c
-    for i, c in enumerate(P):
-        D[i] -= c
+    D = _poly_sub(q[::-1], p[::-1])
     # shift: D(M + y) coefficients
     deg = len(D) - 1
     shifted = [Fraction(0)] * (deg + 1)
@@ -532,8 +500,10 @@ def hyp_unit_sum(uppers: Sequence[Rational], lowers: Sequence[Rational],
     floor_shift = max([0] + [int(math.floor(-2 * float(x))) + 1
                              for x in list(uppers) + list(lowers) if x < 0])
     M = max(M, floor_shift + 2)
+    p = _poly_from_factors(uppers)
+    q = _poly_from_factors(lowers + [Fraction(1)])
     for _attempt in range(5):
-        result = _hyp_unit_attempt(uppers, lowers, digits, M, K, wp)
+        result = _hyp_unit_attempt(uppers, lowers, p, q, margin, digits, M, K, wp)
         if result is not None:
             return result
         M *= 2
@@ -565,10 +535,10 @@ def _partial_sum(uppers, lowers, terms):
     return S, S_abs, t
 
 
-def _hyp_unit_attempt(uppers, lowers, digits, M, K, wp):
-    if not _ratio_eventually_below_one(uppers, lowers, M):
+def _hyp_unit_attempt(uppers, lowers, p, q, s, digits, M, K, wp):
+    if not _ratio_eventually_below_one(p, q, M):
         return None
-    v, p, q = _solve_tail_series(uppers, lowers, K)
+    v = _solve_tail_series(p, q, s, K)
     HM = _tail_defect_majorant(p, q, v, K, M)
     # Q(n) >= n^deg * qscale for n >= M (negative lowers shrink the product)
     qscale = Fraction(1)
@@ -591,21 +561,19 @@ def _hyp_unit_attempt(uppers, lowers, digits, M, K, wp):
         return BoundedReal(S + tail, Ebound + round_err)
 
 
-def hyp3f2_unit(p: Hyp3F2Params, digits: int = 30, **kw) -> BoundedReal:
-    """3F2(a,b,c; d,e; 1), rigorous bound per hyp_unit_sum."""
-    return hyp_unit_sum([p.a, p.b, p.c], [p.d, p.e], digits, **kw)
-
-
-def hyp3f2_partial_sum(p: Hyp3F2Params, terms: int) -> mpmath.mpf:
-    """Plain truncated sum, for tail-soundness tests."""
-    return _partial_sum([p.a, p.b, p.c], [p.d, p.e], terms)[0]
+def _gamma_hyp(gnum, gden, uppers, lowers, digits: int) -> BoundedReal:
+    """Gamma[gnum; gden] * pFq-1(uppers; lowers; 1), the closed form of every
+    twist term, arc integral, Appell value and Dixon member, with six guard digits."""
+    with mp.workprec(_bits(digits) + 40):
+        return gamma_quotient(gnum, gden, digits + 6) * hyp_unit_sum(uppers, lowers, digits + 6)
 
 
 # ---------------------------------------------------------------------------
 # Appell F3 at (1,1)
 # ---------------------------------------------------------------------------
 
-def appell_f3_unit(p: AppellF3Params, digits: int = 30) -> BoundedReal:
+def appell_f3_unit(alpha: Rational, alpha2: Rational, beta: Rational, beta2: Rational,
+                   gamma: Rational, digits: int = 30) -> BoundedReal:
     """Appell F3(alpha, alpha', beta, beta', gamma; 1, 1).
 
     The inner single-variable series is a Gauss 2F1 at 1 and is summed
@@ -619,23 +587,21 @@ def appell_f3_unit(p: AppellF3Params, digits: int = 30) -> BoundedReal:
     sub-unit margins; the reduction is exact, so the reported bound is
     the series engine's bound times the gamma-quotient interval.
     """
-    s1, s2 = p.margins
+    s1, s2 = gamma - alpha - beta, gamma - alpha2 - beta2
     if s1 <= 0 or s2 <= 0:
         raise DivergenceError(f"F3 at (1,1) requires positive margins, got {s1}, {s2}")
-    for val in (p.gamma, p.gamma - p.alpha, p.gamma - p.beta):
+    for val in (gamma, gamma - alpha, gamma - beta):
         if val <= 0:
             raise DomainError(f"gamma-quotient argument {val} <= 0")
-    wp = _bits(digits) + 40
-    with mp.workprec(wp):
-        gq = gamma_quotient([p.gamma, s1], [p.gamma - p.alpha, p.gamma - p.beta], digits + 6)
-        f = hyp_unit_sum([p.alpha2, p.beta2, s1],
-                         [p.gamma - p.alpha, p.gamma - p.beta], digits + 6)
-        return gq * f
+    return _gamma_hyp([gamma, s1], [gamma - alpha, gamma - beta],
+                      [alpha2, beta2, s1], [gamma - alpha, gamma - beta], digits)
 
 
-def appell_f3_partial_sum(p: AppellF3Params, mmax: int, nmax: int) -> mpmath.mpf:
+def appell_f3_partial_sum(alpha: Rational, alpha2: Rational, beta: Rational,
+                          beta2: Rational, gamma: Rational,
+                          mmax: int, nmax: int) -> mpmath.mpf:
     """Truncated double series over [0,mmax) x [0,nmax), for cross-checks."""
-    al, al2, be, be2, ga = (_to_mpf(x) for x in (p.alpha, p.alpha2, p.beta, p.beta2, p.gamma))
+    al, al2, be, be2, ga = (_to_mpf(x) for x in (alpha, alpha2, beta, beta2, gamma))
     total = mp.mpf(0)
     um = mp.mpf(1)          # (alpha,m)(beta,m)/m!
     gam_m = mp.mpf(1)       # (gamma, m)
@@ -655,19 +621,7 @@ def appell_f3_partial_sum(p: AppellF3Params, mmax: int, nmax: int) -> mpmath.mpf
 # Euler-type double integral over the ordered simplex (quadrature oracle)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class QuadratureSpec:
-    """Oracle accuracy knobs: target digits and order-doubling budget."""
-    digits: int = 12
-    max_subdivisions: int = 4
-
-    def __post_init__(self):
-        if self.digits < 4:
-            raise ValueError("quadrature target below 4 digits is pointless")
-
-
-def euler_double_integral(a1: Rational, b1: Rational, a2: Rational, b2: Rational,
-                          spec: Optional[QuadratureSpec] = None) -> BoundedReal:
+def euler_double_integral(a1: Rational, b1: Rational, a2: Rational, b2: Rational) -> BoundedReal:
     """integral of u^{a1-1}(1-u)^{b1-1} v^{a2-1}(1-v)^{b2-1} over 0<=u<=v<=1.
 
     Pure quadrature (Gauss-Jacobi after endpoint-singularity splitting),
@@ -682,13 +636,12 @@ def euler_double_integral(a1: Rational, b1: Rational, a2: Rational, b2: Rational
       D = int_{1/2}^1 v^{a2-1}(1-v)^{b1+b2-1} g(v) dv,
       g(v) = int_0^1 z^{b1-1} (1-(1-v)z)^{a1-1} dz.
     """
-    spec = spec or QuadratureSpec()
     fr = [Fraction(x) for x in (a1, b1, a2, b2)]
     for x in fr:
         if not (0 < x <= 1):
             raise DomainError(f"exponent parameter {x} outside (0, 1]")
     from . import _quadrature
-    return _quadrature.simplex_beta_integral(*fr, spec)
+    return _quadrature.simplex_beta_integral(*fr)
 
 
 # ---------------------------------------------------------------------------
@@ -746,16 +699,12 @@ def dixon_family(a1: Rational, b1: Rational, a2: Rational, b2: Rational,
         if not (0 < x < 1):
             raise DomainError(f"parameter {x} outside (0, 1)")
     out = []
-    wp = _bits(digits) + 40
-    with mp.workprec(wp):
-        for i, (gnum, gden, fup, flo) in enumerate(_dixon_table(*fr), start=1):
-            margin = sum(flo) - sum(fup)
-            bad_gamma = any(g <= 0 for g in gnum + gden)
-            if margin <= 0 or bad_gamma:
-                reason = "3F2 margin <= 0" if margin <= 0 else "gamma argument <= 0"
-                out.append(DixonMember(i, None, True, margin, reason))
-                continue
-            gq = gamma_quotient(gnum, gden, digits + 6)
-            f = hyp_unit_sum(fup, flo, digits + 6)
-            out.append(DixonMember(i, gq * f, False, margin))
+    for i, (gnum, gden, fup, flo) in enumerate(_dixon_table(*fr), start=1):
+        margin = sum(flo) - sum(fup)
+        bad_gamma = any(g <= 0 for g in gnum + gden)
+        if margin <= 0 or bad_gamma:
+            reason = "3F2 margin <= 0" if margin <= 0 else "gamma argument <= 0"
+            out.append(DixonMember(i, None, True, margin, reason))
+            continue
+        out.append(DixonMember(i, _gamma_hyp(gnum, gden, fup, flo, digits), False, margin))
     return out

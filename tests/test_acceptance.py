@@ -24,7 +24,7 @@ from fermatvol.extalg import (ceresa_eval_k, ceresa_eval_k_bruteforce, pi_pq,
                               perm_sign, v_pairing, v_pairing_bruteforce)
 from fermatvol.fermat import (FermatCurve, delta_iterated_integral,
                               example_triple, harmonic_volume_trace, index_set)
-from fermatvol.specfun import QuadratureSpec, dixon_family, euler_double_integral, gamma_quotient
+from fermatvol.specfun import dixon_family, euler_double_integral, gamma_quotient
 
 F = Fraction
 
@@ -179,7 +179,6 @@ def test_criterion_5_quadrature_cross_check():
     t0 = time.time()
     curve = FermatCurve(5)
     idxs = index_set(5)
-    spec = QuadratureSpec(digits=12)
     worst = 0.0
     bad = []
     beta_cache = {}
@@ -196,7 +195,7 @@ def test_criterion_5_quadrature_cross_check():
             for i2 in idxs:
                 closed = delta_iterated_integral(curve, i1, i2, 25)
                 normalized = closed * beta(i1) * beta(i2)
-                quad = euler_double_integral(i1.alpha, i1.beta, i2.alpha, i2.beta, spec)
+                quad = euler_double_integral(i1.alpha, i1.beta, i2.alpha, i2.beta)
                 gap = abs(float(normalized.value - quad.value))
                 worst = max(worst, gap)
                 if gap > 1e-8:

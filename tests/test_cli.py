@@ -91,3 +91,20 @@ def test_env_digits_invalid_exits_2(monkeypatch, capsys, env):
     with pytest.raises(SystemExit) as exc:
         main(["value", "--n", "4"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["value", "--n", "5", "--k", "99"],
+    ["value", "--n", "3"],
+    ["klein", "--k", "14"],
+    ["scan", "--n", "5", "--m-max", "0"],
+    ["oracle-test", "--n", "3"],
+    ["dixon-test", "--trials", "0"],
+    ["scan", "--n", "5", "--m-max", "100000000"],
+], ids=lambda argv: "_".join(argv).replace("--", ""))
+def test_out_of_range_exits_2(capsys, argv):
+    # rejected before any certified value is computed
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

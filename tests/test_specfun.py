@@ -5,12 +5,10 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from fermatvol.specfun import (AppellF3Params, BoundedReal, DivergenceError,
-                               DomainError, Hyp3F2Params, QuadratureSpec,
-                               appell_f3_partial_sum, appell_f3_unit,
+from fermatvol.specfun import (BoundedReal, DivergenceError, DomainError,
+                               _partial_sum, appell_f3_partial_sum, appell_f3_unit,
                                dixon_family, euler_double_integral,
-                               gamma_quotient, hyp3f2_partial_sum, hyp3f2_unit,
-                               hyp_unit_sum, ln_gamma)
+                               gamma_quotient, hyp_unit_sum, ln_gamma)
 
 F = Fraction
 
@@ -100,15 +98,13 @@ def test_gamma_quotient_rejects_nonpositive():
 # ------------------------------------------------------------- 3F2 at unity
 
 def test_hyp3f2_zero_upper_truncates_to_one():
-    p = Hyp3F2Params(F(1, 3), F(2, 5), F(0), F(1), F(1))
-    r = hyp3f2_unit(p, 30)
+    r = hyp_unit_sum([F(1, 3), F(2, 5), F(0)], [F(1), F(1)], 30)
     assert agree(r, 1)
 
 
 def test_hyp3f2_gauss_collapse():
     # c = d makes it a 2F1; Gauss: Gamma(e)Gamma(e-a-b)/(Gamma(e-a)Gamma(e-b))
-    p = Hyp3F2Params(F(1, 4), F(1, 4), F(1), F(1), F(1))
-    r = hyp3f2_unit(p, 35)
+    r = hyp_unit_sum([F(1, 4), F(1, 4), F(1)], [F(1), F(1)], 35)
     ref = gamma_quotient([1, F(1, 2)], [F(3, 4), F(3, 4)], 40)
     assert r.agrees_with(ref)
 
@@ -121,10 +117,10 @@ def test_hyp3f2_gauss_collapse():
     (F(1, 8), F(1, 8), F(-1, 2), F(3, 8), F(3, 8)),         # negative upper
 ])
 def test_hyp3f2_matches_mpmath(params):
-    p = Hyp3F2Params(*params)
-    r = hyp3f2_unit(p, 30)
+    a, b, c, d, e = (F(x) for x in params)
+    r = hyp_unit_sum([a, b, c], [d, e], 30)
     with mp.workdps(45):
-        ref = mpmath.hyper([_f(p.a), _f(p.b), _f(p.c)], [_f(p.d), _f(p.e)], 1)
+        ref = mpmath.hyper([_f(a), _f(b), _f(c)], [_f(d), _f(e)], 1)
         assert abs(r.value - ref) <= r.err + mp.mpf(10) ** -40
         assert r.err <= mp.mpf(10) ** -30
 
@@ -143,18 +139,17 @@ def test_hyp_unit_negative_noninteger_lower():
 
 def test_hyp3f2_divergent_raises():
     with pytest.raises(DivergenceError):
-        hyp3f2_unit(Hyp3F2Params(F(7, 8), F(7, 8), F(1), F(9, 8), F(9, 8)), 20)
+        hyp_unit_sum([F(7, 8), F(7, 8), F(1)], [F(9, 8), F(9, 8)], 20)
 
 
 def test_hyp3f2_bad_lower_raises():
     with pytest.raises(DomainError):
-        Hyp3F2Params(F(1, 2), F(1, 2), F(1, 2), F(0), F(1))
+        hyp_unit_sum([F(1, 2), F(1, 2), F(1, 2)], [F(0), F(1)])
 
 
 def test_hyp3f2_terminating_is_exact():
     # upper -3 terminates after 4 terms; compare against the explicit sum
-    p = Hyp3F2Params(F(-3), F(1, 2), F(1, 3), F(5, 4), F(7, 4))
-    r = hyp3f2_unit(p, 30)
+    r = hyp_unit_sum([F(-3), F(1, 2), F(1, 3)], [F(5, 4), F(7, 4)], 30)
     with mp.workdps(50):
         total = mp.mpf(0)
         for n in range(4):
@@ -173,15 +168,14 @@ def test_tail_bound_soundness(seed):
     c = F(rng.randint(1, 9), 10)
     d = F(rng.randint(10, 19), 10)
     e = 1 + a + b + c - d + F(rng.randint(5, 15), 10)  # margin in [0.5, 1.5]
-    p = Hyp3F2Params(a, b, c, d, e)
-    assert p.margin > 0
+    assert d + e - a - b - c > 0
     near = hyp_unit_sum([a, b, c], [d, e], 25, terms=500, series_order=14)
     far = hyp_unit_sum([a, b, c], [d, e], 25, terms=5000, series_order=14)
     assert abs(near.value - far.value) <= near.err + far.err
     # and the truncated raw sum sits below the value for positive terms,
     # approaching it from underneath
     with mp.workprec(250):
-        raw = hyp3f2_partial_sum(p, 5000)
+        raw = _partial_sum([a, b, c], [d, e], 5000)[0]
         assert raw < near.value + near.err
         assert near.value - raw < mp.mpf(10) ** -2
 
@@ -189,14 +183,13 @@ def test_tail_bound_soundness(seed):
 # ------------------------------------------------------------------- Appell
 
 def test_appell_trivial_when_betas_vanish():
-    p = AppellF3Params(F(1, 3), F(2, 5), F(0), F(0), F(7, 4))
-    r = appell_f3_unit(p, 25)
+    r = appell_f3_unit(F(1, 3), F(2, 5), F(0), F(0), F(7, 4), 25)
     assert agree(r, 1)
 
 
 def test_appell_divergent_raises():
     with pytest.raises(DivergenceError):
-        appell_f3_unit(AppellF3Params(F(1, 2), F(1, 2), F(1), F(1), F(5, 4)), 20)
+        appell_f3_unit(F(1, 2), F(1, 2), F(1), F(1), F(5, 4), 20)
 
 
 def test_appell_reduction_identity_along_other_variable():
@@ -210,7 +203,7 @@ def test_appell_reduction_identity_along_other_variable():
     ]
     for (a, a2, b, b2) in cases:
         ga = a + a2 + 1
-        lhs = appell_f3_unit(AppellF3Params(a, a2, b, b2, ga), 25)
+        lhs = appell_f3_unit(a, a2, b, b2, ga, 25)
         pref = gamma_quotient([ga, a - b2 + 1], [a + 1, a + a2 - b2 + 1], 30)
         f = hyp_unit_sum([a, b, a - b2 + 1], [a + 1, a + a2 - b2 + 1], 30)
         rhs = pref * f
@@ -221,19 +214,19 @@ def test_appell_equals_simplex_integral():
     # F3(a1, b2, 1-b1, 1-a2, a1+b2+1; 1,1) * G[a1, b2; a1+b2+1] is the
     # ordered simplex integral; checked against quadrature
     a1, b1, a2, b2 = F(1, 3), F(1, 2), F(1, 4), F(2, 5)
-    p = AppellF3Params(a1, b2, 1 - b1, 1 - a2, a1 + b2 + 1)
-    val = appell_f3_unit(p, 25) * gamma_quotient([a1, b2], [a1 + b2 + 1], 30)
-    quad = euler_double_integral(a1, b1, a2, b2, QuadratureSpec(digits=12))
+    val = (appell_f3_unit(a1, b2, 1 - b1, 1 - a2, a1 + b2 + 1, 25)
+           * gamma_quotient([a1, b2], [a1 + b2 + 1], 30))
+    quad = euler_double_integral(a1, b1, a2, b2)
     assert abs(val.value - quad.value) < 1e-9
 
 
 def test_appell_partial_sums_increase_toward_value():
-    p = AppellF3Params(F(1, 3), F(2, 5), F(1, 2), F(3, 4), F(9, 4))
-    r = appell_f3_unit(p, 25)
+    p = (F(1, 3), F(2, 5), F(1, 2), F(3, 4), F(9, 4))
+    r = appell_f3_unit(*p, 25)
     with mp.workdps(30):
         prev = None
         for m in (10, 40, 160):
-            part = appell_f3_partial_sum(p, m, m)
+            part = appell_f3_partial_sum(*p, m, m)
             assert part < r.value + r.err
             if prev is not None:
                 assert part > prev  # positive terms
