@@ -23,6 +23,22 @@ from .ceresa import CeresaResult, RowFailure
 from .specfun import DomainError
 
 SCAN_M_MAX = 10 ** 7  # about 3 minutes of multiples at 1.9 s per 10^5
+# f(N,k) costs one closed-form term per twist h (phi(N)/2 of them); at the default
+# 30 digits on a shared 2-vCPU VM with pure-Python mpmath, a term took 5.7-5.9 ms
+# for N = 1009 and 2003 and 10.0 ms for N = 40009, so this is about 3.3 minutes;
+# it caps value/check/scan --n and the whole table range
+TWIST_TERMS_MAX = 20_000
+DEGREE_MAX = 2 * TWIST_TERMS_MAX + 2  # the largest N with (N - 1) // 2 <= TWIST_TERMS_MAX
+# oracle-test --n runs ((N-1)(N-2)/2)^2 closed-form/quadrature pairs at 16-23 ms
+# each (same machine, N = 5..8); N = 15 gives 8,281 pairs, about 2.6 minutes
+ORACLE_N_MAX = 15
+
+
+def _twist_terms_bound(n_lo: int, n_hi: int) -> int:
+    """Sum of (N - 1) // 2 >= phi(N) / 2 over n_lo <= N < n_hi, in closed form."""
+    def below(x):  # the sum over 1 <= N < x
+        return (max(x, 2) - 2) ** 2 // 4
+    return below(n_hi) - below(n_lo) if n_lo < n_hi else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,19 +58,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("table", parents=[common], help="fractional parts for a degree range")
     t.add_argument("--n-min", type=int, default=4)
-    t.add_argument("--n-max", type=int, default=100, help="exclusive upper bound")
+    t.add_argument("--n-max", type=int, default=100,
+                   help=f"exclusive upper bound; the range may hold at most "
+                        f"{TWIST_TERMS_MAX} twist terms")
     t.add_argument("--k", type=int, default=1)
 
     v = sub.add_parser("value", parents=[common], help="single invariant value")
-    v.add_argument("--n", type=int, required=True)
+    v.add_argument("--n", type=int, required=True, help=f"at most {DEGREE_MAX}")
     v.add_argument("--k", type=int, default=1)
 
     c = sub.add_parser("check", parents=[common], help="non-integrality verdict")
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=int, required=True, help=f"at most {DEGREE_MAX}")
     c.add_argument("--k", type=int, default=1)
 
     s = sub.add_parser("scan", parents=[common], help="multiples scan m*f for m <= m-max")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=int, required=True, help=f"at most {DEGREE_MAX}")
     s.add_argument("--k", type=int, default=1)
     s.add_argument("--m-max", type=int, required=True,
                    help=f"largest multiple, at most {SCAN_M_MAX}")
@@ -69,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle-test", parents=[common],
                        help="quadrature cross-check of the arc integral closed form")
-    o.add_argument("--n", type=int, default=5)
+    o.add_argument("--n", type=int, default=5, help=f"at most {ORACLE_N_MAX}")
     o.add_argument("--tolerance", type=float, default=1e-8)
     return ap
 
@@ -210,6 +228,15 @@ def main(argv=None) -> int:
         ap.error(f"--m-max must be at most {SCAN_M_MAX}")
     if args.command == "dixon-test" and args.trials < 1:
         ap.error("--trials must be at least 1")
+    if args.command in ("value", "check", "scan") and args.n > DEGREE_MAX:
+        ap.error(f"--n must be at most {DEGREE_MAX}")
+    if args.command == "table":
+        if args.n_min >= args.n_max:
+            ap.error("empty degree range: --n-min must be below --n-max")
+        if _twist_terms_bound(args.n_min, args.n_max) > TWIST_TERMS_MAX:
+            ap.error(f"degree range needs more than {TWIST_TERMS_MAX} twist terms")
+    if args.command == "oracle-test" and args.n > ORACLE_N_MAX:
+        ap.error(f"--n must be at most {ORACLE_N_MAX}")
     out = sys.stdout
     dispatch = {
         "table": cmd_table,

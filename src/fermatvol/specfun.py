@@ -29,14 +29,25 @@ with |true - value| <= err.  Bound propagation is conservative:
 
       |tail - t_M W(M)| <= |t_M| * H(M) * (M^{-K-1} + M^{-K}/K),
 
-  where H(M) majorizes the defect numerator (exact rational
-  arithmetic).  This is the comparison-series bound, with the exponent
-  pushed down by K so that M stays in the hundreds even for 50+ digits.
+  where H(M) majorizes the defect numerator (exact integer arithmetic
+  over one common denominator).  This is the comparison-series bound,
+  with the exponent pushed down by K so that M stays in the hundreds
+  even for 50+ digits.
 
-Floating-point rounding is tracked with generous per-operation slop at
-the ambient mpmath working precision; callers pick the precision via
-``mp.workprec`` (helpers here add their own guard bits on top of the
-requested decimal digits).
+The series engine rounds in fixed point on plain Python ints: every
+quantity is an integer count of ulps 2^-prec, prec being the working
+precision plus guard bits for the number of terms.  A term advances by
+T <- floor(T num(n) / den(n)), with the integer term ratio num/den built
+from the parameters' numerators and denominators.  Floor division is off
+by less than one ulp, so the error E_n of T_n obeys the recurrence
+E_0 = 0, E_{n+1} = ceil(E_n |num| / |den|) + 1; the partial sum is off by
+at most the sum of the E_n, the tail floor(T_M W(M)) (W(M) an exact
+rational) by ceil(E_M |W(M)|) + 1, and the truncation bound is rounded up
+from exact integers.  Value and bound are returned as these integers
+times 2^-prec, exactly.  Everywhere else rounding is tracked with
+generous per-operation slop at the ambient mpmath working precision;
+callers pick the precision via ``mp.workprec`` (helpers here add their
+own guard bits on top of the requested decimal digits).
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ from typing import Optional, Sequence, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_man_exp, to_rational
 
 Rational = Union[int, Fraction]
 
@@ -378,74 +389,81 @@ def _poly_sub(a, b):
     return _trim(out)
 
 
-def _poly_from_factors(params):
-    out = [Fraction(1)]
+def _poly_from_factors(params, D, d):
+    # D^d prod (1 + a x): integer coefficients when D clears every denominator
+    out = [D ** (d - len(params))]
     for a in params:
-        out = _poly_mul(out, [Fraction(1), Fraction(a)])
+        out = _poly_mul(out, [D, D * a.numerator // a.denominator])
     return out
 
 
-def _binom_int(top: int, i: int) -> int:
-    # binomial(top, i) for possibly negative integer top
-    if top >= 0:
-        return math.comb(top, i) if i <= top else 0
-    return (-1) ** i * math.comb(-top + i - 1, i)
-
-
-def _solve_tail_series(p, q, s, K):
-    """Coefficients v_0..v_K of W(n) = n V(1/n) for the tail recurrence.
+def _solve_tail_series(P, Q, s, K):
+    """Coefficients v_k = V[k] / L of W(n) = n V(1/n) for the tail recurrence.
 
     Writing the functional equation q V = x q + p (1+x) V(x/(1+x)) order
     by order gives a triangular linear system: the unknown v_m enters
     the x^{m+1} equation with coefficient (s + m), s the convergence
-    margin, via C[k][j] = q_{j-k} - [p (1+x)^{1-k}]_{j-k}.  Here p and q
-    are prod (1 + a x) over the upper and the lower parameters (with 1).
+    margin, via C[k][j] = q_{j-k} - [p (1+x)^{1-k}]_{j-k}.  Here P and Q
+    are D^d p and D^d q with p, q = prod (1 + a x) over the upper and the
+    lower parameters (with 1), so Q[0] = D^d and every C is an integer
+    over D^d; the solution is kept over the one common denominator L.
     """
-    # B_k[i] = coefficient of x^i in p(x) (1+x)^{1-k}, needed for i <= K+1-k
-    v: list[Fraction] = []
+    width = K + 2
+    Qx = Q + [0] * (width - len(Q))
+    # [P (1+x)^{1-k}]_i for i < K+2: start from P (1+x), then divide by (1+x) per row
+    row = _poly_mul(P, [1, 1])
+    row += [0] * (width - len(row))
+    C = []
+    for _ in range(K):
+        C.append([qc - pc for qc, pc in zip(Qx, row)])
+        prev = 0
+        for i in range(width):
+            prev = row[i] - prev
+            row[i] = prev
+    sn, sd = s.numerator, s.denominator
+    V: list[int] = []
+    L = 1
     for m in range(K + 1):
-        j = m + 1
-        rhs = q[j - 1] if j - 1 < len(q) else Fraction(0)
+        R = L * Qx[m]
         for k in range(m):
-            i = j - k
-            qc = q[i] if i < len(q) else Fraction(0)
-            bk = sum((p[t] * _binom_int(1 - k, i - t) for t in range(min(len(p), i + 1))),
-                     Fraction(0))
-            rhs -= v[k] * (qc - bk)
-        v.append(rhs / (s + m))
-    return v
+            R -= V[k] * C[k][m + 1 - k]
+        # v_m = (R / (L D^d)) / (s + m)
+        num, den = sd * R, Q[0] * (sn + m * sd)
+        g = math.gcd(num, den)
+        f = den // g
+        if f > 1:
+            L *= f
+            V = [x * f for x in V]
+        V.append(num // g)
+    return V, L
 
 
-def _tail_defect_majorant(p, q, v, K, M):
-    """H(M) bounding the defect numerator: |d(n)| <= H(M) n^{-K-1} for n >= M."""
-    one = [Fraction(1), Fraction(1)]
-    pw = [[Fraction(1)]]
-    for _ in range(K + 2):
-        pw.append(_poly_mul(pw[-1], one))
-    G = _poly_mul(pw[K], _poly_mul(q, v))
-    sub = _poly_mul([Fraction(0), Fraction(1)], _poly_mul(q, pw[K]))
-    acc = [Fraction(0)]
-    for k, vk in enumerate(v):
-        if vk == 0:
+def _tail_defect_majorant(P, Q, V, L, K, M):
+    """(hn, hd) with H(M) = hn / hd bounding the defect numerator:
+    |d(n)| <= H(M) n^{-K-1} for n >= M.  The defect polynomial is built
+    scaled by L D^d, which clears the denominators of v, p and q."""
+    pwK = [math.comb(K, i) for i in range(K + 1)]
+    G = _poly_mul(pwK, _poly_mul(Q, V))
+    sub = _poly_mul(Q, [L * c for c in pwK])          # times x
+    acc = [0] * (K + 2)                                # sum_k V_k x^k (1+x)^{K+1-k}
+    for k, Vk in enumerate(V):
+        if Vk == 0:
             continue
-        t = _poly_mul([Fraction(0)] * k + [vk], pw[K - k])
-        if len(t) > len(acc):
-            acc += [Fraction(0)] * (len(t) - len(acc))
-        for i, ti in enumerate(t):
-            acc[i] += ti
-    sub2 = _poly_mul(p, _poly_mul(one, acc))
-    L = max(len(G), len(sub), len(sub2))
-    G += [Fraction(0)] * (L - len(G))
-    for i in range(len(sub)):
-        G[i] -= sub[i]
-    for i in range(len(sub2)):
-        G[i] -= sub2[i]
-    for i in range(K + 2):
-        if G[i] != 0:
-            raise AssertionError("tail series solve lost cancellation")
-    H = G[K + 2:]
-    Mq = Fraction(M)
-    return sum(abs(h) / Mq ** j for j, h in enumerate(H))
+        for i in range(K + 2 - k):
+            acc[k + i] += Vk * math.comb(K + 1 - k, i)
+    sub2 = _poly_mul(P, acc)
+    G += [0] * (max(len(sub) + 1, len(sub2)) - len(G))
+    for i, c in enumerate(sub):
+        G[i + 1] -= c
+    for i, c in enumerate(sub2):
+        G[i] -= c
+    if any(G[:K + 2]):
+        raise AssertionError("tail series solve lost cancellation")
+    # sum_j |h_j| M^-j over H = G[K+2:], over the common denominator M^J
+    hn = 0
+    for h in G[K + 2:]:
+        hn = hn * M + abs(h)
+    return hn, L * Q[0] * M ** (len(G) - K - 3)
 
 
 def _ratio_eventually_below_one(p, q, M):
@@ -489,9 +507,9 @@ def hyp_unit_sum(uppers: Sequence[Rational], lowers: Sequence[Rational],
 
     wp = _bits(digits) + 46
     if stop is not None:
-        with mp.workprec(wp):
-            S = _partial_sum(uppers, lowers, stop + 1)[0]
-            return BoundedReal(S, (3 * stop + 8) * mp.mpf(2) ** (4 - wp) * (abs(S) + 1))
+        prec = _fixed_prec(wp, stop + 1)
+        S, S_err, _, _ = _partial_sum(uppers, lowers, stop + 1, prec)
+        return BoundedReal(_fixed_mpf(S, prec), _fixed_mpf(S_err, prec))
 
     K = series_order or min(48, max(12, int(digits * 0.42) + 6))
     M = terms or max(400, 24 * digits)
@@ -500,10 +518,12 @@ def hyp_unit_sum(uppers: Sequence[Rational], lowers: Sequence[Rational],
     floor_shift = max([0] + [int(math.floor(-2 * float(x))) + 1
                              for x in list(uppers) + list(lowers) if x < 0])
     M = max(M, floor_shift + 2)
-    p = _poly_from_factors(uppers)
-    q = _poly_from_factors(lowers + [Fraction(1)])
+    D = math.lcm(*(x.denominator for x in uppers + lowers))
+    d = max(len(uppers), len(lowers) + 1)
+    P = _poly_from_factors(uppers, D, d)
+    Q = _poly_from_factors(lowers + [Fraction(1)], D, d)
     for _attempt in range(5):
-        result = _hyp_unit_attempt(uppers, lowers, p, q, margin, digits, M, K, wp)
+        result = _hyp_unit_attempt(uppers, lowers, P, Q, margin, digits, M, K, wp)
         if result is not None:
             return result
         M *= 2
@@ -512,53 +532,69 @@ def hyp_unit_sum(uppers: Sequence[Rational], lowers: Sequence[Rational],
                          f"for {uppers}; {lowers}")
 
 
-def _term_ratio_mpf(uppers, lowers, n):
-    num, den = 1, n + 1
-    for a in uppers:
-        num *= n * a.denominator + a.numerator
-        den *= a.denominator
-    for b in lowers:
-        num *= b.denominator
-        den *= n * b.denominator + b.numerator
-    return mp.mpf(num) / den
+def _fixed_prec(wp: int, terms: int) -> int:
+    # guard bits for the ~terms^2 ulps that floor division may accumulate
+    return wp + terms.bit_length()
 
 
-def _partial_sum(uppers, lowers, terms):
-    """(sum of t_n, sum of |t_n|, t_terms) over n < terms, at the ambient precision."""
-    t = mp.mpf(1)
-    S = mp.mpf(0)
-    S_abs = mp.mpf(0)
+def _fixed_mpf(x: int, prec: int) -> mpmath.mpf:
+    # x * 2^-prec, exactly (the mantissa is not rounded to the ambient precision)
+    return mp.make_mpf(from_man_exp(x, -prec))
+
+
+def _partial_sum(uppers, lowers, terms, prec):
+    """Fixed-point sum of t_n over n < terms, in units of 2^-prec.
+
+    Returns (S, S_err, T, T_err): |S - 2^prec sum t_n| <= S_err and
+    |T - 2^prec t_terms| <= T_err.  Each step is T = T * num // den with
+    the integer term ratio num/den; floor division is off by less than
+    one ulp, so the error E of T obeys E' = ceil(E |num| / |den|) + 1.
+    """
+    ups = [(a.numerator, a.denominator) for a in uppers]
+    lows = [(b.numerator, b.denominator) for b in lowers]
+    num0 = math.prod(bd for _, bd in lows)
+    den0 = math.prod(ad for _, ad in ups)
+    T = 1 << prec
+    S = S_err = E = 0
     for n in range(terms):
-        S += t
-        S_abs += abs(t)
-        t = t * _term_ratio_mpf(uppers, lowers, n)
-    return S, S_abs, t
+        S += T
+        S_err += E
+        num, den = num0, (n + 1) * den0
+        for an, ad in ups:
+            num *= n * ad + an
+        for bn, bd in lows:
+            den *= n * bd + bn
+        T = T * num // den
+        E = -(-E * abs(num) // abs(den)) + 1
+    return S, S_err, T, E
 
 
-def _hyp_unit_attempt(uppers, lowers, p, q, s, digits, M, K, wp):
-    if not _ratio_eventually_below_one(p, q, M):
+def _hyp_unit_attempt(uppers, lowers, P, Q, s, digits, M, K, wp):
+    if not _ratio_eventually_below_one(P, Q, M):
         return None
-    v = _solve_tail_series(p, q, s, K)
-    HM = _tail_defect_majorant(p, q, v, K, M)
+    V, L = _solve_tail_series(P, Q, s, K)
+    hn, hd = _tail_defect_majorant(P, Q, V, L, K, M)
     # Q(n) >= n^deg * qscale for n >= M (negative lowers shrink the product)
     qscale = Fraction(1)
-    for b in list(lowers) + [Fraction(1)]:
+    for b in lowers:
         if b < 0:
-            qscale *= 1 + Fraction(b) / M
-    HM = HM / qscale
-    with mp.workprec(wp):
-        S, S_abs, t = _partial_sum(uppers, lowers, M)
-        W = mp.mpf(0)
-        for k in range(K, -1, -1):
-            W = W / M + _to_mpf(v[k])
-        W *= M
-        tail = t * W
-        Ebound = abs(t) * _to_mpf(HM) * (mp.mpf(M) ** (-K - 1) + mp.mpf(M) ** (-K) / K)
-        target = mp.mpf(10) ** (-digits)
-        if Ebound > target / 2:
-            return None
-        round_err = (4 * M + 60) * mp.mpf(2) ** (4 - wp) * (S_abs + abs(tail) + 1)
-        return BoundedReal(S + tail, Ebound + round_err)
+            qscale *= 1 + b / M
+    hn, hd = hn * qscale.denominator, hd * qscale.numerator
+    prec = _fixed_prec(wp, M)
+    S, S_err, T, T_err = _partial_sum(uppers, lowers, M, prec)
+    # tail t_M W(M) with the exact W(M) = M V(1/M) = Wn / Wd
+    Wn = 0
+    for Vk in V:
+        Wn = Wn * M + Vk
+    Wd = L * M ** (K - 1)
+    tail = T * Wn // Wd
+    tail_err = -(-T_err * abs(Wn) // Wd) + 1
+    # |t_M| H(M) (M^{-K-1} + M^{-K}/K), rounded up, in ulps
+    Ebound = -(-(abs(T) + T_err) * hn * (K + M) // (hd * K * M ** (K + 1)))
+    if 2 * Ebound * 10 ** digits > 1 << prec:
+        return None
+    return BoundedReal(_fixed_mpf(S + tail, prec),
+                       _fixed_mpf(S_err + tail_err + Ebound, prec))
 
 
 def _gamma_hyp(gnum, gden, uppers, lowers, digits: int) -> BoundedReal:

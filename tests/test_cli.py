@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fermatvol.cli import main
+from fermatvol.cli import TWIST_TERMS_MAX, _twist_terms_bound, main
 
 
 def run(capsys, argv):
@@ -101,6 +101,12 @@ def test_env_digits_invalid_exits_2(monkeypatch, capsys, env):
     ["oracle-test", "--n", "3"],
     ["dixon-test", "--trials", "0"],
     ["scan", "--n", "5", "--m-max", "100000000"],
+    ["value", "--n", "1000003"],
+    ["check", "--n", "1000003"],
+    ["scan", "--n", "1000003", "--m-max", "10"],
+    ["table", "--n-max", "1000"],
+    ["oracle-test", "--n", "16"],
+    ["table", "--n-min", "50", "--n-max", "10"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_out_of_range_exits_2(capsys, argv):
     # rejected before any certified value is computed
@@ -108,3 +114,11 @@ def test_out_of_range_exits_2(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_twist_terms_bound_closed_form():
+    for lo in range(-3, 15):
+        for hi in range(-3, 17):
+            assert _twist_terms_bound(lo, hi) == sum(max(0, (n - 1) // 2) for n in range(lo, hi))
+    # the default 96-row table fits the budget
+    assert _twist_terms_bound(4, 100) <= TWIST_TERMS_MAX

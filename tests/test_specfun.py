@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import to_rational
 
 from fermatvol.specfun import (BoundedReal, DivergenceError, DomainError,
                                _partial_sum, appell_f3_partial_sum, appell_f3_unit,
@@ -175,9 +178,66 @@ def test_tail_bound_soundness(seed):
     # and the truncated raw sum sits below the value for positive terms,
     # approaching it from underneath
     with mp.workprec(250):
-        raw = _partial_sum([a, b, c], [d, e], 5000)[0]
+        raw = mpmath.ldexp(_partial_sum([a, b, c], [d, e], 5000, 250)[0], -250)
         assert raw < near.value + near.err
         assert near.value - raw < mp.mpf(10) ** -2
+
+
+# ------------------------------------------------- fixed-point partial sum
+
+_RAT = st.fractions(min_value=-4, max_value=4, max_denominator=40)
+_LOWER = _RAT.filter(lambda b: not (b <= 0 and b.denominator == 1))
+
+
+def _exact_partial_sum(uppers, lowers, terms):
+    """(sum of t_n over n < terms, t_terms, max |t_{n+1}/t_n|) in exact rationals."""
+    t, total, worst = F(1), F(0), F(0)
+    for n in range(terms):
+        total += t
+        ratio = F(1, n + 1)
+        for a in uppers:
+            ratio *= n + a
+        for b in lowers:
+            ratio /= n + b
+        worst = max(worst, abs(ratio))
+        t *= ratio
+    return total, t, worst
+
+
+@st.composite
+def _series(draw):
+    uppers = draw(st.lists(_RAT, min_size=1, max_size=3))
+    lowers = draw(st.lists(_LOWER, min_size=len(uppers) - 1, max_size=len(uppers) - 1))
+    if draw(st.booleans()):  # terminating
+        uppers[0] = F(-draw(st.integers(0, 30)))
+    if lowers and draw(st.booleans()):  # convergence margin just above 0
+        b = sum(uppers) - sum(lowers[1:]) + F(1, draw(st.integers(1, 10 ** 6)))
+        assume(not (b <= 0 and b.denominator == 1))
+        lowers[0] = b
+    return uppers, lowers
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series(), st.integers(1, 120), st.integers(4, 160))
+def test_fixed_point_partial_sum_within_rounding_term(series, terms, prec):
+    uppers, lowers = series
+    S, S_err, T, T_err = _partial_sum(uppers, lowers, terms, prec)
+    total, t, worst = _exact_partial_sum(uppers, lowers, terms)
+    ulp = F(1, 2 ** prec)
+    assert abs(S * ulp - total) <= S_err * ulp
+    assert abs(T * ulp - t) <= T_err * ulp
+    if worst <= 1:  # non-increasing terms: at most one ulp per step
+        assert T_err <= terms and S_err <= terms * (terms - 1) // 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 25), st.lists(_RAT, min_size=2, max_size=2),
+       st.lists(_LOWER, min_size=2, max_size=2), st.integers(10, 60))
+def test_terminating_series_encloses_exact_sum(m, ups, lows, digits):
+    uppers = [F(-m)] + ups
+    r = hyp_unit_sum(uppers, lows, digits)
+    total = _exact_partial_sum(uppers, lows, m + 1)[0]
+    assert abs(F(*to_rational(r.value._mpf_)) - total) <= F(*to_rational(r.err._mpf_))
 
 
 # ------------------------------------------------------------------- Appell
