@@ -104,6 +104,25 @@ def _prefactor(n: int, k: int) -> int:
     return math.factorial(k) * 2 * n ** (2 * k)
 
 
+def _decimal_len(p: int) -> int:
+    """len(str(p)), counted from bit_length, so Python's int-to-str digit limit
+    never applies."""
+    n = abs(p)
+    # floor((b - 1) log10 2) + 1 is within one of the true count; fix it exactly
+    d = int((n.bit_length() - 1) * 0.30102999566398120) + 1 if n else 1
+    while n >= 10 ** d:
+        d += 1
+    while d > 1 and n < 10 ** (d - 1):
+        d -= 1
+    return d + (p < 0)
+
+
+def _inner_digits(prefactor: int, digits: int) -> int:
+    """Digits of the inner sum such that at least ``digits`` fractional digits
+    (with a floor of 8, per the margin rule's needs) survive the exact prefactor."""
+    return _bucket(max(digits, 8) + _decimal_len(prefactor) + 10)
+
+
 @lru_cache(maxsize=4096)
 def _h_term(n: int, h: int, digits: int) -> BoundedReal:
     hn = Fraction(h, n)
@@ -138,11 +157,9 @@ def _certify(n: int, k: int, prefactor: int, digits: int,
     """prefactor * inner sum with certified error, fractional part and verdict.
 
     ``inner_sum(inner_digits)`` returns (value, h_terms) at its own working
-    precision.  The inner digits are escalated so that after multiplying by
-    the exact prefactor at least ``digits`` fractional digits survive (with
-    a floor of 8, per the margin rule's needs).
+    precision, escalated by ``_inner_digits``.
     """
-    inner = _bucket(max(digits, 8) + len(str(prefactor)) + 10)
+    inner = _inner_digits(prefactor, digits)
     total, h_terms = inner_sum(inner)
     wp = _bits(inner) + 40
     with mp.workprec(wp):
@@ -227,7 +244,7 @@ def multiples_scan(n: int, k: int, m_max: int, digits: int = 30) -> ScanResult:
     if m_max * base.err >= mp.mpf("0.1"):
         raise PrecisionError(
             f"m_max * err = {mpmath.nstr(m_max * base.err, 3)} >= 0.1; raise digits")
-    pref_digits = len(str(_prefactor(n, k)))
+    pref_digits = _decimal_len(_prefactor(n, k))
     wp = _bits(digits + pref_digits + 14) + 40
     with mp.workprec(wp):
         step = base.frac

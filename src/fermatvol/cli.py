@@ -10,6 +10,7 @@ only changes wall time.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
@@ -26,9 +27,13 @@ SCAN_M_MAX = 10 ** 7  # about 3 minutes of multiples at 1.9 s per 10^5
 # f(N,k) costs one closed-form term per twist h (phi(N)/2 of them); at the default
 # 30 digits on a shared 2-vCPU VM with pure-Python mpmath, a term took 5.7-5.9 ms
 # for N = 1009 and 2003 and 10.0 ms for N = 40009, so this is about 3.3 minutes;
-# it caps value/check/scan --n and the whole table range
+# it caps value/check/scan --n and the whole table range, weighted by _term_weight
 TWIST_TERMS_MAX = 20_000
 DEGREE_MAX = 2 * TWIST_TERMS_MAX + 2  # the largest N with (N - 1) // 2 <= TWIST_TERMS_MAX
+# f(N,k) sums its twist terms at ceresa._inner_digits(k! 2 N^{2k}, digits) digits.
+# The series engine certified them up to 276 digits (inner + 6) and raised
+# PrecisionError from 281 on; ln_gamma (inner + 18) gives up from 355
+INNER_DIGITS_MAX = 250
 # oracle-test --n runs ((N-1)(N-2)/2)^2 closed-form/quadrature pairs at 16-23 ms
 # each (same machine, N = 5..8); N = 15 gives 8,281 pairs, about 2.6 minutes
 ORACLE_N_MAX = 15
@@ -39,6 +44,44 @@ def _twist_terms_bound(n_lo: int, n_hi: int) -> int:
     def below(x):  # the sum over 1 <= N < x
         return (max(x, 2) - 2) ** 2 // 4
     return below(n_hi) - below(n_lo) if n_lo < n_hi else 0
+
+
+def _term_weight(inner: int) -> int:
+    """A twist term at ``inner`` digits, in TWIST_TERMS_MAX units (terms at the
+    default 50): (inner / 50)^3 rounded up.  Measured per-term cost ratios were
+    2.3, 3.4, 15 and 40 at 100, 150, 200 and 250 digits (N = 40009); the largest
+    jobs the budget admits, N = 625 at 200 and N = 321 at 250, took 20-22 s."""
+    return max(1, -(-inner ** 3 // 50 ** 3))
+
+
+def _needed_inner_digits(n: int, k: int, digits: int) -> int:
+    """The inner digits ceresa._certify uses for f(N,k); above INNER_DIGITS_MAX
+    a float lower bound, so a huge --k never builds k!."""
+    if n < 4 or k < 1:  # outside the domain, which the command itself reports
+        return 0
+    est = (math.lgamma(k + 1) + 2 * k * math.log(n)) / math.log(10)
+    if est > INNER_DIGITS_MAX:
+        return int(est)
+    return ceresa._inner_digits(ceresa._prefactor(n, k), digits)
+
+
+def _check_budget(ap: argparse.ArgumentParser, args, digits: int) -> None:
+    # inner digits and weighted twist-term work, before any computation; the
+    # largest prefactor of a table is that of its last degree
+    if args.command == "table":
+        if args.n_min >= args.n_max:
+            ap.error("empty degree range: --n-min must be below --n-max")
+        n, terms = args.n_max - 1, _twist_terms_bound(args.n_min, args.n_max)
+    elif args.command == "klein":
+        n, terms = 7, 3
+    else:
+        n, terms = args.n, (args.n - 1) // 2
+    inner = _needed_inner_digits(n, args.k, digits)
+    if inner > INNER_DIGITS_MAX:
+        ap.error(f"--digits and --k need {inner} inner digits, above {INNER_DIGITS_MAX}")
+    if terms * _term_weight(inner) > TWIST_TERMS_MAX:
+        ap.error(f"{terms} twist terms at {inner} inner digits exceed the work budget "
+                 f"of {TWIST_TERMS_MAX} terms at 50 digits")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,13 +271,8 @@ def main(argv=None) -> int:
         ap.error(f"--m-max must be at most {SCAN_M_MAX}")
     if args.command == "dixon-test" and args.trials < 1:
         ap.error("--trials must be at least 1")
-    if args.command in ("value", "check", "scan") and args.n > DEGREE_MAX:
-        ap.error(f"--n must be at most {DEGREE_MAX}")
-    if args.command == "table":
-        if args.n_min >= args.n_max:
-            ap.error("empty degree range: --n-min must be below --n-max")
-        if _twist_terms_bound(args.n_min, args.n_max) > TWIST_TERMS_MAX:
-            ap.error(f"degree range needs more than {TWIST_TERMS_MAX} twist terms")
+    if args.command in ("value", "check", "scan", "klein", "table"):
+        _check_budget(ap, args, digits)
     if args.command == "oracle-test" and args.n > ORACLE_N_MAX:
         ap.error(f"--n must be at most {ORACLE_N_MAX}")
     out = sys.stdout

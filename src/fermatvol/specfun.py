@@ -14,8 +14,10 @@ with |true - value| <= err.  Bound propagation is conservative:
 
 * log-gamma uses the Stirling series for real y > 0, whose remainder
   after J terms is bounded by the first omitted term
-  |B_{2J+2}| / ((2J+2)(2J+1) y^{2J+1}); arguments are raised past a
-  precision-dependent threshold first.
+  |B_{2J+2}| / ((2J+2)(2J+1) y^{2J+1}); a rational argument a/D is first
+  raised to y = A/D = a/D + m past a precision-dependent threshold, and
+  the raising is undone by one log of the exact integer rising factorial
+  R = prod_{i<m} (a + iD), as ln(R / D^m).
 
 * the unit-argument series engine sums M terms directly and closes the
   tail with an asymptotic solution of the tail recurrence.  Writing
@@ -44,10 +46,23 @@ E_0 = 0, E_{n+1} = ceil(E_n |num| / |den|) + 1; the partial sum is off by
 at most the sum of the E_n, the tail floor(T_M W(M)) (W(M) an exact
 rational) by ceil(E_M |W(M)|) + 1, and the truncation bound is rounded up
 from exact integers.  Value and bound are returned as these integers
-times 2^-prec, exactly.  Everywhere else rounding is tracked with
-generous per-operation slop at the ambient mpmath working precision;
-callers pick the precision via ``mp.workprec`` (helpers here add their
-own guard bits on top of the requested decimal digits).
+times 2^-prec, exactly.
+
+Log-gamma rounds in the same fixed point.  Each Stirling term is one
+floor division of the exact Bernoulli numerator times D^{2j-1} by
+A^{2j-1} (under one ulp each), and the remainder bound is rounded up
+from exact integers.  Only ln A, ln D, ln R and ln(2 pi) come from
+mpmath; each is evaluated with guard bits and charged a stated
+``_LOG_ULPS``, and the error of ln y = ln A - ln D is multiplied by
+|y - 1/2|.  Guard bits for that total keep the rounding below one ulp of
+the nominal working precision, so the bound is the Stirling remainder
+plus less than 2^-(bits(digits) + 30).
+
+Everywhere else (the ``BoundedReal`` arithmetic that combines these
+results) rounding is tracked with per-operation slop at the ambient
+mpmath working precision; callers pick the precision via
+``mp.workprec`` (helpers here add their own guard bits on top of the
+requested decimal digits).
 """
 
 from __future__ import annotations
@@ -59,7 +74,8 @@ from typing import Optional, Sequence, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, to_rational
+from mpmath.libmp import (from_int, from_man_exp, mpf_log, mpf_pi, mpf_shift, round_floor,
+                          to_fixed, to_rational)
 
 Rational = Union[int, Fraction]
 
@@ -252,42 +268,119 @@ def _coerce_c(x) -> BoundedComplex:
 # log-gamma with proved Stirling remainder
 # ---------------------------------------------------------------------------
 
-_BERNOULLI_ROW: list[Fraction] = [Fraction(1)]
+_BERNOULLI_EVEN: list[Fraction] = [Fraction(1)]
 
 
-def _bernoulli_frac(n: int) -> Fraction:
-    # exact Bernoulli numbers via the defining recurrence (B_1 = -1/2);
-    # the row is grown once and shared
-    row = _BERNOULLI_ROW
-    while len(row) <= n:
-        m = len(row)
-        acc = Fraction(0)
-        for k, bk in enumerate(row):
-            acc += math.comb(m + 1, k) * bk
-        row.append(-acc / (m + 1))
-    return row[n]
+def _bernoulli_even(J: int) -> list[Fraction]:
+    """The shared row [B_0, B_2, ..., B_2n], n >= J, of exact Bernoulli numbers.
+
+    Built from the tangent numbers T_n (Brent and Harvey's integer
+    recurrence) as B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)); a row that
+    is too short is rebuilt at least twice as long.
+    """
+    row = _BERNOULLI_EVEN
+    if len(row) <= J:
+        N = max(J, 2 * (len(row) - 1))
+        T = [0, 1] + [0] * (N - 1)
+        for k in range(2, N + 1):
+            T[k] = (k - 1) * T[k - 1]
+        for k in range(2, N + 1):
+            for j in range(k, N + 1):
+                T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+        row[1:] = [Fraction((-1) ** (n - 1) * 2 * n * T[n], 4 ** n * (4 ** n - 1))
+                   for n in range(1, N + 1)]
+    return row
 
 
 def _stirling_order(y: float, digits: int) -> Optional[int]:
     # smallest J with |B_{2J+2}|/((2J+2)(2J+1) y^{2J+1}) <= 10^{-digits-4};
     # Bernoulli magnitude estimated through |B_{2n}| ~ 2 (2n)!/(2pi)^{2n}
     target = -(digits + 4) * math.log(10)
+    log2, log2pi, logy = math.log(2), math.log(2 * math.pi), math.log(y)
     for J in range(1, 260):
         n = 2 * J + 2
-        logB = math.log(2) + math.lgamma(n + 1) - n * math.log(2 * math.pi)
-        logbound = logB - math.log((n) * (n - 1)) - (n - 1) * math.log(y)
+        logB = log2 + math.lgamma(n + 1) - n * log2pi
+        logbound = logB - math.log((n) * (n - 1)) - (n - 1) * logy
         if logbound <= target:
             return J
     return None
 
 
+def _stirling_sum(A: int, D: int, J: int, prec: int) -> tuple[int, int, int]:
+    """Stirling's series sum_{j=1}^{J} B_{2j} / ((2j)(2j-1) y^{2j-1}) at y = A/D,
+    in units of 2^-prec.
+
+    Returns (S, S_err, rem): every term is one floor division of exact
+    integers, off by less than one ulp, so |S - 2^prec sum| <= S_err = J;
+    rem is the first omitted term |B_{2J+2}| / ((2J+2)(2J+1) y^{2J+1}) in
+    ulps, rounded up, which bounds the remainder for every real y > 0.
+    """
+    B = _bernoulli_even(J + 1)
+    num, den = D << prec, A          # 2^prec D^{2j-1} and A^{2j-1}
+    D2, A2 = D * D, A * A
+    S = 0
+    for j in range(1, J + 1):
+        S += B[j].numerator * num // (B[j].denominator * (2 * j) * (2 * j - 1) * den)
+        num *= D2
+        den *= A2
+    b = B[J + 1]
+    rem = -(-abs(b.numerator) * num // (b.denominator * (2 * J + 2) * (2 * J + 1) * den))
+    return S, J, rem
+
+
+# ulps charged to each fixed-point log.  mpmath evaluates it (and pi) at lp bits,
+# 8 more than |value| needs at prec; even 16 ulps of error at lp is then 1/16 ulp
+# at prec, and the final floor adds less than one more
+_LOG_ULPS = 2
+
+
+def _log_fixed(n: int, prec: int) -> int:
+    # floor(2^prec ln n) within _LOG_ULPS, since |ln n| < n.bit_length()
+    lp = prec + n.bit_length().bit_length() + 8
+    return to_fixed(mpf_log(from_int(n), lp, round_floor), prec)
+
+
+def _ln_gamma_fixed(q: Fraction, digits: int) -> tuple[int, int, int, int]:
+    """ln Gamma(q) for rational q > 0 in units of 2^-prec: (value, round_err, rem, prec).
+
+    |value - 2^prec ln Gamma(q)| <= round_err + rem, rem being the Stirling
+    remainder bound and round_err * 2^-prec < 2^-(bits(digits) + 30).
+    """
+    a, D = q.numerator, q.denominator
+    xf = a / D
+    m = max(0, int(math.ceil(max(10.0, 0.4 * digits + 6) - xf)))
+    A = a + m * D
+    J = _stirling_order(xf + m, digits)
+    if J is None:
+        raise PrecisionError("Stirling order selection failed")
+    # ulps from the logs and the two floor divisions; (y - 1/2) amplifies the
+    # error of ln y = ln A - ln D, and the Stirling sum adds J more
+    eD = _LOG_ULPS if D > 1 else 0
+    lead_err = -(-abs(2 * A - D) * (_LOG_ULPS + eD) // (2 * D)) + 1
+    round_err = lead_err + 1 + _LOG_ULPS + _LOG_ULPS * (m > 0) + m * eD
+    prec = _bits(digits) + 30 + (round_err + J).bit_length()
+    LA, LD = _log_fixed(A, prec), _log_fixed(D, prec)
+    S, S_err, rem = _stirling_sum(A, D, J, prec)
+    half_ln_2pi = to_fixed(mpf_log(mpf_shift(mpf_pi(prec + 8), 1), prec + 8), prec - 1)
+    value = ((2 * A - D) * (LA - LD) // (2 * D)        # (y - 1/2) ln y
+             - (A << prec) // D                         # - y
+             + half_ln_2pi + S
+             - _log_fixed(math.prod(range(a, A, D)), prec) + m * LD)   # - ln(R / D^m)
+    return value, round_err + S_err, rem, prec
+
+
 def ln_gamma(x, digits: int = 30) -> BoundedReal:
     """ln Gamma(x) for x > 0 with absolute error <= 10^-digits.
 
-    Exact rational x is evaluated by Stirling's series after raising the
-    argument past ~0.4*digits; the remainder bound is the first omitted
-    term, which is valid for all real positive arguments.  BoundedReal
-    input additionally pays |psi| * x.err.
+    Exact rational x = a/D is raised to y = x + m = A/D past ~0.4*digits
+    and evaluated in fixed point (see the module docstring) as
+
+        (y - 1/2) ln y - y + ln(2 pi)/2 + Stirling sum - ln(R / D^m),
+
+    R = prod_{i<m} (a + iD) being the exact integer rising factorial.  The
+    remainder bound is the first omitted Stirling term, which is valid for
+    all real positive arguments.  BoundedReal input additionally pays
+    |psi| * x.err.
     """
     if isinstance(x, BoundedReal):
         # the binary midpoint is an exact rational
@@ -299,61 +392,36 @@ def ln_gamma(x, digits: int = 30) -> BoundedReal:
     q = Fraction(x)
     if q <= 0:
         raise DomainError(f"ln_gamma requires a positive argument, got {q}")
-    wp = _bits(digits) + 30
-    with mp.workprec(wp):
-        xv = _to_mpf(q)
-        y0 = max(10.0, 0.4 * digits + 6)
-        m = max(0, int(math.ceil(y0 - float(xv))))
-        J = _stirling_order(float(xv) + m, digits)
-        if J is None:
-            raise PrecisionError("Stirling order selection failed")
-        y = xv + m
-        ln_y = mpmath.log(y)
-        total = (y - mp.mpf(1) / 2) * ln_y - y + mpmath.log(2 * mp.pi) / 2
-        y2 = y * y
-        ypow = y
-        for j in range(1, J + 1):
-            b = _bernoulli_frac(2 * j)
-            total += _to_mpf(b) / ((2 * j) * (2 * j - 1) * ypow)
-            ypow *= y2
-        # remainder bound: first omitted term (exact Bernoulli, rounded up)
-        b_next = abs(_bernoulli_frac(2 * J + 2))
-        rem = _to_mpf(b_next) / ((2 * J + 2) * (2 * J + 1)) / (y ** (2 * J + 1)) * mp.mpf("1.001")
-        for i in range(m):
-            total -= mpmath.log(xv + i)
-        round_err = (m + J + 20) * abs(total) * mp.mpf(2) ** (6 - wp) + mp.mpf(2) ** (6 - wp)
-        return BoundedReal(total, rem + round_err)
+    value, round_err, rem, prec = _ln_gamma_fixed(q, digits)
+    return BoundedReal(_fixed_mpf(value, prec), _fixed_mpf(round_err + rem, prec))
 
 
 def gamma_quotient(numerators: Sequence[Rational], denominators: Sequence[Rational],
                    digits: int = 30) -> BoundedReal:
-    """prod Gamma(a_i) / prod Gamma(b_j) for positive rational arguments."""
+    """prod Gamma(a_i) / prod Gamma(b_j) for positive rational arguments.
+
+    Raises PrecisionError unless err <= 10^-digits (1 + |value|)."""
     nums = [Fraction(a) for a in numerators]
     dens = [Fraction(b) for b in denominators]
     for a in nums + dens:
         if a <= 0:
             raise DomainError(f"gamma_quotient argument {a} <= 0")
-    wp = _bits(digits) + 40
-    with mp.workprec(wp):
-        out = _gamma_quotient_once(nums, dens, digits)
-        if out.err > mp.mpf(10) ** (-digits) * (1 + abs(out.value)):
-            with mp.workprec(_bits(2 * digits) + 60):
-                out = _gamma_quotient_once(nums, dens, 2 * digits)
-        return out
-
-
-def _gamma_quotient_once(nums, dens, digits):
     # each distinct argument is evaluated once, with its net multiplicity
     weights: dict[Fraction, int] = {}
     for a in nums:
         weights[a] = weights.get(a, 0) + 1
     for b in dens:
         weights[b] = weights.get(b, 0) - 1
-    acc = BoundedReal(mp.mpf(0), 0)
-    for arg, w in weights.items():
-        if w:
-            acc = acc + ln_gamma(arg, digits + 12) * w
-    return acc.exp()
+    with mp.workprec(_bits(digits) + 40):
+        acc = BoundedReal(mp.mpf(0), 0)
+        for arg, w in weights.items():
+            if w:
+                acc = acc + ln_gamma(arg, digits + 12) * w
+        out = acc.exp()
+        if out.err > mp.mpf(10) ** (-digits) * (1 + abs(out.value)):
+            raise PrecisionError(f"gamma quotient bound {mpmath.nstr(out.err, 3)} "
+                                 f"above 10^-{digits} (1 + |value|)")
+        return out
 
 
 # ---------------------------------------------------------------------------

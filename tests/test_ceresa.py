@@ -3,18 +3,21 @@ import functools
 import json
 import math
 import os
+import random
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mp
 
-from fermatvol.ceresa import (CeresaResult, RowFailure, f_value,
+from fermatvol import ceresa, specfun
+from fermatvol.ceresa import (CeresaResult, RowFailure, _decimal_len, f_value,
                               genus, klein_trace_route, klein_value,
                               multiples_scan, table1,
                               verdict_for)
 from fermatvol.fermat import FermatCurve, example_triple, harmonic_volume_trace
-from fermatvol.specfun import DomainError, PrecisionError
+from fermatvol.specfun import BoundedReal, DomainError, PrecisionError
 
 F = Fraction
 
@@ -116,6 +119,38 @@ def test_table_threads_clamped(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     table1([4, 5], threads=10 ** 6)
     assert seen == [2]
+
+
+def test_gamma_precision_error_is_row_failure(monkeypatch):
+    # a gamma quotient whose bound misses its digits fails the row, explicitly
+    def wide(x, digits=30):
+        return BoundedReal(mp.mpf(1), mp.mpf(10) ** -3)
+    ceresa._h_term.cache_clear()
+    monkeypatch.setattr(specfun, "ln_gamma", wide)
+    try:
+        rows = table1([5, 7], 1, 30)
+    finally:
+        ceresa._h_term.cache_clear()
+    assert all(isinstance(r, RowFailure) and r.message.startswith("PrecisionError")
+               for r in rows)
+
+
+def test_decimal_len_matches_str():
+    # exact on every input, also past Python's int-to-str digit limit, which is
+    # lifted here only to get the reference
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rng = random.Random(7)
+        cases = [0, 1, -1, 9, -10]
+        for j in range(1, 6000, 7):
+            cases += [10 ** j - 1, 10 ** j, -(10 ** j)]
+        cases += [rng.getrandbits(rng.randint(1, 40000)) for _ in range(300)]
+        cases.append(ceresa._prefactor(100, 4000))  # 28,674 digits
+        for p in cases:
+            assert _decimal_len(p) == len(str(p)), p
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_multiples_scan_small():

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from fermatvol.cli import TWIST_TERMS_MAX, _twist_terms_bound, main
+from fermatvol import ceresa
+from fermatvol.cli import (INNER_DIGITS_MAX, TWIST_TERMS_MAX, _needed_inner_digits,
+                           _twist_terms_bound, main)
 
 
 def run(capsys, argv):
@@ -107,6 +109,15 @@ def test_env_digits_invalid_exits_2(monkeypatch, capsys, env):
     ["table", "--n-max", "1000"],
     ["oracle-test", "--n", "16"],
     ["table", "--n-min", "50", "--n-max", "10"],
+    ["value", "--n", "100", "--k", "60"],
+    ["value", "--n", "7", "--k", "2", "--digits", "400"],
+    ["value", "--n", "100", "--k", "4000"],
+    ["value", "--n", "5", "--digits", "239"],
+    ["check", "--n", "1009", "--digits", "200"],
+    ["scan", "--n", "5", "--m-max", "10", "--digits", "400"],
+    ["klein", "--digits", "400"],
+    ["table", "--n-max", "20", "--digits", "300"],
+    ["table", "--k", "40"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_out_of_range_exits_2(capsys, argv):
     # rejected before any certified value is computed
@@ -122,3 +133,22 @@ def test_twist_terms_bound_closed_form():
             assert _twist_terms_bound(lo, hi) == sum(max(0, (n - 1) // 2) for n in range(lo, hi))
     # the default 96-row table fits the budget
     assert _twist_terms_bound(4, 100) <= TWIST_TERMS_MAX
+
+
+def test_inner_digits_max_certifies(capsys):
+    # --digits 238 puts f(5,1) at exactly INNER_DIGITS_MAX inner digits
+    assert _needed_inner_digits(5, 1, 238) == INNER_DIGITS_MAX
+    code, out, _ = run(capsys, ["value", "--n", "5", "--digits", "238", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["frac"].startswith("0.5377411")
+
+
+def test_inner_digits_is_certify_precision():
+    for n in (4, 5, 7, 11, 97, 1009):
+        for k in (1, 2, 5, 13, 40):
+            for digits in (10, 30, 75, 200):
+                want = ceresa._inner_digits(ceresa._prefactor(n, k), digits)
+                got = _needed_inner_digits(n, k, digits)
+                assert got == want if want <= INNER_DIGITS_MAX else got > INNER_DIGITS_MAX
+    # a huge k is rejected from the float estimate, without building k!
+    assert _needed_inner_digits(40001, 10 ** 8, 30) > INNER_DIGITS_MAX

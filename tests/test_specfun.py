@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,10 +9,13 @@ from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import to_rational
 
-from fermatvol.specfun import (BoundedReal, DivergenceError, DomainError,
-                               _partial_sum, appell_f3_partial_sum, appell_f3_unit,
-                               dixon_family, euler_double_integral,
-                               gamma_quotient, hyp_unit_sum, ln_gamma)
+from fermatvol import specfun
+from fermatvol.specfun import (_LOG_ULPS, BoundedReal, DivergenceError, DomainError,
+                               PrecisionError, _bernoulli_even, _bits, _ln_gamma_fixed,
+                               _log_fixed, _partial_sum, _stirling_sum,
+                               appell_f3_partial_sum, appell_f3_unit, dixon_family,
+                               euler_double_integral, gamma_quotient, hyp_unit_sum,
+                               ln_gamma)
 
 F = Fraction
 
@@ -68,6 +72,71 @@ def test_ln_gamma_bounded_real_input_pays_derivative():
         assert r.err >= mp.mpf(10) ** -21  # psi(3/2) ~ 0.036, envelope is coarser
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 3), st.integers(10, 300))
+def test_ln_gamma_encloses_loggamma(p, q, digits):
+    r = ln_gamma(F(p, q), digits)
+    assert r.err <= mp.mpf(10) ** -digits
+    with mp.workdps(2 * digits + 20):
+        ref = mpmath.loggamma(mp.mpf(p) / q)
+        assert abs(r.value - ref) <= r.err
+
+
+def _bernoulli_reference(n):
+    """B_0..B_n from the defining recurrence sum_k C(m+1, k) B_k = 0 (B_1 = -1/2)."""
+    row = [F(1)]
+    for m in range(1, n + 1):
+        row.append(-sum(math.comb(m + 1, k) * bk for k, bk in enumerate(row)) / (m + 1))
+    return row
+
+
+_BERNOULLI = _bernoulli_reference(2 * 41 + 2)
+
+
+def test_bernoulli_even_matches_recurrence():
+    ref = _bernoulli_reference(400)[::2]
+    for J in (0, 1, 3, 10, 200, 57):  # grows, then a shorter request reuses the row
+        row = _bernoulli_even(J)
+        assert len(row) > J
+        assert row[:201] == ref[:len(row)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10 ** 5), st.integers(1, 10 ** 3), st.integers(1, 40),
+       st.integers(4, 400))
+def test_stirling_sum_within_rounding_term(A, D, J, prec):
+    # the fixed-point sum against the exact rational sum, and the remainder
+    # bound against the exact first omitted term
+    S, S_err, rem = _stirling_sum(A, D, J, prec)
+    y = F(A, D)
+    exact = sum(_BERNOULLI[2 * j] / ((2 * j) * (2 * j - 1) * y ** (2 * j - 1))
+                for j in range(1, J + 1))
+    omitted = abs(_BERNOULLI[2 * J + 2]) / ((2 * J + 2) * (2 * J + 1) * y ** (2 * J + 1))
+    ulp = F(1, 2 ** prec)
+    assert abs(S * ulp - exact) <= S_err * ulp
+    assert omitted <= rem * ulp < omitted + ulp
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2 ** 2000), st.integers(4, 1200))
+def test_log_fixed_within_slop(n, prec):
+    L = _log_fixed(n, prec)
+    with mp.workprec(prec + n.bit_length().bit_length() + 40):
+        assert abs(mp.mpf(L) - mpmath.ldexp(mpmath.log(n), prec)) <= _LOG_ULPS
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 3), st.integers(10, 300))
+def test_ln_gamma_rounding_below_nominal_ulp(p, q, digits):
+    # the guard bits keep all rounding below 2^-(bits(digits) + 30), so the
+    # bound is the Stirling remainder plus less than one ulp of that precision
+    value, round_err, rem, prec = _ln_gamma_fixed(F(p, q), digits)
+    assert round_err < 2 ** (prec - _bits(digits) - 30)
+    with mp.workprec(prec + 80):
+        ref = mpmath.ldexp(mpmath.loggamma(mp.mpf(p) / q), prec)
+        assert abs(value - ref) <= round_err + rem
+
+
 # ------------------------------------------------------------ gamma_quotient
 
 def test_gamma_quotient_identity():
@@ -96,6 +165,14 @@ def test_gamma_quotient_beta_matches_quadrature():
 def test_gamma_quotient_rejects_nonpositive():
     with pytest.raises(DomainError):
         gamma_quotient([F(-1, 2)], [F(1)], 20)
+
+
+def test_gamma_quotient_raises_on_wide_bound(monkeypatch):
+    def wide(x, digits=30):
+        return BoundedReal(mp.mpf(1), mp.mpf(10) ** -3)
+    monkeypatch.setattr(specfun, "ln_gamma", wide)
+    with pytest.raises(PrecisionError):
+        gamma_quotient([F(1, 3)], [F(2, 3)], 30)
 
 
 # ------------------------------------------------------------- 3F2 at unity
