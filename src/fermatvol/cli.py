@@ -29,14 +29,14 @@ SCAN_M_MAX = 10 ** 7  # about 3 minutes of multiples at 1.9 s per 10^5
 # for N = 1009 and 2003 and 10.0 ms for N = 40009, so this is about 3.3 minutes;
 # it caps value/check/scan --n and the whole table range, weighted by _term_weight
 TWIST_TERMS_MAX = 20_000
-DEGREE_MAX = 2 * TWIST_TERMS_MAX + 2  # the largest N with (N - 1) // 2 <= TWIST_TERMS_MAX
 # f(N,k) sums its twist terms at ceresa._inner_digits(k! 2 N^{2k}, digits) digits.
 # The series engine certified them up to 276 digits (inner + 6) and raised
 # PrecisionError from 281 on; ln_gamma (inner + 18) gives up from 355
 INNER_DIGITS_MAX = 250
-# oracle-test --n runs ((N-1)(N-2)/2)^2 closed-form/quadrature pairs at 16-23 ms
-# each (same machine, N = 5..8); N = 15 gives 8,281 pairs, about 2.6 minutes
-ORACLE_N_MAX = 15
+# oracle-test --n N runs ((N-1)(N-2))^2 closed-form/quadrature pairs, 6.3-7.8 ms each at
+# 30 digits (N = 5, 6, 10), so the 33,124 pairs of N = 15 take about 3.5 minutes; at 250
+# digits a pair weighs 125, and N = 5 (144 pairs) took 22 s
+ORACLE_PAIRS_MAX = 33_124
 
 
 def _twist_terms_bound(n_lo: int, n_hi: int) -> int:
@@ -66,22 +66,27 @@ def _needed_inner_digits(n: int, k: int, digits: int) -> int:
 
 
 def _check_budget(ap: argparse.ArgumentParser, args, digits: int) -> None:
-    # inner digits and weighted twist-term work, before any computation; the
-    # largest prefactor of a table is that of its last degree
-    if args.command == "table":
-        if args.n_min >= args.n_max:
-            ap.error("empty degree range: --n-min must be below --n-max")
-        n, terms = args.n_max - 1, _twist_terms_bound(args.n_min, args.n_max)
-    elif args.command == "klein":
-        n, terms = 7, 3
+    # inner digits and weighted work, before any computation: oracle-test pairs run their
+    # closed form at max(20, digits); a table's largest prefactor is that of its last degree
+    budget, unit = TWIST_TERMS_MAX, "twist terms"
+    if args.command == "oracle-test":
+        inner, work = max(20, digits), ((args.n - 1) * (args.n - 2)) ** 2
+        budget, unit = ORACLE_PAIRS_MAX, "pairs"
     else:
-        n, terms = args.n, (args.n - 1) // 2
-    inner = _needed_inner_digits(n, args.k, digits)
+        if args.command == "table":
+            if args.n_min >= args.n_max:
+                ap.error("empty degree range: --n-min must be below --n-max")
+            n, work = args.n_max - 1, _twist_terms_bound(args.n_min, args.n_max)
+        elif args.command == "klein":
+            n, work = 7, 3
+        else:
+            n, work = args.n, (args.n - 1) // 2
+        inner = _needed_inner_digits(n, args.k, digits)
     if inner > INNER_DIGITS_MAX:
-        ap.error(f"--digits and --k need {inner} inner digits, above {INNER_DIGITS_MAX}")
-    if terms * _term_weight(inner) > TWIST_TERMS_MAX:
-        ap.error(f"{terms} twist terms at {inner} inner digits exceed the work budget "
-                 f"of {TWIST_TERMS_MAX} terms at 50 digits")
+        ap.error(f"the arguments need {inner} inner digits, above {INNER_DIGITS_MAX}")
+    if work * _term_weight(inner) > budget:
+        ap.error(f"{work} {unit} at {inner} inner digits exceed the work budget "
+                 f"of {budget} {unit} at 50 digits")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,24 +103,24 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=1,
                         help="worker processes for independent rows")
     sub = ap.add_subparsers(dest="command", required=True)
+    budget = f"(N-1)//2 twist terms per degree, weighted by inner digits, within {TWIST_TERMS_MAX}"
 
     t = sub.add_parser("table", parents=[common], help="fractional parts for a degree range")
     t.add_argument("--n-min", type=int, default=4)
     t.add_argument("--n-max", type=int, default=100,
-                   help=f"exclusive upper bound; the range may hold at most "
-                        f"{TWIST_TERMS_MAX} twist terms")
+                   help=f"exclusive upper bound; {budget}")
     t.add_argument("--k", type=int, default=1)
 
     v = sub.add_parser("value", parents=[common], help="single invariant value")
-    v.add_argument("--n", type=int, required=True, help=f"at most {DEGREE_MAX}")
+    v.add_argument("--n", type=int, required=True, help=budget)
     v.add_argument("--k", type=int, default=1)
 
     c = sub.add_parser("check", parents=[common], help="non-integrality verdict")
-    c.add_argument("--n", type=int, required=True, help=f"at most {DEGREE_MAX}")
+    c.add_argument("--n", type=int, required=True, help=budget)
     c.add_argument("--k", type=int, default=1)
 
     s = sub.add_parser("scan", parents=[common], help="multiples scan m*f for m <= m-max")
-    s.add_argument("--n", type=int, required=True, help=f"at most {DEGREE_MAX}")
+    s.add_argument("--n", type=int, required=True, help=budget)
     s.add_argument("--k", type=int, default=1)
     s.add_argument("--m-max", type=int, required=True,
                    help=f"largest multiple, at most {SCAN_M_MAX}")
@@ -130,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle-test", parents=[common],
                        help="quadrature cross-check of the arc integral closed form")
-    o.add_argument("--n", type=int, default=5, help=f"at most {ORACLE_N_MAX}")
+    o.add_argument("--n", type=int, default=5, help=f"((N-1)(N-2))^2 pairs, weighted by "
+                   f"digits, within {ORACLE_PAIRS_MAX} (N = 15)")
     o.add_argument("--tolerance", type=float, default=1e-8)
     return ap
 
@@ -271,10 +277,8 @@ def main(argv=None) -> int:
         ap.error(f"--m-max must be at most {SCAN_M_MAX}")
     if args.command == "dixon-test" and args.trials < 1:
         ap.error("--trials must be at least 1")
-    if args.command in ("value", "check", "scan", "klein", "table"):
+    if args.command != "dixon-test":
         _check_budget(ap, args, digits)
-    if args.command == "oracle-test" and args.n > ORACLE_N_MAX:
-        ap.error(f"--n must be at most {ORACLE_N_MAX}")
     out = sys.stdout
     dispatch = {
         "table": cmd_table,

@@ -164,9 +164,6 @@ class CycloElem:
         return CycloElem(self.n, [-a for a in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycloElem(self.n, [a * q for a in self.coeffs])
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from mpmath import mp
 
@@ -260,20 +259,25 @@ def kappa_exact(curve: FermatCurve, idx1: FermatIndex, idx2: FermatIndex) -> Del
     return DeltaLinear(c0, c1)
 
 
-def kappa_rs_exact(curve: FermatCurve, loop: LoopIndex,
-                   idx1: FermatIndex, idx2: FermatIndex) -> DeltaLinear:
-    """xi^{(a+c)r+(b+d)s} * kappa  -  xi^{ar+bs}(1-xi^a)(1-xi^b)(1-xi^{ds})
-    + xi^{cr+ds}(1-xi^c)(1-xi^d)(1-xi^{bs})."""
+def _kappa_rs_terms(curve: FermatCurve, idx1: FermatIndex, idx2: FermatIndex) -> tuple:
+    """(coefficient, u, v) terms, each coefficient * xi^{ur+vs}, of the kappa^{r,s} display
+    xi^{(a+c)r+(b+d)s} kappa - xi^{ar+bs} p1 (1-xi^{ds}) + xi^{cr+ds} p2 (1-xi^{bs})."""
     n = curve.n
     a, b = idx1.a, idx1.b
     c, d = idx2.a, idx2.b
-    r, s = loop.r, loop.s
-    out = kappa_exact(curve, idx1, idx2) * cyclo_from_power(n, (a + c) * r + (b + d) * s)
-    corr1 = (cyclo_from_power(n, a * r + b * s) * one_minus_power(n, a)
-             * one_minus_power(n, b) * one_minus_power(n, d * s))
-    corr2 = (cyclo_from_power(n, c * r + d * s) * one_minus_power(n, c)
-             * one_minus_power(n, d) * one_minus_power(n, b * s))
-    return out - DeltaLinear.constant(corr1) + DeltaLinear.constant(corr2)
+    p1 = DeltaLinear.constant(one_minus_power(n, a) * one_minus_power(n, b))
+    p2 = DeltaLinear.constant(one_minus_power(n, c) * one_minus_power(n, d))
+    return ((kappa_exact(curve, idx1, idx2), a + c, b + d),
+            (-p1, a, b), (p1, a, b + d), (p2, c, d), (-p2, c, b + d))
+
+
+def kappa_rs_exact(curve: FermatCurve, loop: LoopIndex,
+                   idx1: FermatIndex, idx2: FermatIndex) -> DeltaLinear:
+    """The (r,s)-rotated loop integral: the ``_kappa_rs_terms`` display at (r, s)."""
+    n = curve.n
+    return sum((c * cyclo_from_power(n, u * loop.r + v * loop.s)
+                for c, u, v in _kappa_rs_terms(curve, idx1, idx2)),
+               DeltaLinear.constant(CycloElem.zero(n)))
 
 
 def delta_iterated_integral(curve: FermatCurve, idx1: FermatIndex, idx2: FermatIndex,
@@ -386,25 +390,19 @@ def phi_pairing(curve: FermatCurve, idx1: FermatIndex, idx2: FermatIndex) -> Cyc
 @lru_cache(maxsize=512)
 def _sigma_exact_parts_cached(n: int, a1: int, b1: int, a2: int, b2: int,
                               a3: int, b3: int) -> DeltaLinear:
-    curve = FermatCurve(n)
-    idx1, idx2 = FermatIndex(n, a1, b1), FermatIndex(n, a2, b2)
-    total: Optional[DeltaLinear] = None
-    for r in range(n):
-        for s in range(n):
-            w = cyclo_from_power(n, a3 * r + b3 * s)
-            term = kappa_rs_exact(curve, LoopIndex(r, s), idx1, idx2) * w
-            total = term if total is None else total + term
-    denom = one_minus_power(n, -(a3 + b3)).inverse()
-    return total * denom
+    terms = _kappa_rs_terms(FermatCurve(n), FermatIndex(n, a1, b1), FermatIndex(n, a2, b2))
+    total = sum((c for c, u, v in terms if (u + a3) % n == 0 and (v + b3) % n == 0),
+                DeltaLinear.constant(CycloElem.zero(n)))
+    return total * (n * n) * one_minus_power(n, -(a3 + b3)).inverse()
 
 
 def harmonic_volume_exact_parts(curve: FermatCurve, t: TripleConfig) -> DeltaLinear:
     """The weighted loop sum divided by (1 - xi^{-(a3+b3)}), kept exact.
 
-    The polynomial correction is assembled term by term from the loop
-    display rather than hardcoded; its delta coefficient collapses to
-    N^2 (1-xi^{-a3})(1-xi^{-b3})/(1-xi^{-(a3+b3)}) when the triple sums
-    to zero, which the tests verify.
+    Over the N^2 loops (r,s), xi^{(u+a3)r+(v+b3)s} sums to N^2 if u + a3 = v + b3
+    = 0 mod N and to 0 otherwise, so only those ``_kappa_rs_terms`` survive.  For a
+    zero-sum triple the delta coefficient is N^2 (1-xi^{-a3})(1-xi^{-b3})/(1-xi^{-(a3+b3)});
+    the tests check the result against the literal loop.
     """
     i1, i2, i3 = t.indices
     return _sigma_exact_parts_cached(curve.n, i1.a, i1.b, i2.a, i2.b, i3.a, i3.b)

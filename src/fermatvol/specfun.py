@@ -449,7 +449,7 @@ def _trim(a: list) -> list:
 
 
 def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
+    out = [0] * max(len(a), len(b))
     for i, x in enumerate(a):
         out[i] += x
     for i, x in enumerate(b):
@@ -540,12 +540,12 @@ def _ratio_eventually_below_one(p, q, M):
     D = _poly_sub(q[::-1], p[::-1])
     # shift: D(M + y) coefficients
     deg = len(D) - 1
-    shifted = [Fraction(0)] * (deg + 1)
+    shifted = [0] * (deg + 1)
     for i, c in enumerate(D):
         if c == 0:
             continue
         for j in range(i + 1):
-            shifted[j] += c * math.comb(i, j) * Fraction(M) ** (i - j)
+            shifted[j] += c * math.comb(i, j) * M ** (i - j)
     return all(c >= 0 for c in shifted)
 
 

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from fermatvol import ceresa
-from fermatvol.cli import (INNER_DIGITS_MAX, TWIST_TERMS_MAX, _needed_inner_digits,
-                           _twist_terms_bound, main)
+from fermatvol.cli import (INNER_DIGITS_MAX, TWIST_TERMS_MAX, _check_budget,
+                           _needed_inner_digits, _twist_terms_bound, build_parser, main)
 
 
 def run(capsys, argv):
@@ -118,6 +118,10 @@ def test_env_digits_invalid_exits_2(monkeypatch, capsys, env):
     ["klein", "--digits", "400"],
     ["table", "--n-max", "20", "--digits", "300"],
     ["table", "--k", "40"],
+    ["oracle-test", "--n", "4", "--digits", "400"],
+    ["oracle-test", "--n", "4", "--digits", "251"],
+    ["oracle-test", "--n", "6", "--digits", "250"],
+    ["oracle-test", "--n", "13", "--digits", "60"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_out_of_range_exits_2(capsys, argv):
     # rejected before any certified value is computed
@@ -125,6 +129,19 @@ def test_out_of_range_exits_2(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle-test", "--n", "15"],
+    ["oracle-test", "--n", "5", "--digits", "250"],
+    ["value", "--n", "40002"],
+])
+def test_budget_admits_largest_jobs(argv):
+    # the largest admitted oracle jobs at 30 and 250 digits and the largest degree at
+    # 30 digits pass the budget check, which exits 2 otherwise; nothing is computed
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    _check_budget(ap, args, args.digits)
 
 
 def test_twist_terms_bound_closed_form():

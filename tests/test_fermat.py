@@ -17,7 +17,8 @@ from fermatvol.fermat import (DeltaLinear, EtaNotZeroError, FermatCurve,
                               kappa_exact, kappa_iterated_integral,
                               kappa_path_data, kappa_rs_exact,
                               kappa_rs_iterated_integral, kappa_rs_path_data,
-                              klein_triple, period_integral, phi_pairing)
+                              klein_triple, period_integral, phi_pairing,
+                              _sigma_exact_parts_cached)
 from fermatvol.specfun import BoundedComplex
 
 F = Fraction
@@ -271,6 +272,47 @@ def test_nonzero_sum_triple():
 
 # ------------------------------------------------------------------ volume
 
+def weighted_loop_sum(n, i1, i2, a3, b3):
+    """Reference for the exact parts: sum over all N^2 loops (r,s) of
+    xi^{a3 r + b3 s} kappa^{r,s}, evaluated loop by loop."""
+    curve = FermatCurve(n)
+    total = DeltaLinear.constant(CycloElem.zero(n))
+    for r in range(n):
+        for s in range(n):
+            w = cyclo_from_power(n, a3 * r + b3 * s)
+            total = total + kappa_rs_exact(curve, LoopIndex(r, s), i1, i2) * w
+    return total
+
+
+@pytest.mark.parametrize("n,t1,t2,t3", [
+    # zero-sum triples: the kappa term survives
+    (4, (1, 1), (1, 2), (2, 1)),
+    (5, (1, 2), (3, 1), (1, 2)),
+    (6, (2, 1), (5, 3), (5, 2)),
+    (7, (3, 5), (1, 1), (3, 1)),
+    (8, (6, 1), (7, 5), (3, 2)),
+    (9, (6, 6), (8, 8), (4, 4)),
+    (12, (11, 10), (11, 8), (2, 6)),
+    # not zero-sum: each of the correction terms (-p1, a, b), (p1, a, b+d), (p2, c, d)
+    # and (-p2, c, b+d) survives somewhere, and at the last triple none does
+    (4, (2, 1), (1, 1), (2, 3)),
+    (5, (4, 3), (4, 4), (1, 3)),
+    (6, (5, 4), (3, 4), (3, 2)),
+    (7, (2, 4), (4, 1), (3, 2)),
+    (8, (5, 7), (7, 3), (3, 1)),
+    (9, (2, 2), (5, 8), (7, 8)),
+    (12, (1, 8), (6, 3), (6, 9)),
+    (5, (1, 1), (1, 2), (1, 1)),
+])
+def test_exact_parts_equal_loop_sum(n, t1, t2, t3):
+    # the character-orthogonality sum over the display terms is the literal loop
+    i1, i2 = FermatIndex(n, *t1), FermatIndex(n, *t2)
+    a3, b3 = t3
+    loop = weighted_loop_sum(n, i1, i2, a3, b3)
+    assert _sigma_exact_parts_cached(n, i1.a, i1.b, i2.a, i2.b, a3, b3) == \
+        loop * one_minus_power(n, -(a3 + b3)).inverse()
+
+
 def test_exact_parts_delta_coefficient_collapses():
     # the weighted loop sum's delta coefficient must equal
     # N^2 (1-xi^{-a3})(1-xi^{-b3}) / (1-xi^{-(a3+b3)})
@@ -394,17 +436,10 @@ def test_volume_vanishes_mod_integers_without_zero_sum(n, t1, t2, t3):
     # when the triple does not sum to zero (first two not mutually inverse),
     # the weighted loop sum has no transcendental part and its constant part
     # is an algebraic integer, so the volume vanishes modulo the lattice
-    curve = FermatCurve(n)
     i1, i2 = FermatIndex(n, *t1), FermatIndex(n, *t2)
     a3, b3 = t3
     assert ((i1.a + i2.a + a3) % n, (i1.b + i2.b + b3) % n) != (0, 0)
     assert i2 != -i1
-    total = None
-    for r in range(n):
-        for s in range(n):
-            w = cyclo_from_power(n, a3 * r + b3 * s)
-            term = kappa_rs_exact(curve, LoopIndex(r, s), i1, i2) * w
-            total = term if total is None else total + term
-    m = total * one_minus_power(n, -(a3 + b3)).inverse()
+    m = weighted_loop_sum(n, i1, i2, a3, b3) * one_minus_power(n, -(a3 + b3)).inverse()
     assert m.c1.is_zero()
     assert all(c.denominator == 1 for c in m.c0.coeffs)
