@@ -9,9 +9,9 @@ The quantity evaluated everywhere below is
 whose distance from the nearest integer certifies that k! times the
 degree-k cycle is nontrivial modulo algebraic equivalence.  The inner
 sum is k-independent and cached; the factorial and power prefactor is
-exact integer arithmetic applied last, and the working precision is
-escalated automatically so the prefactor never eats the requested
-fractional accuracy.
+exact integer arithmetic applied last, as are the fractional part and
+the multiples, and the working precision is escalated automatically so
+the prefactor never eats the requested fractional accuracy.
 
 Verdicts are deliberately conservative: ``non-integral`` requires the
 distance to the nearest integer to exceed ten times the certified error
@@ -31,9 +31,8 @@ from typing import Callable, Iterable, Optional, Union
 import mpmath
 from mpmath import mp
 
-from .cyclotomic import euler_phi
-from .specfun import (BoundedReal, DomainError, PrecisionError, _bits, _gamma_hyp,
-                      gamma_quotient, hyp_unit_sum)
+from .specfun import (BoundedReal, DomainError, PrecisionError, _bits, _fixed_mpf,
+                      _gamma_hyp, gamma_quotient, hyp_unit_sum)
 
 MARGIN_FACTOR = 10  # non-integrality requires distance > MARGIN_FACTOR * err
 
@@ -139,17 +138,17 @@ def _h_sum(n: int, digits: int) -> tuple[BoundedReal, int]:
         return acc, len(hs)
 
 
-def _fractional(value: BoundedReal, wp: int) -> tuple[mpmath.mpf, mpmath.mpf]:
-    with mp.workprec(wp):
-        v = value.value
-        fl = mpmath.floor(v)
-        frac = v - fl
-        if frac < 0:
-            frac += 1
-        if frac >= 1:
-            frac -= 1
-        dist = min(frac, 1 - frac)
-        return frac, dist
+def _exact_fixed(*xs: mpmath.mpf) -> tuple[list[int], int]:
+    """Finite mpfs read exactly as integers over one power of two:
+    x_i = n_i * 2^-prec with prec >= 0."""
+    pairs = []
+    for x in xs:
+        if not mpmath.isfinite(x):  # inf and nan carry mantissa 0 in ``_mpf_``
+            raise ValueError(f"{x} is not a finite number")
+        sign, man, exp, _ = x._mpf_
+        pairs.append((-int(man) if sign else int(man), exp))
+    prec = max([0] + [-exp for _, exp in pairs])
+    return [man << (prec + exp) for man, exp in pairs], prec
 
 
 def _certify(n: int, k: int, prefactor: int, digits: int,
@@ -157,17 +156,20 @@ def _certify(n: int, k: int, prefactor: int, digits: int,
     """prefactor * inner sum with certified error, fractional part and verdict.
 
     ``inner_sum(inner_digits)`` returns (value, h_terms) at its own working
-    precision, escalated by ``_inner_digits``.
+    precision, escalated by ``_inner_digits``.  Its value and bound are binary
+    fractions, so the product with the integer prefactor, the fractional part
+    and the distance to the nearest integer are exact integer work.
     """
     inner = _inner_digits(prefactor, digits)
     total, h_terms = inner_sum(inner)
-    wp = _bits(inner) + 40
-    with mp.workprec(wp):
-        value = total * prefactor
-        frac, dist = _fractional(value, wp)
-        return CeresaResult(n=n, k=k, value=value, frac=frac, int_distance=dist,
-                            err=value.err, h_terms=h_terms,
-                            verdict=verdict_for(dist, value.err))
+    (v, e), prec = _exact_fixed(total.value, total.err)
+    v, e = v * prefactor, e * prefactor
+    frac = v % (1 << prec)
+    dist = min(frac, (1 << prec) - frac)
+    err = _fixed_mpf(e, prec)
+    return CeresaResult(n=n, k=k, value=BoundedReal(_fixed_mpf(v, prec), err),
+                        frac=_fixed_mpf(frac, prec), int_distance=_fixed_mpf(dist, prec),
+                        err=err, h_terms=h_terms, verdict=verdict_for(dist, e))
 
 
 def f_value(n: int, k: int, digits: int = 30) -> CeresaResult:
@@ -234,9 +236,10 @@ class ScanResult:
 def multiples_scan(n: int, k: int, m_max: int, digits: int = 30) -> ScanResult:
     """Verify that m * f(N,k) stays non-integral for 1 <= m <= m_max.
 
-    The error of the m-th multiple is m times the base bound (plus the
-    rounding of the incremental fractional accumulation), and the 10x
-    margin rule is applied at every m.
+    The fractional part of m * f is accumulated exactly in units of the
+    binary fractions ``frac`` and ``err`` share, the error of the m-th
+    multiple is m times the base bound, and the 10x margin rule is applied
+    at every m.
     """
     if m_max < 1:
         raise DomainError("m_max must be at least 1")
@@ -244,25 +247,18 @@ def multiples_scan(n: int, k: int, m_max: int, digits: int = 30) -> ScanResult:
     if m_max * base.err >= mp.mpf("0.1"):
         raise PrecisionError(
             f"m_max * err = {mpmath.nstr(m_max * base.err, 3)} >= 0.1; raise digits")
-    pref_digits = _decimal_len(_prefactor(n, k))
-    wp = _bits(digits + pref_digits + 14) + 40
-    with mp.workprec(wp):
-        step = base.frac
-        ulp = mp.mpf(2) ** (6 - wp)
-        cur = mp.mpf(0)
-        first_bad = None
-        for m in range(1, m_max + 1):
-            cur += step
-            if cur >= 1:
-                cur -= 1
-            dist = min(cur, 1 - cur)
-            err_m = m * (base.err + ulp)
-            if not dist > MARGIN_FACTOR * err_m:
-                first_bad = m
-                break
-        verified = (first_bad - 1) if first_bad else m_max
-        return ScanResult(n=n, k=k, m_max=m_max, verified_up_to=verified,
-                          first_inconclusive=first_bad, err_per_unit=base.err + ulp)
+    (step, unit), prec = _exact_fixed(base.frac, base.err)
+    one = 1 << prec
+    cur, bound, first_bad = 0, 0, None
+    for m in range(1, m_max + 1):
+        cur = (cur + step) % one
+        bound += MARGIN_FACTOR * unit
+        if not bound < cur < one - bound:  # m * f within the bound of an integer
+            first_bad = m
+            break
+    verified = (first_bad - 1) if first_bad else m_max
+    return ScanResult(n=n, k=k, m_max=m_max, verified_up_to=verified,
+                      first_inconclusive=first_bad, err_per_unit=base.err)
 
 
 # ---------------------------------------------------------------------------
@@ -293,52 +289,6 @@ def _klein_sum(inner: int) -> tuple[BoundedReal, int]:
             acc = acc + g * g
         f = hyp_unit_sum([s7, 2 * s7, 4 * s7], [1, 1], inner + 6)
         return acc * f, 3
-
-
-# ---------------------------------------------------------------------------
-# membership diagnostic (evidence only, never conclusive)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MembershipDiagnostic:
-    """Outcome of an integer-relation search between a summand value and the
-    real cyclotomic basis.  A found relation would suggest (not prove) field
-    membership; absence of one is merely evidence against it.  Either way
-    the verdict is non-conclusive by construction."""
-    n: int
-    h: int
-    digits: int
-    max_coeff: int
-    relation: Optional[list]
-    conclusive: bool = False
-
-    @property
-    def note(self) -> str:
-        if self.relation is None:
-            return (f"no integer relation with coefficients <= {self.max_coeff} "
-                    f"at {self.digits} digits (non-conclusive evidence of "
-                    f"non-membership)")
-        return f"candidate relation {self.relation} (non-conclusive, verify exactly)"
-
-
-def cyclotomic_membership_diagnostic(n: int, h: int = 1, digits: int = 50,
-                                     max_coeff: int = 10 ** 10) -> MembershipDiagnostic:
-    """PSLQ search: is the twist-h summand plausibly in the degree-N real
-    cyclotomic field?  The summand is real, so membership in the full field
-    would force membership in its maximal real subfield, whose power basis
-    is {1, 2cos(2 pi j / N)}."""
-    if math.gcd(h, n) != 1 or not (0 < h < n / 2):
-        raise ValueError(f"h={h} must be a unit below n/2")
-    term = _h_term(n, h, _bucket(digits + 10))
-    dim = euler_phi(n) // 2
-    with mp.workdps(digits + 20):
-        vec = [mp.mpf(term.value)]
-        for j in range(dim):
-            vec.append(2 * mpmath.cos(2 * mp.pi * j * h / n) if j else mp.mpf(1))
-        rel = mpmath.pslq(vec, tol=mp.mpf(10) ** (-digits), maxcoeff=max_coeff,
-                          maxsteps=20000)
-    return MembershipDiagnostic(n=n, h=h, digits=digits, max_coeff=max_coeff,
-                                relation=list(rel) if rel else None)
 
 
 def klein_trace_route(k: int, digits: int = 30) -> BoundedReal:

@@ -23,7 +23,7 @@ from . import ceresa, specfun
 from .ceresa import CeresaResult, RowFailure
 from .specfun import DomainError
 
-SCAN_M_MAX = 10 ** 7  # about 3 minutes of multiples at 1.9 s per 10^5
+SCAN_M_MAX = 10 ** 7  # about 5 s of multiples at 0.45 s per 10^6
 # f(N,k) costs one closed-form term per twist h (phi(N)/2 of them); at the default
 # 30 digits on a shared 2-vCPU VM with pure-Python mpmath, a term took 5.7-5.9 ms
 # for N = 1009 and 2003 and 10.0 ms for N = 40009, so this is about 3.3 minutes;
@@ -129,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     kq.add_argument("--k", type=int, default=13)
 
     d = sub.add_parser("dixon-test", parents=[common],
-                       help="ten-way closed-form consistency self-test")
+                       help="ten-way closed-form consistency self-test, at "
+                            "min(--digits, 25) digits")
     d.add_argument("--trials", type=int, default=50, help="at least 1")
     d.add_argument("--seed", type=int, default=20100301)
 

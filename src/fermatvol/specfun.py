@@ -75,7 +75,7 @@ from typing import Optional, Sequence, Union
 import mpmath
 from mpmath import mp
 from mpmath.libmp import (from_int, from_man_exp, mpf_log, mpf_pi, mpf_shift, round_floor,
-                          to_fixed, to_rational)
+                          to_fixed)
 
 Rational = Union[int, Fraction]
 
@@ -369,7 +369,7 @@ def _ln_gamma_fixed(q: Fraction, digits: int) -> tuple[int, int, int, int]:
     return value, round_err + S_err, rem, prec
 
 
-def ln_gamma(x, digits: int = 30) -> BoundedReal:
+def ln_gamma(x: Rational, digits: int = 30) -> BoundedReal:
     """ln Gamma(x) for x > 0 with absolute error <= 10^-digits.
 
     Exact rational x = a/D is raised to y = x + m = A/D past ~0.4*digits
@@ -379,16 +379,8 @@ def ln_gamma(x, digits: int = 30) -> BoundedReal:
 
     R = prod_{i<m} (a + iD) being the exact integer rising factorial.  The
     remainder bound is the first omitted Stirling term, which is valid for
-    all real positive arguments.  BoundedReal input additionally pays
-    |psi| * x.err.
+    all real positive arguments.
     """
-    if isinstance(x, BoundedReal):
-        # the binary midpoint is an exact rational
-        base = ln_gamma(Fraction(*to_rational(x.value._mpf_)), digits + 2)
-        # |psi(y)| <= ln(y)+1/y for y>=1; below 1 use the reflection-free crude 2/y + 2
-        y = abs(x.value)
-        psi_bound = (mpmath.log(y) + 1 / y + 2) if y >= 1 else (2 / y + 2)
-        return BoundedReal(base.value, base.err + psi_bound * x.err)
     q = Fraction(x)
     if q <= 0:
         raise DomainError(f"ln_gamma requires a positive argument, got {q}")

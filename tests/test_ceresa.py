@@ -6,10 +6,12 @@ import os
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_man_exp, to_rational
 
 from fermatvol import ceresa, specfun
 from fermatvol.ceresa import (CeresaResult, RowFailure, _decimal_len, f_value,
@@ -156,6 +158,83 @@ def test_decimal_len_matches_str():
 def test_multiples_scan_small():
     res = multiples_scan(5, 1, 10, 30)
     assert res.all_verified and res.verified_up_to == 10
+    assert res.err_per_unit == f_value(5, 1, 30).err
+
+
+def _dyadic(man, exp):
+    return mp.make_mpf(from_man_exp(man, exp))
+
+
+def _exact(x):
+    return Fraction(*to_rational(x._mpf_))
+
+
+def test_exact_fixed_reads_binary_fractions():
+    rng = random.Random(11)
+    xs = [_dyadic(rng.randint(-2 ** 200, 2 ** 200), rng.randint(-400, 40)) for _ in range(50)]
+    xs += [mp.mpf(0), mp.mpf(3) * 2 ** 70]
+    for i in range(0, len(xs), 2):
+        ns, prec = ceresa._exact_fixed(*xs[i:i + 2])
+        assert prec >= 0
+        assert [Fraction(m, 2 ** prec) for m in ns] == [_exact(x) for x in xs[i:i + 2]]
+    for bad in (mpmath.inf, -mpmath.inf, mpmath.nan):
+        with pytest.raises(ValueError):
+            ceresa._exact_fixed(mp.mpf(1), bad)
+
+
+def test_certify_is_exact_on_binary_fractions():
+    # prefactor * sum, its fractional part, the distance to the nearest integer
+    # and the bound equal their exact rational values
+    rng = random.Random(12)
+    for _ in range(200):
+        n, k = rng.randint(4, 40), rng.randint(1, 6)
+        prefactor = ceresa._prefactor(n, k)
+        value = _dyadic(rng.randint(-2 ** 300, 2 ** 300), rng.randint(-420, 20))
+        err = _dyadic(rng.randint(0, 2 ** 40), rng.randint(-480, -300))
+        r = ceresa._certify(n, k, prefactor, 30, lambda inner: (BoundedReal(value, err), 2))
+        v = _exact(value) * prefactor
+        frac = v - math.floor(v)
+        dist = min(frac, 1 - frac)
+        e = _exact(err) * prefactor
+        assert (_exact(r.value.value), _exact(r.frac), _exact(r.int_distance)) == (v, frac, dist)
+        assert _exact(r.err) == _exact(r.value.err) == e
+        assert r.verdict == ("non-integral" if dist > 10 * e else "inconclusive")
+        assert r.h_terms == 2
+
+
+def _reference_first_inconclusive(f, e, m_max):
+    for m in range(1, m_max + 1):
+        r = m * f % 1
+        if min(r, 1 - r) <= ceresa.MARGIN_FACTOR * m * e:
+            return m
+    return None
+
+
+def _scan_cases():
+    third = (2 ** 64 - 1) // 3  # (2^64 - 1) / 3 in units of 2^-64
+    cases = [(5, -4, 1, -5, 3),        # distance equals 10 * err at m = 1
+             (5, -4, 1, -6, 3),        # clears it by a factor 2
+             (third, -64, 1, -68, 10),  # 3f misses 1 by 2^-64 < 30 err
+             (third, -64, 1, -70, 10)]  # ... > 30 err
+    rng = random.Random(13)
+    for _ in range(40):
+        cases.append((rng.getrandbits(120) | 1, -120,
+                      rng.getrandbits(8) | 1, -rng.randint(23, 36), 500))
+    return cases
+
+
+def test_multiples_scan_matches_exact_reference(monkeypatch):
+    outcomes = set()
+    for fm, fe, em, ee, m_max in _scan_cases():
+        base = SimpleNamespace(frac=_dyadic(fm, fe), err=_dyadic(em, ee))
+        monkeypatch.setattr(ceresa, "f_value", lambda n, k, digits: base)
+        res = multiples_scan(5, 1, m_max, 30)
+        first = _reference_first_inconclusive(_exact(base.frac), _exact(base.err), m_max)
+        assert res.first_inconclusive == first
+        assert res.verified_up_to == (m_max if first is None else first - 1)
+        assert res.err_per_unit == base.err
+        outcomes.add(first if first in (None, 1) else "later")
+    assert outcomes == {None, 1, "later"}
 
 
 def test_multiples_scan_guard():
@@ -275,12 +354,3 @@ def test_f_value_through_permutation_sum(curve_case, k):
         through = ceresa_eval_k(k, tuple(labels), phi1, pair) * math.factorial(k)
         direct = value(k, 30)
         assert abs(through.value - direct.value.value) <= through.err + direct.value.err
-
-
-def test_membership_diagnostic_is_nonconclusive_evidence():
-    from fermatvol.ceresa import cyclotomic_membership_diagnostic
-    d = cyclotomic_membership_diagnostic(5, 1, digits=40)
-    assert d.relation is None and not d.conclusive
-    assert "non-conclusive" in d.note
-    with pytest.raises(ValueError):
-        cyclotomic_membership_diagnostic(5, 4, digits=30)  # h above n/2

@@ -65,13 +65,6 @@ def test_ln_gamma_bound_contains_truth(digits):
             assert r.err <= mp.mpf(10) ** (-digits)
 
 
-def test_ln_gamma_bounded_real_input_pays_derivative():
-    with mp.workprec(200):
-        x = BoundedReal(mp.mpf(3) / 2, mp.mpf(10) ** -20)
-        r = ln_gamma(x, 40)
-        assert r.err >= mp.mpf(10) ** -21  # psi(3/2) ~ 0.036, envelope is coarser
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 3), st.integers(10, 300))
 def test_ln_gamma_encloses_loggamma(p, q, digits):
