@@ -7,11 +7,12 @@ The quantity evaluated everywhere below is
              * 3F2(h/N, h/N, 1-2h/N; 1, 1; 1),
 
 whose distance from the nearest integer certifies that k! times the
-degree-k cycle is nontrivial modulo algebraic equivalence.  The inner
-sum is k-independent and cached; the factorial and power prefactor is
-exact integer arithmetic applied last, as are the fractional part and
-the multiples, and the working precision is escalated automatically so
-the prefactor never eats the requested fractional accuracy.
+degree-k cycle is nontrivial modulo algebraic equivalence.  The terms
+of the inner sum are k-independent and cached; their sum, the factorial
+and power prefactor, the fractional part and the multiples are exact
+integer arithmetic applied last, and the working precision is escalated
+automatically so the prefactor never eats the requested fractional
+accuracy.
 
 Verdicts are deliberately conservative: ``non-integral`` requires the
 distance to the nearest integer to exceed ten times the certified error
@@ -128,16 +129,6 @@ def _h_term(n: int, h: int, digits: int) -> BoundedReal:
     return _gamma_hyp([1 - hn] * 4, [1 - 2 * hn] * 2, [hn, hn, 1 - 2 * hn], [1, 1], digits)
 
 
-def _h_sum(n: int, digits: int) -> tuple[BoundedReal, int]:
-    hs = holomorphic_twists(n)
-    wp = _bits(digits) + 40
-    with mp.workprec(wp):
-        acc = BoundedReal(mp.mpf(0), 0)
-        for h in hs:
-            acc = acc + _h_term(n, h, digits)
-        return acc, len(hs)
-
-
 def _exact_fixed(*xs: mpmath.mpf) -> tuple[list[int], int]:
     """Finite mpfs read exactly as integers over one power of two:
     x_i = n_i * 2^-prec with prec >= 0."""
@@ -152,24 +143,27 @@ def _exact_fixed(*xs: mpmath.mpf) -> tuple[list[int], int]:
 
 
 def _certify(n: int, k: int, prefactor: int, digits: int,
-             inner_sum: Callable[[int], tuple[BoundedReal, int]]) -> CeresaResult:
-    """prefactor * inner sum with certified error, fractional part and verdict.
+             terms: Callable[[int], list[BoundedReal]]) -> CeresaResult:
+    """prefactor * sum of terms with certified error, fractional part and verdict.
 
-    ``inner_sum(inner_digits)`` returns (value, h_terms) at its own working
-    precision, escalated by ``_inner_digits``.  Its value and bound are binary
-    fractions, so the product with the integer prefactor, the fractional part
-    and the distance to the nearest integer are exact integer work.
+    ``terms(inner_digits)`` returns the terms of the inner sum, each certified
+    to the inner precision that ``_inner_digits`` escalates.  Their values and
+    bounds are binary fractions, so the sum, the product with the integer
+    prefactor, the fractional part and the distance to the nearest integer
+    are exact.  Raises PrecisionError when the bound exceeds 10^-digits.
     """
-    inner = _inner_digits(prefactor, digits)
-    total, h_terms = inner_sum(inner)
+    parts = terms(_inner_digits(prefactor, digits))
+    total = sum(parts)
     (v, e), prec = _exact_fixed(total.value, total.err)
     v, e = v * prefactor, e * prefactor
+    err = _fixed_mpf(e, prec)
+    if e * 10 ** digits > 1 << prec:
+        raise PrecisionError(f"certified bound {mpmath.nstr(err, 3)} above 10^-{digits}")
     frac = v % (1 << prec)
     dist = min(frac, (1 << prec) - frac)
-    err = _fixed_mpf(e, prec)
     return CeresaResult(n=n, k=k, value=BoundedReal(_fixed_mpf(v, prec), err),
                         frac=_fixed_mpf(frac, prec), int_distance=_fixed_mpf(dist, prec),
-                        err=err, h_terms=h_terms, verdict=verdict_for(dist, e))
+                        err=err, h_terms=len(parts), verdict=verdict_for(dist, e))
 
 
 def f_value(n: int, k: int, digits: int = 30) -> CeresaResult:
@@ -179,7 +173,8 @@ def f_value(n: int, k: int, digits: int = 30) -> CeresaResult:
         raise DomainError("degree must be at least 4")
     if not (1 <= k <= genus(n) - 2):
         raise DomainError(f"k={k} outside [1, {genus(n) - 2}] for N={n}")
-    return _certify(n, k, _prefactor(n, k), digits, lambda inner: _h_sum(n, inner))
+    return _certify(n, k, _prefactor(n, k), digits,
+                    lambda inner: [_h_term(n, h, inner) for h in holomorphic_twists(n)])
 
 
 def _row(args) -> Union[CeresaResult, RowFailure]:
@@ -277,18 +272,16 @@ def klein_value(k: int, digits: int = 30) -> CeresaResult:
     """
     if not (1 <= k <= 13):
         raise DomainError(f"k={k} outside [1, 13]")
-    return _certify(7, k, _prefactor(7, k), digits, _klein_sum)
+    return _certify(7, k, _prefactor(7, k), digits, _klein_terms)
 
 
-def _klein_sum(inner: int) -> tuple[BoundedReal, int]:
+def _klein_terms(inner: int) -> list[BoundedReal]:
     s7 = Fraction(1, 7)
+    gs = [gamma_quotient([x * s7, y * s7], [z * s7], inner + 6)
+          for (x, y, z) in ((3, 6, 2), (5, 6, 4), (3, 5, 1))]
+    f = hyp_unit_sum([s7, 2 * s7, 4 * s7], [1, 1], inner + 6)
     with mp.workprec(_bits(inner) + 40):
-        acc = BoundedReal(mp.mpf(0), 0)
-        for (x, y, z) in ((3, 6, 2), (5, 6, 4), (3, 5, 1)):
-            g = gamma_quotient([x * s7, y * s7], [z * s7], inner + 6)
-            acc = acc + g * g
-        f = hyp_unit_sum([s7, 2 * s7, 4 * s7], [1, 1], inner + 6)
-        return acc * f, 3
+        return [g * g * f for g in gs]
 
 
 def klein_trace_route(k: int, digits: int = 30) -> BoundedReal:
@@ -296,9 +289,6 @@ def klein_trace_route(k: int, digits: int = 30) -> BoundedReal:
     from .fermat import FermatCurve, harmonic_volume_trace, klein_triple
     curve = FermatCurve(7)
     t = klein_triple()
-
-    def traced(inner: int) -> tuple[BoundedReal, int]:
-        return harmonic_volume_trace(curve, t, inner), len(t.holo_twists)
-
     prefactor = math.factorial(k) * 2 * 49 ** (k - 1)
-    return _certify(7, k, prefactor, digits, traced).value
+    return _certify(7, k, prefactor, digits,
+                    lambda inner: [harmonic_volume_trace(curve, t, inner)]).value

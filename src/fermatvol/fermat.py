@@ -444,12 +444,8 @@ def harmonic_volume_trace(curve: FermatCurve, t: TripleConfig,
         raise EtaNotZeroError("triple must sum to zero with parallel holomorphy")
     n = curve.n
     i1, i2, _ = t.indices
-    wp = _bits(digits) + 40
-    with mp.workprec(wp):
-        acc = BoundedReal(mp.mpf(0), 0)
-        for h in t.holo_twists:
-            acc = acc + delta_iterated_integral(curve, i1.scaled(h), i2.scaled(h), digits + 4)
-        return acc * (n * n)
+    return sum(delta_iterated_integral(curve, i1.scaled(h), i2.scaled(h), digits + 4)
+               for h in t.holo_twists) * (n * n)
 
 
 def harmonic_volume_trace_exact_defect(curve: FermatCurve, t: TripleConfig) -> Fraction:

@@ -58,10 +58,13 @@ mpmath; each is evaluated with guard bits and charged a stated
 the nominal working precision, so the bound is the Stirling remainder
 plus less than 2^-(bits(digits) + 30).
 
-Everywhere else (the ``BoundedReal`` arithmetic that combines these
-results) rounding is tracked with per-operation slop at the ambient
-mpmath working precision; callers pick the precision via
-``mp.workprec`` (helpers here add their own guard bits on top of the
+The ``BoundedReal`` arithmetic that combines these results keeps sums,
+differences and integer multiples exact: value and bound are binary
+fractions and are added, subtracted or scaled without rounding, so a sum
+of certified terms is certified by the sum of their bounds.  Products,
+quotients and ``exp`` round at the ambient mpmath working precision and
+charge per-operation slop on |value| + bound; callers pick the precision
+via ``mp.workprec`` (helpers here add their own guard bits on top of the
 requested decimal digits).
 """
 
@@ -103,15 +106,18 @@ def _to_mpf(q) -> mpmath.mpf:
 
 
 def _ulp_slop(x) -> mpmath.mpf:
-    # one-op rounding slop at the ambient precision
+    # rounding slop at the ambient precision for a result of magnitude |x|;
+    # charged on |value| + err, it also covers the rounding of err itself
     return abs(x) * mp.mpf(2) ** (4 - mp.prec)
 
 
 class BoundedReal:
     """A real value with a conservative absolute error bound.
 
-    Arithmetic happens at the ambient mpmath precision and widens the
-    bound by the propagated input errors plus per-operation slop.
+    Sums, differences and integer multiples are exact on the binary
+    fractions of value and bound.  Products, quotients and ``exp`` round
+    at the ambient mpmath precision and widen the bound by the propagated
+    input errors plus per-operation slop.
     """
 
     __slots__ = ("value", "err")
@@ -129,26 +135,27 @@ class BoundedReal:
 
     def __add__(self, other):
         other = _coerce(other)
-        v = self.value + other.value
-        return BoundedReal(v, self.err + other.err + _ulp_slop(v))
+        return BoundedReal(mpmath.fadd(self.value, other.value, exact=True),
+                           mpmath.fadd(self.err, other.err, exact=True))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _coerce(other)
-        v = self.value - other.value
-        return BoundedReal(v, self.err + other.err + _ulp_slop(v))
+        return BoundedReal(mpmath.fsub(self.value, other.value, exact=True),
+                           mpmath.fadd(self.err, other.err, exact=True))
 
     def __rsub__(self, other):
         return _coerce(other).__sub__(self)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return BoundedReal(self.value * other, self.err * abs(other) + _ulp_slop(self.value * other))
+            return BoundedReal(mpmath.fmul(self.value, other, exact=True),
+                               mpmath.fmul(self.err, abs(other), exact=True))
         other = _coerce(other)
         v = self.value * other.value
         e = abs(self.value) * other.err + abs(other.value) * self.err + self.err * other.err
-        return BoundedReal(v, e + _ulp_slop(v))
+        return BoundedReal(v, e + _ulp_slop(abs(v) + e))
 
     __rmul__ = __mul__
 
@@ -162,13 +169,13 @@ class BoundedReal:
             raise ZeroDivisionError("divisor interval contains zero")
         v = self.value / other.value
         e = (self.err + abs(v) * other.err) / lo
-        return BoundedReal(v, e + _ulp_slop(v))
+        return BoundedReal(v, e + _ulp_slop(abs(v) + e))
 
     def exp(self) -> "BoundedReal":
         v = mpmath.exp(self.value)
         # |e^x - e^x'| <= e^x' (e^|dx| - 1)
         e = v * mpmath.expm1(self.err) if self.err < 1 else v * (mpmath.exp(self.err) - 1)
-        return BoundedReal(v, e + 4 * _ulp_slop(v))
+        return BoundedReal(v, e + 4 * _ulp_slop(v + e))
 
     def agrees_with(self, other: "BoundedReal", slack=0) -> bool:
         other = _coerce(other)
@@ -181,8 +188,10 @@ class BoundedReal:
 def _coerce(x) -> BoundedReal:
     if isinstance(x, BoundedReal):
         return x
-    if isinstance(x, (int, Fraction)):
-        return BoundedReal.exact(Fraction(x))
+    if isinstance(x, int):
+        return BoundedReal(mp.make_mpf(from_int(x)), 0)
+    if isinstance(x, Fraction):
+        return BoundedReal.exact(x)
     return BoundedReal(mp.mpf(x), 0)
 
 

@@ -182,16 +182,35 @@ def test_exact_fixed_reads_binary_fractions():
             ceresa._exact_fixed(mp.mpf(1), bad)
 
 
+def _from_dyadic_fraction(q):
+    return _dyadic(q.numerator, 1 - q.denominator.bit_length())
+
+
+def _split(rng, value, err, count):
+    # count dyadic terms of varied exponents whose values sum to value and
+    # whose bounds sum to err
+    parts = [_dyadic(rng.randint(-2 ** 200, 2 ** 200), rng.randint(-450, 10))
+             for _ in range(count - 1)]
+    parts.append(_from_dyadic_fraction(_exact(value) - sum(map(_exact, parts), F(0))))
+    man, exp = err._mpf_[1:3]
+    cuts = sorted(rng.randint(0, man) for _ in range(count - 1))
+    errs = [_dyadic(hi - lo, exp) for lo, hi in zip([0] + cuts, cuts + [man])]
+    return [BoundedReal(v, e) for v, e in zip(parts, errs)]
+
+
 def test_certify_is_exact_on_binary_fractions():
-    # prefactor * sum, its fractional part, the distance to the nearest integer
-    # and the bound equal their exact rational values
+    # the sum of the terms times the prefactor, its fractional part, the distance
+    # to the nearest integer and the bound equal their exact rational values
     rng = random.Random(12)
     for _ in range(200):
         n, k = rng.randint(4, 40), rng.randint(1, 6)
         prefactor = ceresa._prefactor(n, k)
         value = _dyadic(rng.randint(-2 ** 300, 2 ** 300), rng.randint(-420, 20))
         err = _dyadic(rng.randint(0, 2 ** 40), rng.randint(-480, -300))
-        r = ceresa._certify(n, k, prefactor, 30, lambda inner: (BoundedReal(value, err), 2))
+        terms = _split(rng, value, err, rng.randint(1, 5))
+        assert sum(map(_exact, (t.value for t in terms))) == _exact(value)
+        assert sum(map(_exact, (t.err for t in terms))) == _exact(err)
+        r = ceresa._certify(n, k, prefactor, 30, lambda inner: terms)
         v = _exact(value) * prefactor
         frac = v - math.floor(v)
         dist = min(frac, 1 - frac)
@@ -199,7 +218,26 @@ def test_certify_is_exact_on_binary_fractions():
         assert (_exact(r.value.value), _exact(r.frac), _exact(r.int_distance)) == (v, frac, dist)
         assert _exact(r.err) == _exact(r.value.err) == e
         assert r.verdict == ("non-integral" if dist > 10 * e else "inconclusive")
-        assert r.h_terms == 2
+        assert r.h_terms == len(terms)
+
+
+def test_certify_enforces_digits_contract(monkeypatch):
+    # a bound above 10^-digits raises PrecisionError, one at it does not
+    def wide(n, h, digits):
+        return BoundedReal(mp.mpf(0.25), mp.mpf(2) ** -90)
+    prefactor = ceresa._prefactor(5, 1)
+    with pytest.raises(PrecisionError):
+        ceresa._certify(5, 1, prefactor, 30, lambda inner: [wide(5, 1, inner)] * 3)
+    at = ceresa._certify(5, 1, 1, 0, lambda inner: [BoundedReal(mp.mpf(0.5), 1)])
+    assert at.err == 1 and at.verdict == "inconclusive"
+    with pytest.raises(PrecisionError):
+        ceresa._certify(5, 1, 1, 0, lambda inner: [BoundedReal(mp.mpf(0.5), 1),
+                                                   BoundedReal(0, mp.mpf(2) ** -200)])
+    # table1 reports the row as a failure
+    monkeypatch.setattr(ceresa, "_h_term", wide)
+    rows = table1([5, 7], 1, 30)
+    assert all(isinstance(r, RowFailure) and r.message.startswith("PrecisionError")
+               for r in rows)
 
 
 def _reference_first_inconclusive(f, e, m_max):

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_man_exp, to_rational
 
 from fermatvol import specfun
 from fermatvol.specfun import (_LOG_ULPS, BoundedReal, DivergenceError, DomainError,
@@ -23,6 +23,68 @@ F = Fraction
 def agree(a: BoundedReal, b, slack=0):
     b = b if isinstance(b, BoundedReal) else BoundedReal(mp.mpf(b), 0)
     return abs(a.value - b.value) <= a.err + b.err + slack
+
+
+# ------------------------------------------------------------- BoundedReal
+
+def _dyadic(man, exp):
+    return mp.make_mpf(from_man_exp(man, exp))
+
+
+def _exact(x):
+    return F(*to_rational(x._mpf_))
+
+
+_VALUE = st.builds(_dyadic, st.integers(-2 ** 200, 2 ** 200), st.integers(-300, 50))
+_ERR = st.builds(_dyadic, st.integers(0, 2 ** 64), st.integers(-300, 0))
+_BOUNDED = st.builds(BoundedReal, _VALUE, _ERR)
+_INT = st.one_of(st.integers(-10, 10), st.integers(-2 ** 100, 2 ** 100))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BOUNDED, _BOUNDED, _INT, st.integers(20, 300))
+def test_bounded_sums_and_int_multiples_are_exact(a, b, n, prec):
+    # value and bound equal their exact rational values at any ambient precision
+    va, ea, vb, eb = _exact(a.value), _exact(a.err), _exact(b.value), _exact(b.err)
+    with mp.workprec(prec):
+        cases = [(a + b, va + vb, ea + eb), (a - b, va - vb, ea + eb),
+                 (a * n, va * n, ea * abs(n)), (n * a, va * n, ea * abs(n)),
+                 (a + n, va + n, ea), (n - a, n - va, ea)]
+    for r, v, e in cases:
+        assert (_exact(r.value), _exact(r.err)) == (v, e)
+
+
+_UNIT = st.fractions(min_value=-1, max_value=1, max_denominator=10 ** 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BOUNDED, _BOUNDED, _UNIT, _UNIT, st.integers(20, 300))
+@example(BoundedReal(0, 5), BoundedReal(9, 0), F(1), F(0), 20)  # bound rounds, value is 0
+def test_bounded_products_and_quotients_enclose(a, b, s, t, prec):
+    # every point x, y of the input intervals lands inside the result's
+    x = _exact(a.value) + s * _exact(a.err)
+    y = _exact(b.value) + t * _exact(b.err)
+    with mp.workprec(prec):
+        cases = [(a * b, x * y)]
+        if abs(b.value) > b.err:
+            cases.append((a / b, x / y))
+    for r, truth in cases:
+        assert abs(_exact(r.value) - truth) <= _exact(r.err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(_dyadic, st.integers(-2 ** 60, 2 ** 60), st.integers(-120, -52)),
+       st.builds(_dyadic, st.integers(0, 2 ** 32), st.integers(-150, -30)),
+       _UNIT, st.integers(20, 300))
+def test_bounded_exp_encloses(v, e, s, prec):
+    x = _exact(v) + s * _exact(e)
+    with mp.workprec(prec):
+        r = BoundedReal(v, e).exp()
+    # reference at 4x the working precision, with its own rounding charged
+    with mp.workprec(4 * prec + 64):
+        ref = mpmath.exp(mp.fdiv(x.numerator, x.denominator))
+        slack = _exact(abs(ref) * mp.mpf(2) ** (16 - mp.prec))
+    assert abs(_exact(r.value) - _exact(ref)) <= _exact(r.err) + slack
 
 
 # ---------------------------------------------------------------- ln_gamma
