@@ -16,6 +16,7 @@ of the closed forms it is used to check.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from mpmath import mp
@@ -23,14 +24,23 @@ from scipy.special import roots_jacobi
 
 _TOL = 1e-12        # stop doubling once two consecutive orders agree this well
 _DOUBLINGS = 4      # order-doubling budget per sub-integral
+# oracle-test --n 15, the largest the CLI admits, can ask for at most 221 exponent keys
+# x 5 orders = 1,105 distinct rules (2.6 MB of nodes and weights), so this holds its
+# whole working set and still bounds the cache for callers passing arbitrary rationals
+_RULES_MAX = 2048
 
 
+@lru_cache(maxsize=_RULES_MAX)
 def _jacobi_01(n: int, left_exp: float, right_exp: float):
-    """Nodes/weights on [0,1] for weight x^left_exp * (1-x)^right_exp."""
+    """Nodes/weights on [0,1] for weight x^left_exp * (1-x)^right_exp.
+
+    Cached, so every caller shares the arrays; they are read-only."""
     # scipy convention: weight (1-x)^alpha (1+x)^beta on [-1, 1]
     x, w = roots_jacobi(n, right_exp, left_exp)
     nodes = (x + 1.0) / 2.0
     weights = w * 0.5 ** (left_exp + right_exp + 1.0)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return nodes, weights
 
 

@@ -33,9 +33,9 @@ TWIST_TERMS_MAX = 20_000
 # The series engine certified them up to 276 digits (inner + 6) and raised
 # PrecisionError from 281 on; ln_gamma (inner + 18) gives up from 355
 INNER_DIGITS_MAX = 250
-# oracle-test --n N runs ((N-1)(N-2))^2 closed-form/quadrature pairs, 6.3-7.8 ms each at
-# 30 digits (N = 5, 6, 10), so the 33,124 pairs of N = 15 take about 3.5 minutes; at 250
-# digits a pair weighs 125, and N = 5 (144 pairs) took 22 s
+# oracle-test --n N runs ((N-1)(N-2))^2 closed-form/quadrature pairs, 7.1-7.4, 4.5-5.7 and
+# 3.7 ms each at 30 digits for N = 5, 6 and 10, and the 33,124 pairs of N = 15 took 3.1
+# minutes (5.5 ms each); at 250 digits a pair weighs 125, and N = 5 (144 pairs) took 22-36 s
 ORACLE_PAIRS_MAX = 33_124
 
 
@@ -246,16 +246,16 @@ def cmd_oracle_test(args, digits, out) -> int:
     from .fermat import FermatCurve, delta_iterated_integral, index_set
     curve = FermatCurve(args.n)
     idxs = index_set(args.n)
+    # the Beta normaliser B(alpha, beta) of each index, once
+    betas = [specfun.gamma_quotient([i.alpha, i.beta], [i.alpha + i.beta], 25) for i in idxs]
     worst = 0.0
     bad = 0
     total = 0
-    for i1 in idxs:
-        for i2 in idxs:
+    for i1, b1 in zip(idxs, betas):
+        for i2, b2 in zip(idxs, betas):
             total += 1
             closed = delta_iterated_integral(curve, i1, i2, max(20, digits))
             quad = specfun.euler_double_integral(i1.alpha, i1.beta, i2.alpha, i2.beta)
-            b1 = specfun.gamma_quotient([i1.alpha, i1.beta], [i1.alpha + i1.beta], 25)
-            b2 = specfun.gamma_quotient([i2.alpha, i2.beta], [i2.alpha + i2.beta], 25)
             normalized = closed * b1 * b2
             gap = abs(float(normalized.value - quad.value))
             worst = max(worst, gap)

@@ -144,6 +144,14 @@ def test_budget_admits_largest_jobs(argv):
     _check_budget(ap, args, args.digits)
 
 
+def test_oracle_test_reference_line(capsys):
+    # cmd_oracle_test's own loop with its Beta normalisers, one per index; the line is
+    # the reference line of the perfbench selfcheck workload
+    code, out, err = run(capsys, ["oracle-test", "--n", "5"])
+    assert code == 0 and err == ""
+    assert out == "144 pairs at N=5: worst |closed - quadrature| = 6.65e-10\n"
+
+
 def test_twist_terms_bound_closed_form():
     for lo in range(-3, 15):
         for hi in range(-3, 17):

@@ -3,13 +3,15 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import from_man_exp, to_rational
+from scipy.special import roots_jacobi
 
-from fermatvol import specfun
+from fermatvol import _quadrature, specfun
 from fermatvol.specfun import (_LOG_ULPS, BoundedReal, DivergenceError, DomainError,
                                PrecisionError, _bernoulli_even, _bits, _ln_gamma_fixed,
                                _log_fixed, _partial_sum, _stirling_sum,
@@ -451,6 +453,25 @@ def test_simplex_symmetry_sums_to_beta_product():
 def test_quadrature_rejects_bad_exponent():
     with pytest.raises(DomainError):
         euler_double_integral(F(3, 2), 1, 1, 1)
+
+
+def test_jacobi_rules_are_cached_read_only_and_exact():
+    for n, left, right in ((24, -0.5, 0.0), (48, -0.8, -0.6), (96, 0.4, 0.0), (24, 0.0, 0.0)):
+        nodes, weights = _quadrature._jacobi_01(n, left, right)
+        x, w = roots_jacobi(n, right, left)  # a fresh rule, mapped from [-1, 1] to [0, 1]
+        assert np.array_equal(nodes, (x + 1.0) / 2.0)
+        assert np.array_equal(weights, w * 0.5 ** (left + right + 1.0))
+        assert _quadrature._jacobi_01(n, left, right)[0] is nodes
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+    # the same integral twice: identical value and bound, and the rules come from the cache
+    args = (F(2, 7), F(3, 7), F(1, 7), F(5, 7))
+    first = euler_double_integral(*args)
+    hits = _quadrature._jacobi_01.cache_info().hits
+    second = euler_double_integral(*args)
+    assert (second.value, second.err) == (first.value, first.err)
+    assert _quadrature._jacobi_01.cache_info().hits > hits
 
 
 # ------------------------------------------------------------- Dixon family
