@@ -30,12 +30,12 @@ SCAN_M_MAX = 10 ** 7  # about 5 s of multiples at 0.45 s per 10^6
 # it caps value/check/scan --n and the whole table range, weighted by _term_weight
 TWIST_TERMS_MAX = 20_000
 # f(N,k) sums its twist terms at ceresa._inner_digits(k! 2 N^{2k}, digits) digits.
-# The series engine certified them up to 276 digits (inner + 6) and raised
-# PrecisionError from 281 on; ln_gamma (inner + 18) gives up from 355
+# The series engine certifies them at 500 digits and more, but ln_gamma
+# (inner + 18) gives up from 355
 INNER_DIGITS_MAX = 250
 # oracle-test --n N runs ((N-1)(N-2))^2 closed-form/quadrature pairs, 7.1-7.4, 4.5-5.7 and
 # 3.7 ms each at 30 digits for N = 5, 6 and 10, and the 33,124 pairs of N = 15 took 3.1
-# minutes (5.5 ms each); at 250 digits a pair weighs 125, and N = 5 (144 pairs) took 22-36 s
+# minutes (5.5 ms each); at 250 digits a pair weighs 125, and N = 5 (144 pairs) took 4.9 s
 ORACLE_PAIRS_MAX = 33_124
 
 
@@ -48,9 +48,9 @@ def _twist_terms_bound(n_lo: int, n_hi: int) -> int:
 
 def _term_weight(inner: int) -> int:
     """A twist term at ``inner`` digits, in TWIST_TERMS_MAX units (terms at the
-    default 50): (inner / 50)^3 rounded up.  Measured per-term cost ratios were
-    2.3, 3.4, 15 and 40 at 100, 150, 200 and 250 digits (N = 40009); the largest
-    jobs the budget admits, N = 625 at 200 and N = 321 at 250, took 20-22 s."""
+    default 50): (inner / 50)^3 rounded up.  Measured per-term cost ratios are
+    2.6, 5.8, 12 and 22 at 100, 150, 200 and 250 digits (N = 40009); the largest
+    jobs the budget admits, N = 625 at 200 and N = 321 at 250, take 5.2 and 4.6 s."""
     return max(1, -(-inner ** 3 // 50 ** 3))
 
 

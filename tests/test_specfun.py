@@ -12,9 +12,9 @@ from mpmath.libmp import from_man_exp, to_rational
 from scipy.special import roots_jacobi
 
 from fermatvol import _quadrature, specfun
-from fermatvol.specfun import (_LOG_ULPS, BoundedReal, DivergenceError, DomainError,
-                               PrecisionError, _bernoulli_even, _bits, _ln_gamma_fixed,
-                               _log_fixed, _partial_sum, _stirling_sum,
+from fermatvol.specfun import (_LOG_ULPS, BoundedComplex, BoundedReal, DivergenceError,
+                               DomainError, PrecisionError, _bernoulli_even, _bits,
+                               _ln_gamma_fixed, _log_fixed, _partial_sum, _stirling_sum,
                                appell_f3_partial_sum, appell_f3_unit, dixon_family,
                                euler_double_integral, gamma_quotient, hyp_unit_sum,
                                ln_gamma)
@@ -87,6 +87,34 @@ def test_bounded_exp_encloses(v, e, s, prec):
         ref = mpmath.exp(mp.fdiv(x.numerator, x.denominator))
         slack = _exact(abs(ref) * mp.mpf(2) ** (16 - mp.prec))
     assert abs(_exact(r.value) - _exact(ref)) <= _exact(r.err) + slack
+
+
+def _complex(re, im, err):
+    # the exact dyadic parts, not re-rounded to the ambient precision
+    return BoundedComplex(mp.make_mpc((re._mpf_, im._mpf_)), err)
+
+
+def _disc_point(z: BoundedComplex, dx: F, dy: F) -> tuple[F, F]:
+    return _exact(z.value.real) + dx * _exact(z.err), _exact(z.value.imag) + dy * _exact(z.err)
+
+
+_COMPLEX = st.builds(_complex, _VALUE, _VALUE, _ERR)
+_OFFSET = st.tuples(_UNIT, _UNIT).filter(lambda p: p[0] ** 2 + p[1] ** 2 <= 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COMPLEX, _COMPLEX, _OFFSET, _OFFSET, st.integers(20, 300))
+@example(BoundedComplex(0, 5), BoundedComplex(mp.mpc(mp.mpf(1) / 57), 0),
+         (F(1), F(0)), (F(0), F(0)), 20)  # bound rounds down, value is 0
+def test_bounded_complex_sums_and_products_enclose(a, b, s, t, prec):
+    # every point x, y of the input discs lands inside the result's disc
+    (xr, xi), (yr, yi) = _disc_point(a, *s), _disc_point(b, *t)
+    with mp.workprec(prec):
+        cases = [(a + b, xr + yr, xi + yi), (a - b, xr - yr, xi - yi),
+                 (a * b, xr * yr - xi * yi, xr * yi + xi * yr)]
+    for r, tr, ti in cases:
+        dr, di = _exact(r.value.real) - tr, _exact(r.value.imag) - ti
+        assert dr * dr + di * di <= _exact(r.err) ** 2
 
 
 # ---------------------------------------------------------------- ln_gamma
@@ -315,6 +343,73 @@ def test_tail_bound_soundness(seed):
         raw = mpmath.ldexp(_partial_sum([a, b, c], [d, e], 5000, 250)[0], -250)
         assert raw < near.value + near.err
         assert near.value - raw < mp.mpf(10) ** -2
+
+
+_PARAM = st.fractions(min_value=-2, max_value=2, max_denominator=12).filter(
+    lambda x: not (x <= 0 and x.denominator == 1))
+
+
+@st.composite
+def _convergent(draw):
+    """A 2F1 or 3F2 at 1, neither terminating nor with a non-positive integer
+    lower parameter, whose margin is at least 1/10."""
+    p = draw(st.integers(2, 3))
+    uppers = draw(st.lists(_PARAM, min_size=p, max_size=p))
+    lowers = draw(st.lists(_PARAM, min_size=p - 2, max_size=p - 2))
+    margin = draw(st.fractions(min_value=F(1, 10), max_value=3, max_denominator=60))
+    lowers.append(sum(uppers) - sum(lowers) + margin)
+    assume(not (lowers[-1] <= 0 and lowers[-1].denominator == 1))
+    return uppers, lowers
+
+
+@settings(max_examples=60, deadline=None)
+@given(_convergent(), st.integers(20, 80), st.booleans())
+@example(([F(1), F(1), F(1)], [F(2), F(11, 10)]), 20, True)  # margin 1/10
+@example(([F(1), F(1), F(1)], [F(2), F(11, 10)]), 80, False)
+@example(([F(1, 3), F(1, 3), F(1, 2)], [F(1), F(4, 15)]), 80, True)
+@example(([F(-3, 2), F(5, 4)], [F(-3, 20)]), 50, True)
+def test_hyp_unit_sum_encloses_double_precision_reference(series, digits, short):
+    # ``short`` starts from a quarter of the default (M, K), so that the accepted
+    # attempt's bound is mostly the truncation term rather than rounding
+    uppers, lowers = series
+    kw = {"terms": digits, "series_order": digits // 8 + 4} if short else {}
+    r = hyp_unit_sum(uppers, lowers, digits, **kw)
+    ref = hyp_unit_sum(uppers, lowers, 2 * digits)
+    assert r.err <= mp.mpf(10) ** -digits
+    assert abs(_exact(r.value) - _exact(ref.value)) <= _exact(r.err) + _exact(ref.err)
+
+
+_SCHEDULE_CASES = {
+    **{f"twist97_{h}": ([F(h, 97), F(h, 97), 1 - F(2 * h, 97)], [F(1), F(1)])
+       for h in (1, 23, 48)},
+    "klein": ([F(1, 7), F(2, 7), F(4, 7)], [F(1), F(1)]),
+    # the ninth Dixon member at (1/4, 1/4, 1/4, 3/10)
+    "dixon9_margin_1_20": ([F(3, 4), F(3, 4), F(1)], [F(5, 4), F(13, 10)]),
+    "2F1_negative_upper": ([F(-7, 3), F(1, 2)], [F(3, 2)]),
+}
+
+
+@pytest.mark.parametrize("digits", [31, 36, 56, 126])
+@pytest.mark.parametrize("name", list(_SCHEDULE_CASES))
+def test_default_schedule_bound_no_wider_than_fixed_schedule(name, digits):
+    uppers, lowers = _SCHEDULE_CASES[name]
+    new = hyp_unit_sum(uppers, lowers, digits)
+    # the former fixed schedule: M = 24 d terms, K = 0.42 d + 6 capped at 48
+    old = hyp_unit_sum(uppers, lowers, digits, terms=max(400, 24 * digits),
+                       series_order=min(48, max(12, int(0.42 * digits) + 6)))
+    assert _exact(new.err) <= _exact(old.err)
+    assert abs(_exact(new.value) - _exact(old.value)) <= _exact(new.err) + _exact(old.err)
+
+
+@pytest.mark.parametrize("digits", [281, 300, 500])
+@pytest.mark.parametrize("uppers", [[F(1, 5), F(1, 5), F(3, 5)], [F(1, 7), F(2, 7), F(4, 7)],
+                                    [F(1, 1009), F(1, 1009), F(1007, 1009)]],
+                         ids=["fifths", "klein", "twist1009_1"])
+def test_hyp_unit_sum_certifies_above_280_digits(uppers, digits):
+    # K grows with the digits and on escalation, so no digit count is out of reach
+    r = hyp_unit_sum(uppers, [F(1), F(1)], digits)
+    assert r.err < mp.mpf(10) ** -digits
+    assert agree(r, hyp_unit_sum(uppers, [F(1), F(1)], 250))
 
 
 # ------------------------------------------------- fixed-point partial sum
