@@ -408,6 +408,13 @@ def harmonic_volume_exact_parts(curve: FermatCurve, t: TripleConfig) -> DeltaLin
     return _sigma_exact_parts_cached(curve.n, i1.a, i1.b, i2.a, i2.b, i3.a, i3.b)
 
 
+# one entry per (triple, embedding, digits), about 3 kB each.  A loop over the
+# embeddings of one triple meets each conjugate pair within phi(N) calls, and this
+# holds the 264 components of the volume benchmark's 24-triple pool three times over
+_SIGMA_MAX = 1024
+
+
+@lru_cache(maxsize=_SIGMA_MAX)
 def harmonic_volume_sigma(curve: FermatCurve, t: TripleConfig,
                           sigma: EmbeddingIndex, digits: int = 30) -> BoundedComplex:
     """The sigma-component of the volume at the form triple.

@@ -74,6 +74,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import mpmath
@@ -352,6 +353,12 @@ def _log_fixed(n: int, prec: int) -> int:
     return to_fixed(mpf_log(from_int(n), lp, round_floor), prec)
 
 
+# one entry per distinct (argument, digits), about 0.4 kB each: the default 96-row
+# table, the largest consumer, asks for 2,251 of them in 3,000 calls
+_LN_GAMMA_MAX = 4096
+
+
+@lru_cache(maxsize=_LN_GAMMA_MAX)
 def _ln_gamma_fixed(q: Fraction, digits: int) -> tuple[int, int, int, int]:
     """ln Gamma(q) for rational q > 0 in units of 2^-prec: (value, round_err, rem, prec).
 
@@ -561,7 +568,7 @@ def hyp_unit_sum(uppers: Sequence[Rational], lowers: Sequence[Rational],
     The q lower parameters exclude the implicit (1,n); the convergence
     margin sum(lowers) - sum(uppers) must be positive unless some upper
     parameter is a non-positive integer (terminating series, summed
-    exactly).
+    exactly).  Raises PrecisionError unless err <= 10^-digits (1 + |value|).
     """
     uppers = [Fraction(u) for u in uppers]
     lowers = [Fraction(l) for l in lowers]
@@ -581,7 +588,12 @@ def hyp_unit_sum(uppers: Sequence[Rational], lowers: Sequence[Rational],
     if stop is not None:
         prec = _fixed_prec(wp, stop + 1)
         S, S_err, _, _ = _partial_sum(uppers, lowers, stop + 1, prec)
-        return BoundedReal(_fixed_mpf(S, prec), _fixed_mpf(S_err, prec))
+        # S_err counts ulps whatever prec is: when terms far above 1 break the
+        # contract, one rerun with S_err 10^digits < 2^prec meets it
+        if S_err * 10 ** digits > (1 << prec) + abs(S):
+            prec = (S_err * 10 ** digits).bit_length()
+            S, S_err, _, _ = _partial_sum(uppers, lowers, stop + 1, prec)
+        return _certified_sum(S, S_err, prec, digits, uppers, lowers)
 
     # the fastest measured (M, K) whose bounds are no wider than those of M = 24 digits
     K = series_order or int(digits * 0.46) + 8
@@ -666,8 +678,16 @@ def _hyp_unit_attempt(uppers, lowers, P, Q, s, digits, M, K, wp):
     Ebound = -(-(abs(T) + T_err) * hn * (K + M) // (hd * K * M ** (K + 1)))
     if 2 * Ebound * 10 ** digits > 1 << prec:
         return None
-    return BoundedReal(_fixed_mpf(S + tail, prec),
-                       _fixed_mpf(S_err + tail_err + Ebound, prec))
+    return _certified_sum(S + tail, S_err + tail_err + Ebound, prec, digits, uppers, lowers)
+
+
+def _certified_sum(value: int, err: int, prec: int, digits: int, uppers, lowers) -> BoundedReal:
+    # gamma_quotient's contract on the exact integers: terms far above 1 (large
+    # parameters) carry rounding errors that the guard bits do not cover
+    if err * 10 ** digits > (1 << prec) + abs(value):
+        raise PrecisionError(f"series bound {mpmath.nstr(_fixed_mpf(err, prec), 3)} above "
+                             f"10^-{digits} (1 + |value|) for {uppers}; {lowers}")
+    return BoundedReal(_fixed_mpf(value, prec), _fixed_mpf(err, prec))
 
 
 def _gamma_hyp(gnum, gden, uppers, lowers, digits: int) -> BoundedReal:

@@ -51,6 +51,14 @@ def test_reruns_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_table_reruns_byte_identical_in_one_process(capsys):
+    # the second run reads every memo cache warm
+    argv = ["table", "--n-max", "12"]
+    first = run(capsys, argv)
+    assert first[0] == 0
+    assert run(capsys, argv) == first
+
+
 def test_scan_command(capsys):
     code, out, _ = run(capsys, ["scan", "--n", "5", "--k", "1", "--m-max", "50",
                                 "--format", "json"])

@@ -4,7 +4,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 from mpmath import mp
+from mpmath.libmp import mpf_neg
 
+from fermatvol import fermat, specfun
 from fermatvol.cyclotomic import (CycloElem, EmbeddingIndex, cyclo_from_power,
                                   embed, one_minus_power, trace_to_rationals)
 from fermatvol.fermat import (DeltaLinear, EtaNotZeroError, FermatCurve,
@@ -349,6 +351,53 @@ def test_harmonic_volume_sigma_conjugate():
         m1 = harmonic_volume_sigma(curve, t, EmbeddingIndex(1, n), 25)
         m4 = harmonic_volume_sigma(curve, t, EmbeddingIndex(4, n), 25)
         assert m4.agrees_with(m1.conjugate())
+
+
+def _n11_triple():
+    # (4,5), (2,4), (5,2) at N = 11: zero sum, parallel holomorphy at h = 1, 3, 6, 7, 9
+    curve = FermatCurve(11)
+    return curve, assumption_check(curve, FermatIndex(11, 4, 5), FermatIndex(11, 2, 4),
+                                   FermatIndex(11, 5, 2))
+
+
+def _bits_of(z: BoundedComplex):
+    return z.value.real._mpf_, z.value.imag._mpf_, z.err._mpf_
+
+
+def test_harmonic_volume_sigma_evaluates_each_conjugate_pair_once(monkeypatch):
+    # the antiholomorphic component is the memoised holomorphic one, conjugated
+    curve, t = _n11_triple()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return delta_iterated_integral(*args)
+
+    monkeypatch.setattr(fermat, "delta_iterated_integral", counted)
+    harmonic_volume_sigma.cache_clear()
+    values = {h: harmonic_volume_sigma(curve, t, EmbeddingIndex(h, 11), 30)
+              for h in range(1, 11)}
+    assert len(calls) == len(t.holo_twists) == 5
+    for h in t.holo_twists:
+        re, im, err = _bits_of(values[h])
+        assert _bits_of(values[11 - h]) == (re, mpf_neg(im), err)
+
+
+def test_harmonic_volume_sigma_independent_of_call_history():
+    # a warm cache never answers a 20-digit request with a 30-digit entry
+    curve, t = _n11_triple()
+    sigmas = [EmbeddingIndex(h, 11) for h in range(1, 11)]
+    caches = (harmonic_volume_sigma, specfun._ln_gamma_fixed, _sigma_exact_parts_cached)
+    for cache in caches:
+        cache.cache_clear()
+    for sig in sigmas:
+        harmonic_volume_sigma(curve, t, sig, 30)
+    warm = [_bits_of(harmonic_volume_sigma(curve, t, sig, 20)) for sig in sigmas]
+    for cache in caches:
+        cache.cache_clear()
+    cold = [_bits_of(harmonic_volume_sigma(curve, t, sig, 20)) for sig in sigmas]
+    assert warm == cold
+    assert cold != [_bits_of(harmonic_volume_sigma(curve, t, sig, 30)) for sig in sigmas]
 
 
 def test_harmonic_volume_sigma_rejects_mixed():

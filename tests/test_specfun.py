@@ -222,6 +222,25 @@ def test_ln_gamma_rounding_below_nominal_ulp(p, q, digits):
         assert abs(value - ref) <= round_err + rem
 
 
+def test_ln_gamma_core_computed_once_per_argument_and_digits():
+    _ln_gamma_fixed.cache_clear()
+    first = ln_gamma(F(1, 3), 30)
+    again = ln_gamma(F(1, 3), 30)
+    ln_gamma(F(1, 3), 40)
+    info = _ln_gamma_fixed.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
+    # each call builds its own BoundedReal from the shared tuple of ints
+    assert again is not first
+    assert (again.value._mpf_, again.err._mpf_) == (first.value._mpf_, first.err._mpf_)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(min_value=F(1, 10 ** 3), max_value=10 ** 3, max_denominator=10 ** 3),
+       st.integers(15, 80))
+def test_ln_gamma_core_cache_matches_uncached(q, digits):
+    assert _ln_gamma_fixed(q, digits) == _ln_gamma_fixed.__wrapped__(q, digits)
+
+
 # ------------------------------------------------------------ gamma_quotient
 
 def test_gamma_quotient_identity():
@@ -261,6 +280,25 @@ def test_gamma_quotient_raises_on_wide_bound(monkeypatch):
 
 
 # ------------------------------------------------------------- 3F2 at unity
+
+def test_hyp_unit_sum_enforces_digits_contract():
+    # terms far above 1: this sum once came back as 7.0e-30 with err 3.7e74
+    with pytest.raises(PrecisionError, match="above 10\\^-15"):
+        hyp_unit_sum([F(1552, 3), F(169, 12), F(-507, 2)], [F(85, 6), F(543, 2)], 15)
+
+
+@pytest.mark.parametrize("uppers,lowers,digits", [
+    ([F(-17), F(4), F(4)], [F(-5, 2), F(-7, 2)], 10),
+    ([F(-25), F(4), F(4)], [F(-121, 40), F(-159, 40)], 60),
+])
+def test_terminating_series_meets_digits_contract(uppers, lowers, digits):
+    # terms up to 5e16 and 7e23 cancel to sums below 0.01; at the default guard bits
+    # the bound misses 10^-digits (1 + |value|), and the rerun with more bits meets it
+    r = hyp_unit_sum(uppers, lowers, digits)
+    assert r.err <= mp.mpf(10) ** -digits * (1 + abs(r.value))
+    total = _exact_partial_sum(uppers, lowers, int(1 - uppers[0]))[0]
+    assert abs(_exact(r.value) - total) <= _exact(r.err)
+
 
 def test_hyp3f2_zero_upper_truncates_to_one():
     r = hyp_unit_sum([F(1, 3), F(2, 5), F(0)], [F(1), F(1)], 30)
