@@ -8,19 +8,21 @@ Gauss-Jacobi converges geometrically.  Accuracy is estimated a
 posteriori by doubling the order until two consecutive levels agree.
 
 This module deliberately avoids hypergeometric series, gamma functions
-and incomplete-beta routines: nodes and weights come from the
-Golub-Welsch eigenvalue method (scipy), keeping the oracle independent
-of the closed forms it is used to check.
+and incomplete-beta routines: nodes and weights come from a numpy
+Golub-Welsch builder (G. H. Golub and J. H. Welsch, Math. Comp. 23,
+1969), and the one Beta value that normalises them from libm's
+``math.lgamma``, keeping the oracle independent of the closed forms it
+is used to check.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from mpmath import mp
-from scipy.special import roots_jacobi
 
 _TOL = 1e-12        # stop doubling once two consecutive orders agree this well
 _DOUBLINGS = 4      # order-doubling budget per sub-integral
@@ -30,18 +32,67 @@ _DOUBLINGS = 4      # order-doubling budget per sub-integral
 _RULES_MAX = 2048
 
 
+def _jacobi_ratio(n: int, a: float, b: float, x):
+    """P_n^{(a,b)}(x) / P_n^{(a,b)}(1) by the forward recurrence on the
+    differences d_k = p_k - p_{k-1}, which stays accurate near both endpoints."""
+    if n == 0:
+        return np.ones_like(x)
+    d = (a + b + 2.0) * (x - 1.0) / (2.0 * (a + 1.0))
+    p = d + 1.0
+    for k in range(1, n):
+        t = 2.0 * k + a + b
+        d = (t * (t + 1.0) * (t + 2.0) * (x - 1.0) * p + 2.0 * k * (k + b) * (t + 2.0) * d) \
+            / (2.0 * (k + a + 1.0) * (k + a + b + 1.0) * t)
+        p = p + d
+    return p
+
+
+def _gauss_jacobi(n: int, a: float, b: float):
+    """Nodes/weights on [-1,1] for weight (1-x)^a * (1+x)^b, a, b > -1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix, polished by one Newton step on P_n.  The weights are
+    proportional to 1 / (P_{n-1}(x) P_n'(x)), log-normalised against overflow,
+    and scaled to sum to mu0 = 2^(a+b+1) B(a+1, b+1)."""
+    k = np.arange(1.0, n)
+    t = 2.0 * k + a + b
+    diag = np.empty(n)
+    diag[0] = (b - a) / (a + b + 2.0)
+    diag[1:] = (b * b - a * a) / (t * (t + 2.0))
+    off = 2.0 / t * np.sqrt((k + a) * (k + b) / (t + 1.0))
+    # this factor is 1 at k = 1, where its formula is 0/0 when a + b = -1
+    off[1:] *= np.sqrt(k[1:] * (k[1:] + a + b) / (t[1:] - 1.0))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    # P_n' = (n + a + b + 1)/2 P_{n-1}^{(a+1,b+1)}, and the ratio of their values at 1 is
+    # P_n(1) / P_{n-1}^{(a+1,b+1)}(1) = (a + 1)/n
+    dy = _jacobi_ratio(n - 1, a + 1.0, b + 1.0, x)
+    x = x - 2.0 * (a + 1.0) / (n * (n + a + b + 1.0)) * _jacobi_ratio(n, a, b, x) / dy
+    fm = _jacobi_ratio(n - 1, a, b, x)
+    for v in (fm, dy):
+        logs = np.log(np.abs(v))
+        v /= np.exp((logs.max() + logs.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    mu0 = math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+                   + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+    return x, w * (mu0 / w.sum())
+
+
 @lru_cache(maxsize=_RULES_MAX)
 def _jacobi_01(n: int, left_exp: float, right_exp: float):
     """Nodes/weights on [0,1] for weight x^left_exp * (1-x)^right_exp.
 
     Cached, so every caller shares the arrays; they are read-only."""
-    # scipy convention: weight (1-x)^alpha (1+x)^beta on [-1, 1]
-    x, w = roots_jacobi(n, right_exp, left_exp)
+    x, w = _gauss_jacobi(n, right_exp, left_exp)
     nodes = (x + 1.0) / 2.0
     weights = w * 0.5 ** (left_exp + right_exp + 1.0)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
+
+
+def _kernel_sums(xs, nodes, weights, power: float):
+    """sum_j weights[j] * (1 - xs[i] * nodes[j])^power for every i, as one matrix product."""
+    return (1.0 - np.outer(xs, nodes)) ** power @ weights
 
 
 def _converge(eval_at, start_order, max_doublings, tol):
@@ -69,19 +120,12 @@ def simplex_beta_integral(a1: Fraction, b1: Fraction, a2: Fraction, b2: Fraction
     # region A: 0 <= v <= 1/2, u = v w
     def region_a(order):
         wn, ww = _jacobi_01(order, fa1 - 1.0, 0.0)
-
-        def outer(vs):
-            vals = np.empty_like(vs)
-            for i, v in enumerate(vs):
-                inner = np.dot(ww, (1.0 - v * wn) ** (fb1 - 1.0))
-                vals[i] = (1.0 - v) ** (fb2 - 1.0) * inner
-            return vals
-
         # v = t/2 with weight v^{a1+a2-1}: jacobian 1/2, scale (1/2)^{a1+a2-1}
         tn, tw = _jacobi_01(order, fa1 + fa2 - 1.0, 0.0)
         vs = tn / 2.0
+        inner = _kernel_sums(vs, wn, ww, fb1 - 1.0)
         scale = 0.5 ** (fa1 + fa2)
-        return scale * float(np.dot(tw, outer(vs)))
+        return scale * float(np.dot(tw, (1.0 - vs) ** (fb2 - 1.0) * inner))
 
     # full beta B(a1, b1) by pure quadrature: integrand 1 under the Jacobi weight
     def full_beta(order):
@@ -99,13 +143,10 @@ def simplex_beta_integral(a1: Fraction, b1: Fraction, a2: Fraction, b2: Fraction
     # D: complement correction over [1/2, 1]
     def region_d(order):
         zn, zw = _jacobi_01(order, fb1 - 1.0, 0.0)
-
-        def g(one_minus_v):
-            return np.dot(zw, (1.0 - one_minus_v * zn) ** (fa1 - 1.0))
-
         tn, tw = _jacobi_01(order, fb1 + fb2 - 1.0, 0.0)
         one_minus_vs = tn / 2.0
-        vals = np.array([(1.0 - omv) ** (fa2 - 1.0) * g(omv) for omv in one_minus_vs])
+        g = _kernel_sums(one_minus_vs, zn, zw, fa1 - 1.0)
+        vals = (1.0 - one_minus_vs) ** (fa2 - 1.0) * g
         scale = 0.5 ** (fb1 + fb2)
         return scale * float(np.dot(tw, vals))
 

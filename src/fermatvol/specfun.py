@@ -166,7 +166,9 @@ class BoundedReal:
 
     def __truediv__(self, other):
         other = _coerce(other)
-        lo = abs(other.value) - other.err
+        # exactly: |value| rounded to the working precision can lift lo above the true one
+        w = other.value
+        lo = mpmath.fsub(w if w >= 0 else mpmath.fneg(w, exact=True), other.err, exact=True)
         if lo <= 0:
             raise ZeroDivisionError("divisor interval contains zero")
         v = self.value / other.value
@@ -665,20 +667,27 @@ def _hyp_unit_attempt(uppers, lowers, P, Q, s, digits, M, K, wp):
         if b < 0:
             qscale *= 1 + b / M
     hn, hd = hn * qscale.denominator, hd * qscale.numerator
-    prec = _fixed_prec(wp, M)
-    S, S_err, T, T_err = _partial_sum(uppers, lowers, M, prec)
     # tail t_M W(M) with the exact W(M) = M V(1/M) = Wn / Wd
     Wn = 0
     for Vk in V:
         Wn = Wn * M + Vk
     Wd = L * M ** (K - 1)
-    tail = T * Wn // Wd
-    tail_err = -(-T_err * abs(Wn) // Wd) + 1
-    # |t_M| H(M) (M^{-K-1} + M^{-K}/K), rounded up, in ulps
-    Ebound = -(-(abs(T) + T_err) * hn * (K + M) // (hd * K * M ** (K + 1)))
-    if 2 * Ebound * 10 ** digits > 1 << prec:
-        return None
-    return _certified_sum(S + tail, S_err + tail_err + Ebound, prec, digits, uppers, lowers)
+    prec = _fixed_prec(wp, M)
+    while True:
+        S, S_err, T, T_err = _partial_sum(uppers, lowers, M, prec)
+        tail = T * Wn // Wd
+        tail_err = -(-T_err * abs(Wn) // Wd) + 1
+        # |t_M| H(M) (M^{-K-1} + M^{-K}/K), rounded up, in ulps
+        Ebound = -(-(abs(T) + T_err) * hn * (K + M) // (hd * K * M ** (K + 1)))
+        if 2 * Ebound * 10 ** digits > 1 << prec:
+            return None
+        # S_err and tail_err count ulps whatever prec is: when terms far above 1
+        # break the contract, one rerun with (S_err + tail_err) 10^digits < 2^(prec-1) meets it
+        err = S_err + tail_err + Ebound
+        rounding = (S_err + tail_err) * 10 ** digits
+        if err * 10 ** digits <= (1 << prec) + abs(S + tail) or prec > rounding.bit_length():
+            return _certified_sum(S + tail, err, prec, digits, uppers, lowers)
+        prec = rounding.bit_length() + 1
 
 
 def _certified_sum(value: int, err: int, prec: int, digits: int, uppers, lowers) -> BoundedReal:

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -9,8 +12,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import from_man_exp, to_rational
-from scipy.special import roots_jacobi
 
+import fermatvol
 from fermatvol import _quadrature, specfun
 from fermatvol.specfun import (_LOG_ULPS, BoundedComplex, BoundedReal, DivergenceError,
                                DomainError, PrecisionError, _bernoulli_even, _bits,
@@ -62,14 +65,24 @@ _UNIT = st.fractions(min_value=-1, max_value=1, max_denominator=10 ** 6)
 @settings(max_examples=300, deadline=None)
 @given(_BOUNDED, _BOUNDED, _UNIT, _UNIT, st.integers(20, 300))
 @example(BoundedReal(0, 5), BoundedReal(9, 0), F(1), F(0), 20)  # bound rounds, value is 0
+# divisors of 60 bits at 20: |value| rounds up to 2^60, past err (the interval holds 0),
+# and to 2^60 - err = 3 where the true lower end is 2
+@example(BoundedReal(0, 0), BoundedReal(_dyadic(2 ** 60 - 1, 0), _dyadic(2 ** 60 - 1, 0)),
+         F(0), F(-1), 20)
+@example(BoundedReal(1, 0), BoundedReal(_dyadic(2 ** 60 - 1, 0), _dyadic(2 ** 60 - 3, 0)),
+         F(0), F(-1), 20)
 def test_bounded_products_and_quotients_enclose(a, b, s, t, prec):
-    # every point x, y of the input intervals lands inside the result's
+    # every point x, y of the input intervals lands inside the result's, and a divisor
+    # interval that holds 0 raises
     x = _exact(a.value) + s * _exact(a.err)
     y = _exact(b.value) + t * _exact(b.err)
     with mp.workprec(prec):
         cases = [(a * b, x * y)]
-        if abs(b.value) > b.err:
+        if abs(_exact(b.value)) > _exact(b.err):
             cases.append((a / b, x / y))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / b
     for r, truth in cases:
         assert abs(_exact(r.value) - truth) <= _exact(r.err)
 
@@ -282,9 +295,15 @@ def test_gamma_quotient_raises_on_wide_bound(monkeypatch):
 # ------------------------------------------------------------- 3F2 at unity
 
 def test_hyp_unit_sum_enforces_digits_contract():
-    # terms far above 1: this sum once came back as 7.0e-30 with err 3.7e74
-    with pytest.raises(PrecisionError, match="above 10\\^-15"):
-        hyp_unit_sum([F(1552, 3), F(169, 12), F(-507, 2)], [F(85, 6), F(543, 2)], 15)
+    # terms far above 1: this sum once came back as 7.0e-30 with err 3.7e74, and then
+    # raised; the accepted attempt now reruns once with bits for its ulp count
+    uppers, lowers = [F(1552, 3), F(169, 12), F(-507, 2)], [F(85, 6), F(543, 2)]
+    r = hyp_unit_sum(uppers, lowers, 15)
+    assert r.err <= mp.mpf(10) ** -15 * (1 + abs(r.value))
+    # mpmath's own unit-argument 3F2; at 45 digits it agrees with 110 digits to 1e-53
+    with mp.workdps(45):
+        ref = mpmath.hyp3f2(*[mp.mpf(q.numerator) / q.denominator for q in uppers + lowers], 1)
+    assert abs(r.value - ref) <= r.err
 
 
 @pytest.mark.parametrize("uppers,lowers,digits", [
@@ -591,7 +610,8 @@ def test_quadrature_rejects_bad_exponent():
 def test_jacobi_rules_are_cached_read_only_and_exact():
     for n, left, right in ((24, -0.5, 0.0), (48, -0.8, -0.6), (96, 0.4, 0.0), (24, 0.0, 0.0)):
         nodes, weights = _quadrature._jacobi_01(n, left, right)
-        x, w = roots_jacobi(n, right, left)  # a fresh rule, mapped from [-1, 1] to [0, 1]
+        # a fresh rule, mapped from [-1, 1] to [0, 1]
+        x, w = _quadrature._gauss_jacobi(n, right, left)
         assert np.array_equal(nodes, (x + 1.0) / 2.0)
         assert np.array_equal(weights, w * 0.5 ** (left + right + 1.0))
         assert _quadrature._jacobi_01(n, left, right)[0] is nodes
@@ -605,6 +625,49 @@ def test_jacobi_rules_are_cached_read_only_and_exact():
     second = euler_double_integral(*args)
     assert (second.value, second.err) == (first.value, first.err)
     assert _quadrature._jacobi_01.cache_info().hits > hits
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 24, 96, 384])
+@pytest.mark.parametrize("alpha,beta", [
+    (0.0, 0.0), (-0.5, -0.5), (0.4, 0.4), (-0.95, -0.95),   # alpha == beta
+    (-0.25, -0.75), (-0.95, -0.05), (-0.05, -0.95),          # alpha + beta = -1
+    (0.0, -0.95), (-0.95, 0.0), (-0.6, -0.8), (0.9, -0.3), (-2 / 3, 0.0),
+])
+def test_gauss_jacobi_rule_matches_scipy(n, alpha, beta):
+    from scipy.special import roots_jacobi
+    x, w = _quadrature._gauss_jacobi(n, alpha, beta)
+    with np.errstate(divide="ignore", invalid="ignore"):  # scipy's own 0/0 at alpha + beta = -1
+        ref_x, ref_w, mu0 = roots_jacobi(n, alpha, beta, mu=True)
+    assert np.max(np.abs(x - ref_x)) <= 1e-15
+    assert np.max(np.abs(w - ref_w) / ref_w) <= 1e-7
+    assert abs(np.sum(w) - mu0) <= 1e-14 * mu0
+
+
+@pytest.mark.parametrize("n,left,right,power", [
+    (24, -0.5, 0.0, -0.25), (96, -0.9, 0.0, -0.95), (384, 0.4, 0.0, -0.6), (48, 0.0, 0.0, 0.0)])
+def test_kernel_sums_match_per_node_loop(n, left, right, power):
+    # the per-node loop that the one matrix product replaced; every term is positive,
+    # so the summation order moves each sum by at most n ulps
+    nodes, weights = _quadrature._jacobi_01(n, left, right)
+    xs = _quadrature._jacobi_01(n, left + 0.3, 0.0)[0] / 2.0
+    loop = np.array([np.dot(weights, (1.0 - x * nodes) ** power) for x in xs])
+    fast = _quadrature._kernel_sums(xs, nodes, weights, power)
+    assert np.allclose(fast, loop, rtol=n * np.finfo(float).eps, atol=0)
+
+
+@pytest.mark.parametrize("call", [
+    "specfun.euler_double_integral(F(1, 3), F(3, 4), F(2, 5), F(1, 2))",
+    "cli.main(['oracle-test', '--n', '4'])",
+])
+def test_quadrature_oracle_runs_without_scipy(call):
+    # a fresh interpreter: the oracle's rules come from numpy and libm alone
+    script = ("import sys\nfrom fractions import Fraction as F\nimport fermatvol\n"
+              f"from fermatvol import cli, specfun\n{call}\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fermatvol.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 # ------------------------------------------------------------- Dixon family
