@@ -25,9 +25,9 @@ from .specfun import DomainError
 
 SCAN_M_MAX = 10 ** 7  # about 5 s of multiples at 0.45 s per 10^6
 # f(N,k) costs one closed-form term per twist h (phi(N)/2 of them); at the default
-# 30 digits on a shared 2-vCPU VM with pure-Python mpmath, a term took 5.7-5.9 ms
-# for N = 1009 and 2003 and 10.0 ms for N = 40009, so this is about 3.3 minutes;
-# it caps value/check/scan --n and the whole table range, weighted by _term_weight
+# 30 digits (50 inner) on a shared 2-vCPU VM with pure-Python mpmath, a term took
+# 2.3-2.5 ms for N = 1009 and 2003 and 2.4-2.7 ms for N = 40009, so this is about a
+# minute; it caps value/check/scan --n and the whole table range, weighted by _term_weight
 TWIST_TERMS_MAX = 20_000
 # f(N,k) sums its twist terms at ceresa._inner_digits(k! 2 N^{2k}, digits) digits.
 # The series engine certifies them at 500 digits and more, but ln_gamma
@@ -35,7 +35,7 @@ TWIST_TERMS_MAX = 20_000
 INNER_DIGITS_MAX = 250
 # oracle-test --n N runs ((N-1)(N-2))^2 closed-form/quadrature pairs, 7.1-7.4, 4.5-5.7 and
 # 3.7 ms each at 30 digits for N = 5, 6 and 10, and the 33,124 pairs of N = 15 took 3.1
-# minutes (5.5 ms each); at 250 digits a pair weighs 125, and N = 5 (144 pairs) took 4.9 s
+# minutes (5.5 ms each); at 250 digits a pair weighs 25, and N = 7 (900 pairs) took 16 s
 ORACLE_PAIRS_MAX = 33_124
 
 
@@ -48,10 +48,11 @@ def _twist_terms_bound(n_lo: int, n_hi: int) -> int:
 
 def _term_weight(inner: int) -> int:
     """A twist term at ``inner`` digits, in TWIST_TERMS_MAX units (terms at the
-    default 50): (inner / 50)^3 rounded up.  Measured per-term cost ratios are
-    2.6, 5.8, 12 and 22 at 100, 150, 200 and 250 digits (N = 40009); the largest
-    jobs the budget admits, N = 625 at 200 and N = 321 at 250, take 5.2 and 4.6 s."""
-    return max(1, -(-inner ** 3 // 50 ** 3))
+    default 50): (inner / 50)^2 rounded up, so 4, 9, 16 and 25 at 100, 150, 200
+    and 250 digits.  Measured per-term cost ratios there are 2.3, 4.7, 8.7 and 15
+    (N = 40009, best of four, interleaved), and at most 2.6, 6.0, 12.7 and 19.6 in
+    noisier runs."""
+    return max(1, -(-inner * inner // 50 ** 2))
 
 
 def _needed_inner_digits(n: int, k: int, digits: int) -> int:

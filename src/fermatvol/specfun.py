@@ -36,6 +36,11 @@ with |true - value| <= err.  Bound propagation is conservative:
   with the exponent pushed down by K: M = 4 * digits and K = 0.46 *
   digits + 8, fitted by timing; a failed attempt doubles M and raises K
   by half, with no cap, so the engine sets no digit ceiling of its own.
+  The defect numerator, a polynomial G with integer coefficients (see
+  ``_defect_poly``), is evaluated exactly at x = 2^b by shifts and by
+  products of one big integer with the small coefficients of P and Q;
+  its coefficients are read back from b-bit slots, b a multiple of 8
+  with |G_i| <= 2^{K+1} (|Q|_1 (|V|_1 + L) + |P|_1 |V|_1) < 2^(b-1).
 
 The series engine rounds in fixed point on plain Python ints: every
 quantity is an integer count of ulps 2^-prec, prec being the working
@@ -75,6 +80,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import getitem, mul, sub
 from typing import Optional, Sequence, Union
 
 import mpmath
@@ -307,16 +314,27 @@ def _bernoulli_even(J: int) -> list[Fraction]:
     return row
 
 
-def _stirling_order(y: float, digits: int) -> Optional[int]:
-    # smallest J with |B_{2J+2}|/((2J+2)(2J+1) y^{2J+1}) <= 10^{-digits-4};
-    # Bernoulli magnitude estimated through |B_{2n}| ~ 2 (2n)!/(2pi)^{2n}
-    target = -(digits + 4) * math.log(10)
-    log2, log2pi, logy = math.log(2), math.log(2 * math.pi), math.log(y)
+def _stirling_log_terms() -> tuple[tuple[int, float], ...]:
+    # (2J+1, ln of |B_{2J+2}| / ((2J+2)(2J+1)) for J = 1..259, the Bernoulli magnitude
+    # estimated through |B_{2n}| ~ 2 (2n)!/(2pi)^{2n}
+    log2, log2pi = math.log(2), math.log(2 * math.pi)
+    out = []
     for J in range(1, 260):
         n = 2 * J + 2
         logB = log2 + math.lgamma(n + 1) - n * log2pi
-        logbound = logB - math.log((n) * (n - 1)) - (n - 1) * logy
-        if logbound <= target:
+        out.append((n - 1, logB - math.log((n) * (n - 1))))
+    return tuple(out)
+
+
+_STIRLING_LOG_TERMS = _stirling_log_terms()
+
+
+def _stirling_order(y: float, digits: int) -> Optional[int]:
+    # smallest J with |B_{2J+2}|/((2J+2)(2J+1) y^{2J+1}) <= 10^{-digits-4}
+    target = -(digits + 4) * math.log(10)
+    logy = math.log(y)
+    for J, (e, c) in enumerate(_STIRLING_LOG_TERMS, start=1):
+        if c - e * logy <= target:
             return J
     return None
 
@@ -478,6 +496,11 @@ def _poly_from_factors(params, D, d):
     return out
 
 
+def _alternate(a):
+    # (-1)^j a_j
+    return [-c if j % 2 else c for j, c in enumerate(a)]
+
+
 def _solve_tail_series(P, Q, s, K):
     """Coefficients v_k = V[k] / L of W(n) = n V(1/n) for the tail recurrence.
 
@@ -488,56 +511,82 @@ def _solve_tail_series(P, Q, s, K):
     are D^d p and D^d q with p, q = prod (1 + a x) over the upper and the
     lower parameters (with 1), so Q[0] = D^d and every C is an integer
     over D^d; the solution is kept over the one common denominator L.
+
+    Row k of C is read only at j <= K+1-k.  Rows and V are kept in
+    alternating-sign form, c_j (-1)^j and v_k (-1)^k, in which dividing by
+    (1+x) is a prefix sum.
     """
-    width = K + 2
-    Qx = Q + [0] * (width - len(Q))
-    # [P (1+x)^{1-k}]_i for i < K+2: start from P (1+x), then divide by (1+x) per row
-    row = _poly_mul(P, [1, 1])
-    row += [0] * (width - len(row))
+    Qalt = _alternate(Q[:K + 2])
+    Qalt += [0] * (K + 2 - len(Qalt))
+    # [P (1+x)^{1-k}]_j (-1)^j for j < K+2-k: start from P (1+x), then divide by (1+x) per row
+    row = _alternate(_poly_mul(P, [1, 1])[:K + 2])
+    row += [0] * (K + 2 - len(row))
     C = []
-    for _ in range(K):
-        C.append([qc - pc for qc, pc in zip(Qx, row)])
-        prev = 0
-        for i in range(width):
-            prev = row[i] - prev
-            row[i] = prev
+    for k in range(K):
+        C.append(list(map(sub, Qalt, row)))
+        row = list(accumulate(row[:K + 1 - k]))
     sn, sd = s.numerator, s.denominator
-    V: list[int] = []
+    Valt: list[int] = []
     L = 1
     for m in range(K + 1):
-        R = L * Qx[m]
-        for k in range(m):
-            R -= V[k] * C[k][m + 1 - k]
+        # R = L q_m - sum_{k<m} v_k C[k][m+1-k], the sum with every sign folded into (-1)^m
+        acc = sum(map(mul, Valt, map(getitem, C, range(m + 1, 1, -1))))
+        R = L * Qalt[m] + acc if m % 2 == 0 else -(L * Qalt[m] + acc)
         # v_m = (R / (L D^d)) / (s + m)
         num, den = sd * R, Q[0] * (sn + m * sd)
         g = math.gcd(num, den)
         f = den // g
         if f > 1:
             L *= f
-            V = [x * f for x in V]
-        V.append(num // g)
-    return V, L
+            Valt = [x * f for x in Valt]
+        Valt.append(-(num // g) if m % 2 else num // g)
+    return _alternate(Valt), L
+
+
+def _defect_poly(P, Q, V, L, K):
+    """Coefficients G_i of the defect polynomial scaled by L D^d,
+
+        G = (1+x)^K (Q V - x L Q) - P sum_k V_k x^k (1+x)^{K+1-k},
+
+    V having K + 1 >= 2 coefficients; as many as the product's length
+    max(2K + len(Q), len(P) + K + 1).  G is evaluated exactly at x = 2^b by
+    shifts and small-by-large products and decoded slot by slot:
+    |G_i| <= 2^{K+1} (|Q|_1 (|V|_1 + L) + |P|_1 |V|_1), so slots of b bits
+    hold every G_i once 2^(b-1) is added to each.
+    """
+    n = max(2 * K + len(Q), len(P) + K + 1)
+    l1V = sum(map(abs, V))
+    bound = (sum(map(abs, Q)) * (l1V + L) + sum(map(abs, P)) * l1V) << (K + 1)
+    nb = (bound.bit_length() + 8) // 8          # bytes per slot, with room for the sign
+    b, half, slot_bias = 8 * nb, 1 << (8 * nb - 1), bytes(nb - 1) + b"\x80"
+    # (1+x)^K Q (V - x L), V - x L packed from its biased slots
+    W = V[:]
+    W[1] -= L
+    X = (int.from_bytes(b"".join([(c + half).to_bytes(nb, "little") for c in W]), "little")
+         - int.from_bytes(slot_bias * len(W), "little"))
+    for _ in range(K):
+        X += X << b
+    G = 0
+    for i, c in enumerate(Q):
+        if c:
+            G += c * X << (b * i)
+    # sum_k V_k x^k (1+x)^{K-k} by Horner in (1+x) and x^k, times (1+x) P
+    X = V[0]
+    for k in range(1, len(V)):
+        X += (X << b) + (V[k] << (b * k))
+    X += X << b
+    for i, c in enumerate(P):
+        if c:
+            G -= c * X << (b * i)
+    raw = (G + int.from_bytes(slot_bias * n, "little")).to_bytes(n * nb, "little")
+    return [int.from_bytes(raw[i:i + nb], "little") - half for i in range(0, n * nb, nb)]
 
 
 def _tail_defect_majorant(P, Q, V, L, K, M):
     """(hn, hd) with H(M) = hn / hd bounding the defect numerator:
     |d(n)| <= H(M) n^{-K-1} for n >= M.  The defect polynomial is built
     scaled by L D^d, which clears the denominators of v, p and q."""
-    pwK = [math.comb(K, i) for i in range(K + 1)]
-    G = _poly_mul(pwK, _poly_mul(Q, V))
-    sub = _poly_mul(Q, [L * c for c in pwK])          # times x
-    acc = [0] * (K + 2)                                # sum_k V_k x^k (1+x)^{K+1-k}
-    for k, Vk in enumerate(V):
-        if Vk == 0:
-            continue
-        for i in range(K + 2 - k):
-            acc[k + i] += Vk * math.comb(K + 1 - k, i)
-    sub2 = _poly_mul(P, acc)
-    G += [0] * (max(len(sub) + 1, len(sub2)) - len(G))
-    for i, c in enumerate(sub):
-        G[i + 1] -= c
-    for i, c in enumerate(sub2):
-        G[i] -= c
+    G = _defect_poly(P, Q, V, L, K)
     if any(G[:K + 2]):
         raise AssertionError("tail series solve lost cancellation")
     # sum_j |h_j| M^-j over H = G[K+2:], over the common denominator M^J
@@ -637,20 +686,21 @@ def _partial_sum(uppers, lowers, terms, prec):
     the integer term ratio num/den; floor division is off by less than
     one ulp, so the error E of T obeys E' = ceil(E |num| / |den|) + 1.
     """
-    ups = [(a.numerator, a.denominator) for a in uppers]
-    lows = [(b.numerator, b.denominator) for b in lowers]
-    num0 = math.prod(bd for _, bd in lows)
-    den0 = math.prod(ad for _, ad in ups)
+    # num(n) = prod bd * prod (n ad + an) and den(n) = (n+1) prod ad * prod (n bd + bn)
+    nums = [math.prod(b.denominator for b in lowers)] * terms
+    for a in uppers:
+        nums = list(map(mul, nums, range(a.numerator, a.numerator + terms * a.denominator,
+                                         a.denominator)))
+    den0 = math.prod(a.denominator for a in uppers)
+    dens = range(den0, (terms + 1) * den0, den0)
+    for b in lowers:
+        dens = list(map(mul, dens, range(b.numerator, b.numerator + terms * b.denominator,
+                                         b.denominator)))
     T = 1 << prec
     S = S_err = E = 0
-    for n in range(terms):
+    for num, den in zip(nums, dens):
         S += T
         S_err += E
-        num, den = num0, (n + 1) * den0
-        for an, ad in ups:
-            num *= n * ad + an
-        for bn, bd in lows:
-            den *= n * bd + bn
         T = T * num // den
         E = -(-E * abs(num) // abs(den)) + 1
     return S, S_err, T, E

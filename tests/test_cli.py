@@ -121,14 +121,14 @@ def test_env_digits_invalid_exits_2(monkeypatch, capsys, env):
     ["value", "--n", "7", "--k", "2", "--digits", "400"],
     ["value", "--n", "100", "--k", "4000"],
     ["value", "--n", "5", "--digits", "239"],
-    ["check", "--n", "1009", "--digits", "200"],
+    ["check", "--n", "2003", "--digits", "200"],
     ["scan", "--n", "5", "--m-max", "10", "--digits", "400"],
     ["klein", "--digits", "400"],
     ["table", "--n-max", "20", "--digits", "300"],
     ["table", "--k", "40"],
     ["oracle-test", "--n", "4", "--digits", "400"],
     ["oracle-test", "--n", "4", "--digits", "251"],
-    ["oracle-test", "--n", "6", "--digits", "250"],
+    ["oracle-test", "--n", "8", "--digits", "250"],
     ["oracle-test", "--n", "13", "--digits", "60"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_out_of_range_exits_2(capsys, argv):
@@ -143,10 +143,13 @@ def test_out_of_range_exits_2(capsys, argv):
     ["oracle-test", "--n", "15"],
     ["oracle-test", "--n", "5", "--digits", "250"],
     ["value", "--n", "40002"],
+    ["oracle-test", "--n", "7", "--digits", "250"],
+    ["check", "--n", "2001", "--digits", "200"],
 ])
 def test_budget_admits_largest_jobs(argv):
-    # the largest admitted oracle jobs at 30 and 250 digits and the largest degree at
-    # 30 digits pass the budget check, which exits 2 otherwise; nothing is computed
+    # the largest admitted oracle jobs at 30 and 250 digits and the largest degrees at
+    # 30 and 200 digits pass the budget check, which exits 2 otherwise; the last two
+    # were refused under the former (inner/50)^3 weight; nothing is computed
     ap = build_parser()
     args = ap.parse_args(argv)
     _check_budget(ap, args, args.digits)

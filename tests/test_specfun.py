@@ -17,10 +17,14 @@ import fermatvol
 from fermatvol import _quadrature, specfun
 from fermatvol.specfun import (_LOG_ULPS, BoundedComplex, BoundedReal, DivergenceError,
                                DomainError, PrecisionError, _bernoulli_even, _bits,
-                               _ln_gamma_fixed, _log_fixed, _partial_sum, _stirling_sum,
+                               _defect_poly, _fixed_prec, _ln_gamma_fixed, _log_fixed,
+                               _partial_sum, _poly_from_factors, _solve_tail_series,
+                               _stirling_order, _stirling_sum, _tail_defect_majorant,
                                appell_f3_partial_sum, appell_f3_unit, dixon_family,
                                euler_double_integral, gamma_quotient, hyp_unit_sum,
                                ln_gamma)
+
+import _series_reference as series_reference
 
 F = Fraction
 
@@ -213,6 +217,13 @@ def test_stirling_sum_within_rounding_term(A, D, J, prec):
     ulp = F(1, 2 ** prec)
     assert abs(S * ulp - exact) <= S_err * ulp
     assert omitted <= rem * ulp < omitted + ulp
+
+
+def test_stirling_order_matches_per_call_loop():
+    # the tabulated J-only terms keep the float operations, so J is identical
+    for y in (0.5, 1.0, 2.5, 10.0, 10.5, 17.25, 40.0 / 3, 106.0, 361.5, 1000.0):
+        for digits in range(0, 801, 7):
+            assert _stirling_order(y, digits) == series_reference.stirling_order(y, digits)
 
 
 @settings(max_examples=200, deadline=None)
@@ -514,6 +525,80 @@ def test_fixed_point_partial_sum_within_rounding_term(series, terms, prec):
     assert abs(T * ulp - t) <= T_err * ulp
     if worst <= 1:  # non-increasing terms: at most one ulp per step
         assert T_err <= terms and S_err <= terms * (terms - 1) // 2
+
+
+# ------------------------------------ exact-integer kernels against list loops
+
+def _tail_polys(uppers, lowers):
+    # P and Q as hyp_unit_sum builds them
+    D = math.lcm(*(x.denominator for x in uppers + lowers))
+    d = max(len(uppers), len(lowers) + 1)
+    return _poly_from_factors(uppers, D, d), _poly_from_factors(lowers + [F(1)], D, d)
+
+
+@st.composite
+def _tail_series(draw):
+    """2-4 upper parameters, lowers that may be negative, and a last lower
+    that sets the margin, which need not be a unit fraction."""
+    p = draw(st.integers(2, 4))
+    uppers = draw(st.lists(_RAT, min_size=p, max_size=p))
+    lowers = draw(st.lists(_LOWER, min_size=p - 2, max_size=p - 2))
+    margin = draw(st.fractions(min_value=F(1, 60), max_value=4, max_denominator=60))
+    lowers.append(sum(uppers) - sum(lowers) + margin)
+    assume(not (lowers[-1] <= 0 and lowers[-1].denominator == 1))
+    return uppers, lowers, margin
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tail_series(), st.integers(10, 80), st.booleans(), st.sampled_from([0, 1, None]))
+@example(([F(23, 97), F(23, 97), F(51, 97)], [F(1), F(1)], F(1)), 56, False, None)
+@example(([F(-7, 3), F(1, 2)], [F(3, 2)], F(10, 3)), 30, True, 1)
+def test_series_kernels_match_list_reference(series, digits, escalated, terms):
+    # the default (M, K) of hyp_unit_sum, K raised by half as a failed attempt does
+    uppers, lowers, margin = series
+    K, M = int(digits * 0.46) + 8, 4 * digits
+    K += K // 2 if escalated else 0
+    P, Q = _tail_polys(uppers, lowers)
+    V, L = _solve_tail_series(P, Q, margin, K)
+    assert (V, L) == series_reference.solve_tail_series(P, Q, margin, K)
+    assert _defect_poly(P, Q, V, L, K) == series_reference.defect_poly(P, Q, V, L, K)
+    assert (_tail_defect_majorant(P, Q, V, L, K, M)
+            == series_reference.tail_defect_majorant(P, Q, V, L, K, M))
+    terms = M if terms is None else terms
+    prec = _fixed_prec(_bits(digits) + 46, M)
+    assert (_partial_sum(uppers, lowers, terms, prec)
+            == series_reference.partial_sum(uppers, lowers, terms, prec))
+
+
+@pytest.mark.parametrize("index", [0, 1, 17, 33])
+@pytest.mark.parametrize("step", [-1, 1])
+def test_tail_defect_majorant_detects_wrong_solution(index, step):
+    # a V with one coefficient changed breaks one of the K+2 vanishing orders
+    uppers, lowers = [F(23, 97), F(23, 97), F(51, 97)], [F(1), F(1)]
+    P, Q = _tail_polys(uppers, lowers)
+    V, L = _solve_tail_series(P, Q, F(1), 33)
+    V[index] += step
+    with pytest.raises(AssertionError, match="tail series solve lost cancellation"):
+        _tail_defect_majorant(P, Q, V, L, 33, 224)
+    with pytest.raises(AssertionError, match="tail series solve lost cancellation"):
+        series_reference.tail_defect_majorant(P, Q, V, L, 33, 224)
+
+
+@pytest.mark.parametrize("uppers, lowers", [
+    ([F(23, 97), F(23, 97), F(51, 97)], [F(1), F(1)]),
+    ([F(-7, 3), F(1, 2)], [F(3, 2)]),
+    ([F(-1, 2), F(-1, 3), F(-1, 4)], []),       # len(P) > len(Q)
+    ([F(1, 5), F(0), F(2, 5)], [F(7, 5), F(-1, 3)]),
+])
+@pytest.mark.parametrize("K", [1, 2, 3, 8, 33])
+def test_defect_poly_has_list_length(uppers, lowers, K):
+    # hd = L D^d M^(len(G) - K - 3) depends on the length, trailing zeros included
+    P, Q = _tail_polys(uppers, lowers)
+    V, L = _solve_tail_series(P, Q, sum(lowers) - sum(uppers), K)
+    G = _defect_poly(P, Q, V, L, K)
+    assert len(G) == len(series_reference.defect_poly(P, Q, V, L, K))
+    assert len(G) == max(2 * K + len(Q), len(P) + K + 1)
+    assert G == series_reference.defect_poly(P, Q, V, L, K)
 
 
 @settings(max_examples=100, deadline=None)
