@@ -231,29 +231,30 @@ class ScanResult:
 def multiples_scan(n: int, k: int, m_max: int, digits: int = 30) -> ScanResult:
     """Verify that m * f(N,k) stays non-integral for 1 <= m <= m_max.
 
-    The fractional part of m * f is accumulated exactly in units of the
-    binary fractions ``frac`` and ``err`` share, the error of the m-th
-    multiple is m times the base bound, and the 10x margin rule is applied
-    at every m.
+    With m times the base bound, m fails the 10x margin rule exactly when some
+    p/m lies in [frac - c, frac + c], c = MARGIN_FACTOR * err, so the first failing
+    m is the least denominator there: a continued-fraction descent (Concrete
+    Mathematics, section 4.5) finds it exactly in O(log 1/c) steps, whatever m_max.
     """
     if m_max < 1:
         raise DomainError("m_max must be at least 1")
     base = f_value(n, k, digits)
-    if m_max * base.err >= mp.mpf("0.1"):
+    (step, unit), prec = _exact_fixed(base.frac, base.err)
+    if 10 * m_max * unit >= 1 << prec:
         raise PrecisionError(
             f"m_max * err = {mpmath.nstr(m_max * base.err, 3)} >= 0.1; raise digits")
-    (step, unit), prec = _exact_fixed(base.frac, base.err)
-    one = 1 << prec
-    cur, bound, first_bad = 0, 0, None
-    for m in range(1, m_max + 1):
-        cur = (cur + step) % one
-        bound += MARGIN_FACTOR * unit
-        if not bound < cur < one - bound:  # m * f within the bound of an integer
-            first_bad = m
-            break
-    verified = (first_bad - 1) if first_bad else m_max
-    return ScanResult(n=n, k=k, m_max=m_max, verified_up_to=verified,
-                      first_inconclusive=first_bad, err_per_unit=base.err)
+    # [ln/ld, hn/hd] is this level's interval, whose y maps back to denominator
+    # q1 * y + q0; unless it holds its least integer t >= ln/ld, y = t - 1 + 1/y'
+    c = MARGIN_FACTOR * unit
+    ln, ld, hn, hd = step - c, 1 << prec, step + c, 1 << prec
+    q0, q1 = 1, 0
+    while (t := -(-ln // ld)) * hd > hn:
+        ln, ld, hn, hd = hd, hn - (t - 1) * hd, ld, ln - (t - 1) * ld
+        q0, q1 = q1, (t - 1) * q1 + q0
+    first = q1 * t + q0
+    return ScanResult(n=n, k=k, m_max=m_max, verified_up_to=min(first - 1, m_max),
+                      first_inconclusive=first if first <= m_max else None,
+                      err_per_unit=base.err)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from . import ceresa, specfun
 from .ceresa import CeresaResult, RowFailure
 from .specfun import DomainError
 
-SCAN_M_MAX = 10 ** 7  # about 5 s of multiples at 0.45 s per 10^6
 # f(N,k) costs one closed-form term per twist h (phi(N)/2 of them); at the default
 # 30 digits (50 inner) on a shared 2-vCPU VM with pure-Python mpmath, a term took
 # 2.3-2.5 ms for N = 1009 and 2003 and 2.4-2.7 ms for N = 40009, so this is about a
@@ -124,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, required=True, help=budget)
     s.add_argument("--k", type=int, default=1)
     s.add_argument("--m-max", type=int, required=True,
-                   help=f"largest multiple, at most {SCAN_M_MAX}")
+                   help="largest multiple, below 10^(digits-1) so that m_max * err < 0.1")
 
     kq = sub.add_parser("klein", parents=[common], help="Klein-quartic triple value at degree 7")
     kq.add_argument("--k", type=int, default=13)
@@ -275,8 +274,8 @@ def main(argv=None) -> int:
     digits = args.digits
     if digits < 10:
         ap.error("--digits (or CERESA_DIGITS) must be at least 10")
-    if args.command == "scan" and args.m_max > SCAN_M_MAX:
-        ap.error(f"--m-max must be at most {SCAN_M_MAX}")
+    if args.command == "scan" and ceresa._decimal_len(args.m_max) >= digits:  # no 10^digits built
+        ap.error(f"--m-max must be below 10^{digits - 1}, where m_max * err < 0.1")
     if args.command == "dixon-test" and args.trials < 1:
         ap.error("--trials must be at least 1")
     if args.command != "dixon-test":

@@ -5,14 +5,18 @@ import math
 import os
 import random
 import sys
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import from_man_exp, to_rational
 
+import _scan_reference as scan_reference
 from fermatvol import ceresa, specfun
 from fermatvol.ceresa import (CeresaResult, RowFailure, _decimal_len, f_value,
                               genus, klein_trace_route, klein_value,
@@ -268,6 +272,7 @@ def test_multiples_scan_matches_exact_reference(monkeypatch):
         monkeypatch.setattr(ceresa, "f_value", lambda n, k, digits: base)
         res = multiples_scan(5, 1, m_max, 30)
         first = _reference_first_inconclusive(_exact(base.frac), _exact(base.err), m_max)
+        assert scan_reference.first_inconclusive(base.frac, base.err, m_max) == first
         assert res.first_inconclusive == first
         assert res.verified_up_to == (m_max if first is None else first - 1)
         assert res.err_per_unit == base.err
@@ -278,6 +283,44 @@ def test_multiples_scan_matches_exact_reference(monkeypatch):
 def test_multiples_scan_guard():
     with pytest.raises(PrecisionError):
         multiples_scan(5, 1, 10 ** 60, 30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda prec: st.tuples(
+           st.integers(0, 2 ** prec - 1), st.just(-prec))),
+       st.tuples(st.integers(0, 2 ** 12), st.integers(-44, -12)),
+       st.integers(1, 2000))
+@example((3, -3), (0, 0), 20)            # err = 0: m = 8, the denominator of frac
+@example((0, 0), (1, -40), 20)           # frac = 0: m = 1
+@example((69, -7), (1, -8), 20)          # dist(2 frac, Z) = 5/64 = 10 * 2 * err exactly
+@example((5, -11), (1, -12), 20)         # frac = 10 err: the interval reaches 0
+@example((2043, -11), (1, -12), 20)      # 1 - frac = 10 err: it reaches 1
+def test_multiples_scan_matches_linear_loop(frac, err, m_max):
+    # the smallest-denominator search returns the first m the linear walk fails at
+    base = SimpleNamespace(frac=_dyadic(*frac), err=_dyadic(*err))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ceresa, "f_value", lambda n, k, digits: base)
+        if m_max * _exact(base.err) >= F(1, 10):
+            with pytest.raises(PrecisionError):
+                multiples_scan(5, 1, m_max, 30)
+            return
+        res = multiples_scan(5, 1, m_max, 30)
+    first = scan_reference.first_inconclusive(base.frac, base.err, m_max)
+    assert res.first_inconclusive == first
+    assert res.verified_up_to == (m_max if first is None else first - 1)
+
+
+def test_multiples_scan_finds_large_first_multiple():
+    # far beyond any walk: m fails the margin rule exactly, by Fraction arithmetic,
+    # and the search takes 64 continued-fraction steps
+    base = f_value(5, 1, 30)  # the twist terms, outside the timed search
+    t0 = time.perf_counter()
+    res = multiples_scan(5, 1, 10 ** 30, 30)
+    assert time.perf_counter() - t0 < 0.1
+    m = 200926506705059107023026603180
+    assert (res.first_inconclusive, res.verified_up_to) == (m, m - 1)
+    r = m * _exact(base.frac) % 1
+    assert min(r, 1 - r) <= ceresa.MARGIN_FACTOR * m * _exact(base.err)
 
 
 def test_json_and_csv_shapes():

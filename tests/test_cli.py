@@ -64,6 +64,11 @@ def test_scan_command(capsys):
                                 "--format", "json"])
     assert code == 0
     assert json.loads(out)["verified_up_to"] == 50
+    # far beyond any walk, up to the largest m_max admitted at 30 digits, below the
+    # first failing multiple 2.0e29
+    for m_max in (10 ** 28, 10 ** 29 - 1):
+        code, out, _ = run(capsys, ["scan", "--n", "5", "--m-max", str(m_max)])
+        assert code == 0 and "all verified" in out
 
 
 def test_klein_command(capsys):
@@ -110,7 +115,7 @@ def test_env_digits_invalid_exits_2(monkeypatch, capsys, env):
     ["scan", "--n", "5", "--m-max", "0"],
     ["oracle-test", "--n", "3"],
     ["dixon-test", "--trials", "0"],
-    ["scan", "--n", "5", "--m-max", "100000000"],
+    ["scan", "--n", "5", "--m-max", str(10 ** 29)],  # the least refused at 30 digits
     ["value", "--n", "1000003"],
     ["check", "--n", "1000003"],
     ["scan", "--n", "1000003", "--m-max", "10"],
