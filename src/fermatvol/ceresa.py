@@ -30,10 +30,9 @@ from functools import lru_cache
 from typing import Callable, Iterable, Optional, Union
 
 import mpmath
-from mpmath import mp
 
-from .specfun import (BoundedReal, DomainError, PrecisionError, _bits, _fixed_mpf,
-                      _gamma_hyp, gamma_quotient, hyp_unit_sum)
+from .specfun import (BoundedReal, DomainError, PrecisionError, _bits, _exact_fixed,
+                      _fixed_mpf, _gamma_hyp, _round_product, gamma_quotient, hyp_unit_sum)
 
 MARGIN_FACTOR = 10  # non-integrality requires distance > MARGIN_FACTOR * err
 
@@ -127,19 +126,6 @@ def _inner_digits(prefactor: int, digits: int) -> int:
 def _h_term(n: int, h: int, digits: int) -> BoundedReal:
     hn = Fraction(h, n)
     return _gamma_hyp([1 - hn] * 4, [1 - 2 * hn] * 2, [hn, hn, 1 - 2 * hn], [1, 1], digits)
-
-
-def _exact_fixed(*xs: mpmath.mpf) -> tuple[list[int], int]:
-    """Finite mpfs read exactly as integers over one power of two:
-    x_i = n_i * 2^-prec with prec >= 0."""
-    pairs = []
-    for x in xs:
-        if not mpmath.isfinite(x):  # inf and nan carry mantissa 0 in ``_mpf_``
-            raise ValueError(f"{x} is not a finite number")
-        sign, man, exp, _ = x._mpf_
-        pairs.append((-int(man) if sign else int(man), exp))
-    prec = max([0] + [-exp for _, exp in pairs])
-    return [man << (prec + exp) for man, exp in pairs], prec
 
 
 def _certify(n: int, k: int, prefactor: int, digits: int,
@@ -281,8 +267,7 @@ def _klein_terms(inner: int) -> list[BoundedReal]:
     gs = [gamma_quotient([x * s7, y * s7], [z * s7], inner + 6)
           for (x, y, z) in ((3, 6, 2), (5, 6, 4), (3, 5, 1))]
     f = hyp_unit_sum([s7, 2 * s7, 4 * s7], [1, 1], inner + 6)
-    with mp.workprec(_bits(inner) + 40):
-        return [g * g * f for g in gs]
+    return [_round_product([g, g, f], _bits(inner) + 40) for g in gs]
 
 
 def klein_trace_route(k: int, digits: int = 30) -> BoundedReal:

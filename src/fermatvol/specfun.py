@@ -64,14 +64,26 @@ mpmath; each is evaluated with guard bits and charged a stated
 the nominal working precision, so the bound is the Stirling remainder
 plus less than 2^-(bits(digits) + 30).
 
+A gamma quotient stays in the same fixed point.  The log-gammas are read
+exactly as integers over one power of two and summed with their net
+multiplicities into x and its bound eps; x is exponentiated once, by
+mpmath at 8 guard bits beyond its integer part and charged a stated
+``_EXP_ULPS``, then floored to 2^-prec, prec = bits(digits) + 40.  The
+propagated error e^x eps (1 + eps) (eps < 1) is rounded up from exact
+integers.  The closed form Gamma quotient times 3F2 multiplies the two
+certified binary fractions exactly and rounds the value once, to
+nearest, at 2^-(bits(digits) + 40); the exact residual joins the
+propagated bound |G| e_H + |H| e_G + e_G e_H, and that sum is rounded up
+to as many significant bits (``_round_product``).
+
 The ``BoundedReal`` arithmetic that combines these results keeps sums,
 differences and integer multiples exact: value and bound are binary
 fractions and are added, subtracted or scaled without rounding, so a sum
-of certified terms is certified by the sum of their bounds.  Products,
-quotients and ``exp`` round at the ambient mpmath working precision and
-charge per-operation slop on |value| + bound; callers pick the precision
-via ``mp.workprec`` (helpers here add their own guard bits on top of the
-requested decimal digits).
+of certified terms is certified by the sum of their bounds.  Its
+products, quotients and ``exp`` still round at the ambient mpmath working
+precision and charge per-operation slop on |value| + bound; callers pick
+the precision via ``mp.workprec`` (helpers here add their own guard bits
+on top of the requested decimal digits).
 """
 
 from __future__ import annotations
@@ -86,8 +98,8 @@ from typing import Optional, Sequence, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (from_int, from_man_exp, mpf_log, mpf_pi, mpf_shift, round_floor,
-                          to_fixed)
+from mpmath.libmp import (from_int, from_man_exp, mpf_exp, mpf_log, mpf_pi, mpf_shift,
+                          round_ceiling, round_floor, to_fixed)
 
 Rational = Union[int, Fraction]
 
@@ -114,6 +126,29 @@ def _to_mpf(q) -> mpmath.mpf:
     return mp.mpf(q)
 
 
+def _finite(raw: tuple) -> bool:
+    # of a raw mpf tuple: inf and nan are the only ones with mantissa 0 and a nonzero exponent
+    return bool(raw[1]) or not raw[2]
+
+
+def _exact_fixed(*xs: mpmath.mpf, prec: int = 0) -> tuple[list[int], int]:
+    """Finite mpfs read exactly as integers over one power of two:
+    x_i = n_i * 2^-p with p >= prec."""
+    pairs = []
+    for x in xs:
+        sign, man, exp, _ = raw = x._mpf_
+        if not _finite(raw):
+            raise ValueError(f"{x} is not a finite number")
+        pairs.append((-int(man) if sign else int(man), exp))
+    prec = max([prec] + [-exp for _, exp in pairs])
+    return [man << (prec + exp) for man, exp in pairs], prec
+
+
+def _fixed_mpf(x: int, prec: int) -> mpmath.mpf:
+    # x * 2^-prec, exactly (the mantissa is not rounded to the ambient precision)
+    return mp.make_mpf(from_man_exp(x, -prec))
+
+
 def _ulp_slop(x) -> mpmath.mpf:
     # rounding slop at the ambient precision for a result of magnitude |x|;
     # charged on |value| + err, it also covers the rounding of err itself
@@ -134,7 +169,9 @@ class BoundedReal:
     def __init__(self, value, err=0):
         self.value = mp.mpf(value) if not isinstance(value, mpmath.mpf) else value
         self.err = mp.mpf(err) if not isinstance(err, mpmath.mpf) else err
-        if self.err < 0 or not mpmath.isfinite(self.err):
+        if not _finite(self.value._mpf_):
+            raise ValueError(f"invalid value {value!r}")
+        if self.err < 0 or not _finite(self.err._mpf_):
             raise ValueError(f"invalid error bound {err!r}")
 
     @classmethod
@@ -219,8 +256,10 @@ class BoundedComplex:
     def __init__(self, value, err=0):
         self.value = value if isinstance(value, mpmath.mpc) else mp.mpc(value)
         self.err = mp.mpf(err) if not isinstance(err, mpmath.mpf) else err
-        if self.err < 0:
-            raise ValueError("negative error bound")
+        if not all(map(_finite, self.value._mpc_)):
+            raise ValueError(f"invalid value {value!r}")
+        if self.err < 0 or not _finite(self.err._mpf_):
+            raise ValueError(f"invalid error bound {err!r}")
 
     def __add__(self, other):
         other = _coerce_c(other)
@@ -427,11 +466,22 @@ def ln_gamma(x: Rational, digits: int = 30) -> BoundedReal:
     return BoundedReal(_fixed_mpf(value, prec), _fixed_mpf(round_err + rem, prec))
 
 
+# ulps charged to the fixed-point exp.  mpmath evaluates it at 8 more bits than the
+# integer part and prec need, so even 256 ulps there are 1 ulp at prec; the floor to
+# prec adds less than one more
+_EXP_ULPS = 2
+
+
 def gamma_quotient(numerators: Sequence[Rational], denominators: Sequence[Rational],
                    digits: int = 30) -> BoundedReal:
     """prod Gamma(a_i) / prod Gamma(b_j) for positive rational arguments.
 
-    Raises PrecisionError unless err <= 10^-digits (1 + |value|)."""
+    The log-gammas, read exactly as integers, are summed with their net
+    multiplicities w into x = sum w v and eps = sum |w| e, and exponentiated
+    once in fixed point at 2^-prec, prec = bits(digits) + 40: the value is
+    floor(2^prec e^x) within ``_EXP_ULPS``, and |e^L - e^x| <= e^x eps (1 + eps)
+    for |L - x| <= eps < 1, rounded up.  Raises PrecisionError unless
+    eps < 1 and err <= 10^-digits (1 + |value|)."""
     nums = [Fraction(a) for a in numerators]
     dens = [Fraction(b) for b in denominators]
     for a in nums + dens:
@@ -443,16 +493,22 @@ def gamma_quotient(numerators: Sequence[Rational], denominators: Sequence[Ration
         weights[a] = weights.get(a, 0) + 1
     for b in dens:
         weights[b] = weights.get(b, 0) - 1
-    with mp.workprec(_bits(digits) + 40):
-        acc = BoundedReal(mp.mpf(0), 0)
-        for arg, w in weights.items():
-            if w:
-                acc = acc + ln_gamma(arg, digits + 12) * w
-        out = acc.exp()
-        if out.err > mp.mpf(10) ** (-digits) * (1 + abs(out.value)):
-            raise PrecisionError(f"gamma quotient bound {mpmath.nstr(out.err, 3)} "
-                                 f"above 10^-{digits} (1 + |value|)")
-        return out
+    weights = {a: w for a, w in weights.items() if w}
+    logs = [ln_gamma(a, digits + 12) for a in weights]
+    ns, p = _exact_fixed(*[y for r in logs for y in (r.value, r.err)])
+    S = sum(w * v for w, v in zip(weights.values(), ns[0::2]))
+    E = sum(abs(w) * e for w, e in zip(weights.values(), ns[1::2]))
+    if E >> p:
+        raise PrecisionError(f"gamma quotient log bound {mpmath.nstr(_fixed_mpf(E, p), 3)} >= 1")
+    prec = _bits(digits) + 40
+    # e^x < 2^ib, since log2(e) < 3/2
+    ib = max(1, (3 * ((S >> p) + 1) + 1) // 2)
+    value = to_fixed(mpf_exp(from_man_exp(S, -p), prec + ib + 8, round_floor), prec)
+    err = -(-(value + _EXP_ULPS) * E * ((1 << p) + E) >> 2 * p) + _EXP_ULPS
+    if err * 10 ** digits > (1 << prec) + value:
+        raise PrecisionError(f"gamma quotient bound {mpmath.nstr(_fixed_mpf(err, prec), 3)} "
+                             f"above 10^-{digits} (1 + |value|)")
+    return BoundedReal(_fixed_mpf(value, prec), _fixed_mpf(err, prec))
 
 
 # ---------------------------------------------------------------------------
@@ -673,11 +729,6 @@ def _fixed_prec(wp: int, terms: int) -> int:
     return wp + terms.bit_length()
 
 
-def _fixed_mpf(x: int, prec: int) -> mpmath.mpf:
-    # x * 2^-prec, exactly (the mantissa is not rounded to the ambient precision)
-    return mp.make_mpf(from_man_exp(x, -prec))
-
-
 def _partial_sum(uppers, lowers, terms, prec):
     """Fixed-point sum of t_n over n < terms, in units of 2^-prec.
 
@@ -749,11 +800,35 @@ def _certified_sum(value: int, err: int, prec: int, digits: int, uppers, lowers)
     return BoundedReal(_fixed_mpf(value, prec), _fixed_mpf(err, prec))
 
 
+def _round_product(factors: Sequence[BoundedReal], prec: int) -> BoundedReal:
+    """The product of two or more bounded reals, formed exactly, its value
+    rounded once, to nearest, at 2^-prec.
+
+    Read over 2^-p with p >= prec, the factors x_i with bounds e_i multiply
+    exactly; the propagated bound prod (|x_i| + e_i) - prod |x_i| plus the
+    exact rounding residual is rounded up to prec significant bits, so no
+    other rounding is charged.
+    """
+    ns, p = _exact_fixed(*[y for f in factors for y in (f.value, f.err)], prec=prec)
+    v = lo = hi = 1
+    for x, e in zip(ns[0::2], ns[1::2]):
+        v *= x
+        lo *= abs(x)
+        hi *= abs(x) + e
+    s = len(factors) * p - prec
+    r = (v + (1 << (s - 1))) >> s
+    err = hi - lo + abs(v - (r << s))
+    return BoundedReal(_fixed_mpf(r, prec),
+                       mp.make_mpf(from_man_exp(err, -len(factors) * p, prec, round_ceiling)))
+
+
 def _gamma_hyp(gnum, gden, uppers, lowers, digits: int) -> BoundedReal:
     """Gamma[gnum; gden] * pFq-1(uppers; lowers; 1), the closed form of every
-    twist term, arc integral, Appell value and Dixon member, with six guard digits."""
-    with mp.workprec(_bits(digits) + 40):
-        return gamma_quotient(gnum, gden, digits + 6) * hyp_unit_sum(uppers, lowers, digits + 6)
+    twist term, arc integral, Appell value and Dixon member: both factors are
+    certified with six guard digits, and their product is rounded once at
+    2^-(bits(digits) + 40)."""
+    return _round_product([gamma_quotient(gnum, gden, digits + 6),
+                           hyp_unit_sum(uppers, lowers, digits + 6)], _bits(digits) + 40)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ in the units ``frac`` and ``err`` share, and is kept as the reference that
 must return the same first failing m.
 """
 
-from fermatvol.ceresa import MARGIN_FACTOR, _exact_fixed
+from fermatvol.ceresa import MARGIN_FACTOR
+from fermatvol.specfun import _exact_fixed
 
 
 def first_inconclusive(frac, err, m_max):

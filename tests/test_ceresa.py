@@ -141,6 +141,20 @@ def test_gamma_precision_error_is_row_failure(monkeypatch):
                for r in rows)
 
 
+@pytest.mark.parametrize("n,h,digits", [(97, 23, 50), (13, 6, 280)])
+def test_twist_term_bound_is_its_propagated_parts(n, h, digits):
+    # the product is formed exactly and rounded once: its bound is the propagated
+    # |g| err(F) + |F| err(g) plus at most half an ulp at 2^-(bits(digits) + 40), no slop
+    x = Fraction(h, n)
+    g = specfun.gamma_quotient([1 - x] * 4, [1 - 2 * x] * 2, digits + 6)
+    f = specfun.hyp_unit_sum([x, x, 1 - 2 * x], [1, 1], digits + 6)
+    term = ceresa._h_term(n, h, digits)
+    gv, ge, fv, fe, tv, te = map(_exact, (g.value, g.err, f.value, f.err, term.value, term.err))
+    parts = abs(gv) * fe + abs(fv) * ge + Fraction(1, 2 ** (specfun._bits(digits) + 41))
+    assert te <= 2 * parts
+    assert abs(tv - gv * fv) <= te
+
+
 def test_decimal_len_matches_str():
     # exact on every input, also past Python's int-to-str digit limit, which is
     # lifted here only to get the reference
@@ -178,12 +192,12 @@ def test_exact_fixed_reads_binary_fractions():
     xs = [_dyadic(rng.randint(-2 ** 200, 2 ** 200), rng.randint(-400, 40)) for _ in range(50)]
     xs += [mp.mpf(0), mp.mpf(3) * 2 ** 70]
     for i in range(0, len(xs), 2):
-        ns, prec = ceresa._exact_fixed(*xs[i:i + 2])
+        ns, prec = specfun._exact_fixed(*xs[i:i + 2])
         assert prec >= 0
         assert [Fraction(m, 2 ** prec) for m in ns] == [_exact(x) for x in xs[i:i + 2]]
     for bad in (mpmath.inf, -mpmath.inf, mpmath.nan):
         with pytest.raises(ValueError):
-            ceresa._exact_fixed(mp.mpf(1), bad)
+            specfun._exact_fixed(mp.mpf(1), bad)
 
 
 def _from_dyadic_fraction(q):
@@ -317,7 +331,7 @@ def test_multiples_scan_finds_large_first_multiple():
     t0 = time.perf_counter()
     res = multiples_scan(5, 1, 10 ** 30, 30)
     assert time.perf_counter() - t0 < 0.1
-    m = 200926506705059107023026603180
+    m = 730220312483273298691662530864
     assert (res.first_inconclusive, res.verified_up_to) == (m, m - 1)
     r = m * _exact(base.frac) % 1
     assert min(r, 1 - r) <= ceresa.MARGIN_FACTOR * m * _exact(base.err)

@@ -65,7 +65,7 @@ def test_scan_command(capsys):
     assert code == 0
     assert json.loads(out)["verified_up_to"] == 50
     # far beyond any walk, up to the largest m_max admitted at 30 digits, below the
-    # first failing multiple 2.0e29
+    # first failing multiple 7.3e29
     for m_max in (10 ** 28, 10 ** 29 - 1):
         code, out, _ = run(capsys, ["scan", "--n", "5", "--m-max", str(m_max)])
         assert code == 0 and "all verified" in out

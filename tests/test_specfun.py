@@ -18,7 +18,8 @@ from fermatvol import _quadrature, specfun
 from fermatvol.specfun import (_LOG_ULPS, BoundedComplex, BoundedReal, DivergenceError,
                                DomainError, PrecisionError, _bernoulli_even, _bits,
                                _defect_poly, _fixed_prec, _ln_gamma_fixed, _log_fixed,
-                               _partial_sum, _poly_from_factors, _solve_tail_series,
+                               _partial_sum, _poly_from_factors, _round_product,
+                               _solve_tail_series,
                                _stirling_order, _stirling_sum, _tail_defect_majorant,
                                appell_f3_partial_sum, appell_f3_unit, dixon_family,
                                euler_double_integral, gamma_quotient, hyp_unit_sum,
@@ -104,6 +105,38 @@ def test_bounded_exp_encloses(v, e, s, prec):
         ref = mpmath.exp(mp.fdiv(x.numerator, x.denominator))
         slack = _exact(abs(ref) * mp.mpf(2) ** (16 - mp.prec))
     assert abs(_exact(r.value) - _exact(ref)) <= _exact(r.err) + slack
+
+
+@pytest.mark.parametrize("bad", [mpmath.inf, -mpmath.inf, mpmath.nan])
+def test_bounded_classes_reject_non_finite(bad):
+    for build in (lambda: BoundedReal(bad, 0), lambda: BoundedReal(1, bad),
+                  lambda: BoundedComplex(1, bad), lambda: BoundedComplex(mp.mpc(bad, 0), 0),
+                  lambda: BoundedComplex(mp.mpc(0, bad), 0)):
+        with pytest.raises(ValueError):
+            build()
+
+
+_FACTOR = st.tuples(_BOUNDED, _UNIT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FACTOR, min_size=2, max_size=3), st.integers(20, 300))
+@example([(BoundedReal(_dyadic(3, -300), 0), F(0)), (BoundedReal(_dyadic(5, -300), 0), F(0))],
+         20)  # exact inputs: the bound is the rounding residual alone
+def test_round_product_encloses(factors, prec):
+    # every point of the input intervals multiplies into the result's interval, whose
+    # value is the product of the values rounded to nearest on the grid 2^-prec and
+    # whose bound is the propagated one plus that residual, rounded up to prec bits
+    r = _round_product([b for b, _ in factors], prec)
+    value, err = _exact(r.value), _exact(r.err)
+    points = [_exact(b.value) + s * _exact(b.err) for b, s in factors]
+    assert abs(value - math.prod(points)) <= err
+    mids = [_exact(b.value) for b, _ in factors]
+    residual = abs(value - math.prod(mids))
+    assert residual <= F(1, 2 ** (prec + 1)) and (value * 2 ** prec).denominator == 1
+    propagated = (math.prod(abs(x) + _exact(b.err) for x, (b, _) in zip(mids, factors))
+                  - math.prod(map(abs, mids)))
+    assert err <= (propagated + residual) * (1 + F(1, 2 ** (prec - 1)))
 
 
 def _complex(re, im, err):
@@ -301,6 +334,42 @@ def test_gamma_quotient_raises_on_wide_bound(monkeypatch):
     monkeypatch.setattr(specfun, "ln_gamma", wide)
     with pytest.raises(PrecisionError):
         gamma_quotient([F(1, 3)], [F(2, 3)], 30)
+
+
+_GAMMA_ARG = st.fractions(min_value=F(1, 40), max_value=4, max_denominator=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_GAMMA_ARG, max_size=4), st.lists(_GAMMA_ARG, max_size=4), st.integers(10, 80))
+@example([F(1, 40)] * 4, [F(39, 40)] * 4, 30)  # about 2.4e6
+@example([F(39, 40)] * 4, [F(1, 40)] * 4, 30)  # about 4.1e-7
+def test_gamma_quotient_encloses_gamma_product(nums, dens, digits):
+    r = gamma_quotient(nums, dens, digits)
+    assert r.err <= mp.mpf(10) ** -digits * (1 + abs(r.value))
+    with mp.workdps(2 * digits + 20):
+        ref = (mpmath.fprod(mpmath.gamma(mp.mpf(a.numerator) / a.denominator) for a in nums)
+               / mpmath.fprod(mpmath.gamma(mp.mpf(b.numerator) / b.denominator) for b in dens))
+        slack = abs(ref) * mp.mpf(2) ** (8 - mp.prec)  # the reference's own rounding
+    assert abs(_exact(r.value) - _exact(ref)) <= _exact(r.err) + _exact(slack)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_gamma_quotient_propagates_log_errors(monkeypatch, sign):
+    # every ln Gamma moved by 2^-100 inside a bound widened to match: the quotient
+    # still encloses the true product, through e^x eps (1 + eps) and not the ulp charge
+    true_ln_gamma, shift = specfun.ln_gamma, _dyadic(sign, -100)
+
+    def moved(x, digits=30):
+        r = true_ln_gamma(x, digits)
+        return BoundedReal(mpmath.fadd(r.value, shift, exact=True),
+                           mpmath.fadd(r.err, abs(shift), exact=True))
+    monkeypatch.setattr(specfun, "ln_gamma", moved)
+    r = gamma_quotient([F(1, 3), F(1, 3), F(1, 40)], [F(3, 5)], 20)
+    with mp.workdps(60):
+        ref = mpmath.gamma(mp.mpf(1) / 3) ** 2 * mpmath.gamma(mp.mpf(1) / 40) \
+            / mpmath.gamma(mp.mpf(3) / 5)
+        slack = ref * mp.mpf(2) ** (8 - mp.prec)
+    assert abs(_exact(r.value) - _exact(ref)) <= _exact(r.err) + _exact(slack)
 
 
 # ------------------------------------------------------------- 3F2 at unity
@@ -769,6 +838,16 @@ def test_dixon_consistency_reference_point():
     assert not tenth.skipped
     quad = euler_double_integral(F(1, 3), F(1, 2), F(1, 4), F(2, 5))
     assert abs(tenth.value.value - quad.value) < 1e-9
+
+
+def test_dixon_members_share_one_grid_point():
+    # every member is one product rounded once, to nearest, at 2^-(bits(digits) + 40),
+    # far coarser than the members' own errors, so the ten equal closed forms at the
+    # twist point x = 6/13 give one binary fraction
+    x = F(6, 13)
+    members = dixon_family(x, 1 - 2 * x, 1 - 2 * x, x, digits=40)
+    assert not any(m.skipped for m in members)
+    assert len({_exact(m.value.value) for m in members}) == 1
 
 
 def test_dixon_ninth_member_convergence_follows_its_margin():
