@@ -36,6 +36,9 @@ INNER_DIGITS_MAX = 250
 # 3.7 ms each at 30 digits for N = 5, 6 and 10, and the 33,124 pairs of N = 15 took 3.1
 # minutes (5.5 ms each); at 250 digits a pair weighs 25, and N = 7 (900 pairs) took 16 s
 ORACLE_PAIRS_MAX = 33_124
+# a dixon-test trial (ten closed forms at 25 digits) took 11-14 ms on the same VM,
+# over 200 and 2,000 trials, so this is about a minute
+DIXON_TRIALS_MAX = 5_000
 
 
 def _twist_terms_bound(n_lo: int, n_hi: int) -> int:
@@ -67,11 +70,15 @@ def _needed_inner_digits(n: int, k: int, digits: int) -> int:
 
 def _check_budget(ap: argparse.ArgumentParser, args, digits: int) -> None:
     # inner digits and weighted work, before any computation: oracle-test pairs run their
-    # closed form at max(20, digits); a table's largest prefactor is that of its last degree
+    # closed form at max(20, digits), dixon-test trials at min(digits, 25); a table's
+    # largest prefactor is that of its last degree
     budget, unit = TWIST_TERMS_MAX, "twist terms"
     if args.command == "oracle-test":
         inner, work = max(20, digits), ((args.n - 1) * (args.n - 2)) ** 2
         budget, unit = ORACLE_PAIRS_MAX, "pairs"
+    elif args.command == "dixon-test":
+        inner, work = min(digits, 25), args.trials
+        budget, unit = DIXON_TRIALS_MAX, "trials"
     else:
         if args.command == "table":
             if args.n_min >= args.n_max:
@@ -131,14 +138,15 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("dixon-test", parents=[common],
                        help="ten-way closed-form consistency self-test, at "
                             "min(--digits, 25) digits")
-    d.add_argument("--trials", type=int, default=50, help="at least 1")
+    d.add_argument("--trials", type=int, default=50,
+                   help=f"at least 1 and at most {DIXON_TRIALS_MAX}")
     d.add_argument("--seed", type=int, default=20100301)
 
     o = sub.add_parser("oracle-test", parents=[common],
                        help="quadrature cross-check of the arc integral closed form")
     o.add_argument("--n", type=int, default=5, help=f"((N-1)(N-2))^2 pairs, weighted by "
                    f"digits, within {ORACLE_PAIRS_MAX} (N = 15)")
-    o.add_argument("--tolerance", type=float, default=1e-8)
+    o.add_argument("--tolerance", type=float, default=1e-8, help="a finite positive number")
     return ap
 
 
@@ -278,8 +286,11 @@ def main(argv=None) -> int:
         ap.error(f"--m-max must be below 10^{digits - 1}, where m_max * err < 0.1")
     if args.command == "dixon-test" and args.trials < 1:
         ap.error("--trials must be at least 1")
-    if args.command != "dixon-test":
-        _check_budget(ap, args, digits)
+    if args.command == "oracle-test" and not 0 < args.tolerance < math.inf:  # nan fails too
+        ap.error("--tolerance must be a finite positive number")
+    if args.command == "table" and args.k < 1:  # the rows would each report a DomainError
+        ap.error("--k must be at least 1")
+    _check_budget(ap, args, digits)
     out = sys.stdout
     dispatch = {
         "table": cmd_table,

@@ -31,11 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import mp
-
 from .cyclotomic import (CycloElem, EmbeddingIndex, cyclo_from_power, embed,
                          one_minus_power)
-from .specfun import BoundedComplex, BoundedReal, DomainError, _bits, _gamma_hyp
+from .specfun import BoundedComplex, BoundedReal, DomainError, _gamma_hyp
 
 
 class EtaNotZeroError(ValueError):
@@ -310,12 +308,8 @@ def kappa_rs_iterated_integral(curve: FermatCurve, loop: LoopIndex,
 def _evaluate_delta_linear(curve, ex: DeltaLinear, idx1, idx2,
                            sigma: EmbeddingIndex, digits: int) -> BoundedComplex:
     h = sigma.h
-    wp = _bits(digits) + 40
-    with mp.workprec(wp):
-        i_delta = delta_iterated_integral(curve, idx1.scaled(h), idx2.scaled(h), digits + 4)
-        part1 = embed(ex.c1, sigma, digits + 4) * BoundedComplex(i_delta.value, i_delta.err)
-        part0 = embed(ex.c0, sigma, digits + 4)
-        return part1 + part0
+    i_delta = delta_iterated_integral(curve, idx1.scaled(h), idx2.scaled(h), digits + 4)
+    return embed(ex.c1, sigma, digits + 4) * i_delta + embed(ex.c0, sigma, digits + 4)
 
 
 # ---------------------------------------------------------------------------

@@ -76,14 +76,18 @@ nearest, at 2^-(bits(digits) + 40); the exact residual joins the
 propagated bound |G| e_H + |H| e_G + e_G e_H, and that sum is rounded up
 to as many significant bits (``_round_product``).
 
-The ``BoundedReal`` arithmetic that combines these results keeps sums,
-differences and integer multiples exact: value and bound are binary
-fractions and are added, subtracted or scaled without rounding, so a sum
-of certified terms is certified by the sum of their bounds.  Its
-products, quotients and ``exp`` still round at the ambient mpmath working
-precision and charge per-operation slop on |value| + bound; callers pick
-the precision via ``mp.workprec`` (helpers here add their own guard bits
-on top of the requested decimal digits).
+The ``BoundedReal`` and ``BoundedComplex`` arithmetic that combines
+these results has one rounding rule: an operation is exact on the binary
+fractions of value and bound, or it rounds once and adds the exact
+residual to the bound.  Sums, differences and products are exact (the
+complex ones part by part), so a sum of certified terms is certified by
+the sum of their bounds.  A real product's bound is (|a| + e_a)(|b| +
+e_b) - |a b|, exactly; a complex product's is |a| e_b + (|b| + e_b) e_a,
+rounded up from moduli rounded up at ``_BOUND_PREC`` bits.  A quotient
+rounds its value to nearest at the ambient mpmath precision, the one
+result that depends on it, and its bound (|a - v b| + e_a + |v| e_b) /
+(|b| - e_b) is one division rounded up; a ``Fraction`` operand is its
+numerator divided by its denominator.  ``agrees_with`` compares exactly.
 """
 
 from __future__ import annotations
@@ -98,8 +102,10 @@ from typing import Optional, Sequence, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (from_int, from_man_exp, mpf_exp, mpf_log, mpf_pi, mpf_shift,
-                          round_ceiling, round_floor, to_fixed)
+from mpmath.libmp import (fhalf, from_int, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div,
+                          mpf_exp, mpf_le, mpf_log, mpf_mul, mpf_neg, mpf_pi, mpf_pos,
+                          mpf_shift, mpf_sign, mpf_sqrt, mpf_sub, round_ceiling, round_floor,
+                          round_nearest, to_fixed, to_int)
 
 Rational = Union[int, Fraction]
 
@@ -149,19 +155,19 @@ def _fixed_mpf(x: int, prec: int) -> mpmath.mpf:
     return mp.make_mpf(from_man_exp(x, -prec))
 
 
-def _ulp_slop(x) -> mpmath.mpf:
-    # rounding slop at the ambient precision for a result of magnitude |x|;
-    # charged on |value| + err, it also covers the rounding of err itself
-    return abs(x) * mp.mpf(2) ** (4 - mp.prec)
+# significant bits of a rounded-up bound, whatever mp.prec is.  A bound that is a sum
+# is formed exactly and then rounded by mpf_pos: mpf_add's own rounding can miss the
+# ceiling when the larger operand has more bits than the target precision
+_BOUND_PREC = 64
 
 
 class BoundedReal:
     """A real value with a conservative absolute error bound.
 
-    Sums, differences and integer multiples are exact on the binary
-    fractions of value and bound.  Products, quotients and ``exp`` round
-    at the ambient mpmath precision and widen the bound by the propagated
-    input errors plus per-operation slop.
+    Value and bound are binary fractions.  Sums, differences and products
+    are exact on them.  A quotient rounds its value to nearest at the
+    ambient mpmath precision and adds the exact residual to its bound,
+    which is rounded up once.
     """
 
     __slots__ = ("value", "err")
@@ -171,13 +177,8 @@ class BoundedReal:
         self.err = mp.mpf(err) if not isinstance(err, mpmath.mpf) else err
         if not _finite(self.value._mpf_):
             raise ValueError(f"invalid value {value!r}")
-        if self.err < 0 or not _finite(self.err._mpf_):
+        if self.err._mpf_[0] or not _finite(self.err._mpf_):  # the sign bit: err < 0
             raise ValueError(f"invalid error bound {err!r}")
-
-    @classmethod
-    def exact(cls, q: Rational) -> "BoundedReal":
-        v = _to_mpf(Fraction(q))
-        return cls(v, _ulp_slop(v))
 
     def __add__(self, other):
         other = _coerce(other)
@@ -195,42 +196,40 @@ class BoundedReal:
         return _coerce(other).__sub__(self)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return BoundedReal(mpmath.fmul(self.value, other, exact=True),
-                               mpmath.fmul(self.err, abs(other), exact=True))
         other = _coerce(other)
-        v = self.value * other.value
-        e = abs(self.value) * other.err + abs(other.value) * self.err + self.err * other.err
-        return BoundedReal(v, e + _ulp_slop(abs(v) + e))
+        a, ea, b, eb = self.value._mpf_, self.err._mpf_, other.value._mpf_, other.err._mpf_
+        # (|a| + e_a)(|b| + e_b) - |a b|
+        return _real(mpf_mul(a, b),
+                     mpf_add(mpf_mul(mpf_abs(a), eb), mpf_mul(mpf_add(mpf_abs(b), eb), ea)))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return BoundedReal(-self.value, self.err)
+        return _real(mpf_neg(self.value._mpf_), self.err._mpf_)
 
     def __truediv__(self, other):
         other = _coerce(other)
-        # exactly: |value| rounded to the working precision can lift lo above the true one
-        w = other.value
-        lo = mpmath.fsub(w if w >= 0 else mpmath.fneg(w, exact=True), other.err, exact=True)
-        if lo <= 0:
+        a, ea, b, eb = self.value._mpf_, self.err._mpf_, other.value._mpf_, other.err._mpf_
+        lo = mpf_sub(mpf_abs(b), eb)
+        if mpf_sign(lo) <= 0:
             raise ZeroDivisionError("divisor interval contains zero")
-        v = self.value / other.value
-        e = (self.err + abs(v) * other.err) / lo
-        return BoundedReal(v, e + _ulp_slop(abs(v) + e))
+        v = mpf_div(a, b, mp.prec, round_nearest)
+        # |(a + da)/(b + db) - v| <= (|a - v b| + e_a + |v| e_b) / (|b| - e_b)
+        num = mpf_add(mpf_add(mpf_abs(mpf_sub(a, mpf_mul(v, b))), ea), mpf_mul(mpf_abs(v), eb))
+        return _real(v, mpf_div(num, lo, _BOUND_PREC, round_ceiling))
 
-    def exp(self) -> "BoundedReal":
-        v = mpmath.exp(self.value)
-        # |e^x - e^x'| <= e^x' (e^|dx| - 1)
-        e = v * mpmath.expm1(self.err) if self.err < 1 else v * (mpmath.exp(self.err) - 1)
-        return BoundedReal(v, e + 4 * _ulp_slop(v + e))
-
-    def agrees_with(self, other: "BoundedReal", slack=0) -> bool:
+    def agrees_with(self, other: "BoundedReal") -> bool:
         other = _coerce(other)
-        return abs(self.value - other.value) <= self.err + other.err + slack + _ulp_slop(self.value)
+        gap = mpf_abs(mpf_sub(self.value._mpf_, other.value._mpf_))
+        return mpf_le(gap, mpf_add(self.err._mpf_, other.err._mpf_))
 
     def __repr__(self):
         return f"BoundedReal({mpmath.nstr(self.value, 20)}, err<={mpmath.nstr(self.err, 3)})"
+
+
+def _real(value: tuple, err: tuple) -> BoundedReal:
+    # from raw mpfs, kept exactly
+    return BoundedReal(mp.make_mpf(value), mp.make_mpf(err))
 
 
 def _coerce(x) -> BoundedReal:
@@ -239,16 +238,16 @@ def _coerce(x) -> BoundedReal:
     if isinstance(x, int):
         return BoundedReal(mp.make_mpf(from_int(x)), 0)
     if isinstance(x, Fraction):
-        return BoundedReal.exact(x)
+        return _coerce(x.numerator) / x.denominator
     return BoundedReal(mp.mpf(x), 0)
 
 
 class BoundedComplex:
     """Complex value with an absolute (radius) error bound.
 
-    Construction and conjugation keep the stored mantissas intact (the
-    mpmath context would otherwise re-round them to the ambient
-    precision, which is routinely lower than the value's).
+    The parts and the bound are binary fractions.  Sums, differences,
+    products and conjugates keep the parts exact; a product's bound is
+    rounded up once from moduli rounded up at ``_BOUND_PREC`` bits.
     """
 
     __slots__ = ("value", "err")
@@ -258,70 +257,69 @@ class BoundedComplex:
         self.err = mp.mpf(err) if not isinstance(err, mpmath.mpf) else err
         if not all(map(_finite, self.value._mpc_)):
             raise ValueError(f"invalid value {value!r}")
-        if self.err < 0 or not _finite(self.err._mpf_):
+        if self.err._mpf_[0] or not _finite(self.err._mpf_):  # the sign bit: err < 0
             raise ValueError(f"invalid error bound {err!r}")
 
     def __add__(self, other):
         other = _coerce_c(other)
-        v = self.value + other.value
-        e = self.err + other.err
-        return BoundedComplex(v, e + _ulp_slop(abs(v) + e))
+        (ar, ai), (br, bi) = self.value._mpc_, other.value._mpc_
+        return _complex(mpf_add(ar, br), mpf_add(ai, bi), mpf_add(self.err._mpf_, other.err._mpf_))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _coerce_c(other)
-        v = self.value - other.value
-        e = self.err + other.err
-        return BoundedComplex(v, e + _ulp_slop(abs(v) + e))
+        (ar, ai), (br, bi) = self.value._mpc_, other.value._mpc_
+        return _complex(mpf_sub(ar, br), mpf_sub(ai, bi), mpf_add(self.err._mpf_, other.err._mpf_))
 
     def __mul__(self, other):
         other = _coerce_c(other)
-        v = self.value * other.value
-        e = abs(self.value) * other.err + abs(other.value) * self.err + self.err * other.err
-        return BoundedComplex(v, e + _ulp_slop(abs(v) + e))
+        (ar, ai), (br, bi) = self.value._mpc_, other.value._mpc_
+        ea, eb = self.err._mpf_, other.err._mpf_
+        # |a| e_b + (|b| + e_b) e_a, exact from the moduli and then rounded up
+        err = mpf_add(mpf_mul(_modulus_up(ar, ai), eb),
+                      mpf_mul(mpf_add(_modulus_up(br, bi), eb), ea))
+        return _complex(mpf_sub(mpf_mul(ar, br), mpf_mul(ai, bi)),
+                        mpf_add(mpf_mul(ar, bi), mpf_mul(ai, br)),
+                        mpf_pos(err, _BOUND_PREC, round_ceiling))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return BoundedComplex(-self.value, self.err)
+        re, im = self.value._mpc_
+        return _complex(mpf_neg(re), mpf_neg(im), self.err._mpf_)
 
     def conjugate(self) -> "BoundedComplex":
-        from mpmath.libmp import mpf_neg
-        flipped = mp.make_mpc((self.value.real._mpf_, mpf_neg(self.value.imag._mpf_)))
-        return BoundedComplex(flipped, self.err)
+        re, im = self.value._mpc_
+        return _complex(re, mpf_neg(im), self.err._mpf_)
 
-    @property
-    def real(self) -> BoundedReal:
-        return BoundedReal(self.value.real, self.err)
-
-    @property
-    def imag(self) -> BoundedReal:
-        return BoundedReal(self.value.imag, self.err)
-
-    def distance(self, other: "BoundedComplex") -> mpmath.mpf:
-        """|self - other| computed componentwise (safe at any ambient precision)."""
+    def agrees_with(self, other: "BoundedComplex") -> bool:
         other = _coerce_c(other)
-        dr = self.value.real - other.value.real
-        di = self.value.imag - other.value.imag
-        return mpmath.hypot(dr, di)
-
-    def agrees_with(self, other: "BoundedComplex", slack=0) -> bool:
-        other = _coerce_c(other)
-        return self.distance(other) <= self.err + other.err + slack + _ulp_slop(abs(self.value))
+        (ar, ai), (br, bi) = self.value._mpc_, other.value._mpc_
+        dr, di = mpf_sub(ar, br), mpf_sub(ai, bi)
+        e = mpf_add(self.err._mpf_, other.err._mpf_)
+        return mpf_le(mpf_add(mpf_mul(dr, dr), mpf_mul(di, di)), mpf_mul(e, e))
 
     def __repr__(self):
         return f"BoundedComplex({mpmath.nstr(self.value, 20)}, err<={mpmath.nstr(self.err, 3)})"
 
 
+def _modulus_up(re: tuple, im: tuple) -> tuple:
+    # sqrt of the exact re^2 + im^2, correctly rounded up (mpf_hypot rounds the sum first)
+    return mpf_sqrt(mpf_add(mpf_mul(re, re), mpf_mul(im, im)), _BOUND_PREC, round_ceiling)
+
+
+def _complex(re: tuple, im: tuple, err: tuple) -> BoundedComplex:
+    # from raw mpfs, kept exactly
+    return BoundedComplex(mp.make_mpc((re, im)), mp.make_mpf(err))
+
+
 def _coerce_c(x) -> BoundedComplex:
     if isinstance(x, BoundedComplex):
         return x
-    if isinstance(x, BoundedReal):
-        return BoundedComplex(x.value, x.err)
-    if isinstance(x, (int, Fraction)):
-        r = BoundedReal.exact(Fraction(x))
-        return BoundedComplex(r.value, r.err)
+    if isinstance(x, (BoundedReal, int, Fraction)):
+        r = _coerce(x)
+        return _complex(r.value._mpf_, fzero, r.err._mpf_)
     return BoundedComplex(x, 0)
 
 
@@ -802,24 +800,16 @@ def _certified_sum(value: int, err: int, prec: int, digits: int, uppers, lowers)
 
 def _round_product(factors: Sequence[BoundedReal], prec: int) -> BoundedReal:
     """The product of two or more bounded reals, formed exactly, its value
-    rounded once, to nearest, at 2^-prec.
+    rounded once, to nearest (ties up), at 2^-prec.
 
-    Read over 2^-p with p >= prec, the factors x_i with bounds e_i multiply
-    exactly; the propagated bound prod (|x_i| + e_i) - prod |x_i| plus the
-    exact rounding residual is rounded up to prec significant bits, so no
-    other rounding is charged.
+    The exact product carries the propagated bound prod (|x_i| + e_i) -
+    prod |x_i|; the exact rounding residual joins it, and that sum is
+    rounded up to prec significant bits, so no other rounding is charged.
     """
-    ns, p = _exact_fixed(*[y for f in factors for y in (f.value, f.err)], prec=prec)
-    v = lo = hi = 1
-    for x, e in zip(ns[0::2], ns[1::2]):
-        v *= x
-        lo *= abs(x)
-        hi *= abs(x) + e
-    s = len(factors) * p - prec
-    r = (v + (1 << (s - 1))) >> s
-    err = hi - lo + abs(v - (r << s))
-    return BoundedReal(_fixed_mpf(r, prec),
-                       mp.make_mpf(from_man_exp(err, -len(factors) * p, prec, round_ceiling)))
+    p = math.prod(factors)
+    r = from_man_exp(to_int(mpf_add(mpf_shift(p.value._mpf_, prec), fhalf), round_floor), -prec)
+    err = mpf_add(p.err._mpf_, mpf_abs(mpf_sub(p.value._mpf_, r)))
+    return _real(r, mpf_pos(err, prec, round_ceiling))
 
 
 def _gamma_hyp(gnum, gden, uppers, lowers, digits: int) -> BoundedReal:

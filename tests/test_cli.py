@@ -3,7 +3,7 @@ import json
 import pytest
 
 from fermatvol import ceresa
-from fermatvol.cli import (INNER_DIGITS_MAX, TWIST_TERMS_MAX, _check_budget,
+from fermatvol.cli import (DIXON_TRIALS_MAX, INNER_DIGITS_MAX, TWIST_TERMS_MAX, _check_budget,
                            _needed_inner_digits, _twist_terms_bound, build_parser, main)
 
 
@@ -135,6 +135,11 @@ def test_env_digits_invalid_exits_2(monkeypatch, capsys, env):
     ["oracle-test", "--n", "4", "--digits", "251"],
     ["oracle-test", "--n", "8", "--digits", "250"],
     ["oracle-test", "--n", "13", "--digits", "60"],
+    ["oracle-test", "--tolerance", "nan"],
+    ["oracle-test", "--tolerance", "inf"],
+    ["oracle-test", "--tolerance", "0"],
+    ["table", "--k", "0"],
+    ["dixon-test", "--trials", str(DIXON_TRIALS_MAX + 1)],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_out_of_range_exits_2(capsys, argv):
     # rejected before any certified value is computed
@@ -150,6 +155,7 @@ def test_out_of_range_exits_2(capsys, argv):
     ["value", "--n", "40002"],
     ["oracle-test", "--n", "7", "--digits", "250"],
     ["check", "--n", "2001", "--digits", "200"],
+    ["dixon-test", "--trials", str(DIXON_TRIALS_MAX)],
 ])
 def test_budget_admits_largest_jobs(argv):
     # the largest admitted oracle jobs at 30 and 250 digits and the largest degrees at

@@ -400,6 +400,19 @@ def test_harmonic_volume_sigma_independent_of_call_history():
     assert cold != [_bits_of(harmonic_volume_sigma(curve, t, sig, 30)) for sig in sigmas]
 
 
+def test_harmonic_volume_sigma_independent_of_ambient_precision():
+    # every bounded operation on the way is exact or rounds at its own precision
+    curve, t = _n11_triple()
+    sigmas = [EmbeddingIndex(h, 11) for h in range(1, 11)]
+    runs = []
+    for prec in (20, 400):
+        for cache in (harmonic_volume_sigma, specfun._ln_gamma_fixed, _sigma_exact_parts_cached):
+            cache.cache_clear()
+        with mp.workprec(prec):
+            runs.append([_bits_of(harmonic_volume_sigma(curve, t, sig, 30)) for sig in sigmas])
+    assert runs[0] == runs[1]
+
+
 def test_harmonic_volume_sigma_rejects_mixed():
     # degree 7 triple (1,1),(1,2),(5,4): at h=3 the first two twists split
     curve = FermatCurve(7)

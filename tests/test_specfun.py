@@ -25,6 +25,7 @@ from fermatvol.specfun import (_LOG_ULPS, BoundedComplex, BoundedReal, Divergenc
                                euler_double_integral, gamma_quotient, hyp_unit_sum,
                                ln_gamma)
 
+import _product_reference as product_reference
 import _series_reference as series_reference
 
 F = Fraction
@@ -59,7 +60,8 @@ def test_bounded_sums_and_int_multiples_are_exact(a, b, n, prec):
     with mp.workprec(prec):
         cases = [(a + b, va + vb, ea + eb), (a - b, va - vb, ea + eb),
                  (a * n, va * n, ea * abs(n)), (n * a, va * n, ea * abs(n)),
-                 (a + n, va + n, ea), (n - a, n - va, ea)]
+                 (a + n, va + n, ea), (n - a, n - va, ea),
+                 (a * b, va * vb, abs(va) * eb + (abs(vb) + eb) * ea)]
     for r, v, e in cases:
         assert (_exact(r.value), _exact(r.err)) == (v, e)
 
@@ -92,21 +94,6 @@ def test_bounded_products_and_quotients_enclose(a, b, s, t, prec):
         assert abs(_exact(r.value) - truth) <= _exact(r.err)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.builds(_dyadic, st.integers(-2 ** 60, 2 ** 60), st.integers(-120, -52)),
-       st.builds(_dyadic, st.integers(0, 2 ** 32), st.integers(-150, -30)),
-       _UNIT, st.integers(20, 300))
-def test_bounded_exp_encloses(v, e, s, prec):
-    x = _exact(v) + s * _exact(e)
-    with mp.workprec(prec):
-        r = BoundedReal(v, e).exp()
-    # reference at 4x the working precision, with its own rounding charged
-    with mp.workprec(4 * prec + 64):
-        ref = mpmath.exp(mp.fdiv(x.numerator, x.denominator))
-        slack = _exact(abs(ref) * mp.mpf(2) ** (16 - mp.prec))
-    assert abs(_exact(r.value) - _exact(ref)) <= _exact(r.err) + slack
-
-
 @pytest.mark.parametrize("bad", [mpmath.inf, -mpmath.inf, mpmath.nan])
 def test_bounded_classes_reject_non_finite(bad):
     for build in (lambda: BoundedReal(bad, 0), lambda: BoundedReal(1, bad),
@@ -137,6 +124,44 @@ def test_round_product_encloses(factors, prec):
     propagated = (math.prod(abs(x) + _exact(b.err) for x, (b, _) in zip(mids, factors))
                   - math.prod(map(abs, mids)))
     assert err <= (propagated + residual) * (1 + F(1, 2 ** (prec - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_BOUNDED, min_size=2, max_size=3), st.integers(20, 300), st.integers(20, 300))
+@example([BoundedReal(_dyadic(3, -300), 0), BoundedReal(_dyadic(5, -300), 0)], 20, 20)
+@example([BoundedReal(_dyadic(3, -2), 0), BoundedReal(1, 0)], 1, 20)  # a tie rounds up
+@example([BoundedReal(_dyadic(-3, -2), 0), BoundedReal(1, 0)], 1, 20)
+# a propagated bound of 272 bits: rounding its sum with the residual inside mpf_add
+# gives one unit of 2^-167 too little
+@example([BoundedReal(_dyadic(-170291327862742125279659094042409525157, -173),
+                      _dyadic(68693013665953, -54)),
+          BoundedReal(_dyadic(158995533303789212914779621430729863, -243),
+                      _dyadic(18858969, -42))], 142, 20)
+def test_round_product_matches_integer_reference(factors, prec, ambient):
+    # the product of the bounded reals, rounded once, is bit for bit the integer
+    # computation it replaced, at any ambient precision
+    with mp.workprec(ambient):
+        r = _round_product(factors, prec)
+    ref = product_reference.round_product(factors, prec)
+    assert (r.value._mpf_, r.err._mpf_) == (ref.value._mpf_, ref.err._mpf_)
+
+
+def test_agrees_with_is_exact_at_low_ambient_precision():
+    # intervals that touch agree and intervals 2^-300 apart do not, though the ambient
+    # precision cannot tell their ends apart
+    tiny, gap = _dyadic(1, -200), _dyadic(1, -300)
+    with mp.workprec(20):
+        one = BoundedReal(1, 0)
+        touching = BoundedReal(_dyadic(2 ** 200 + 1, -200), tiny)
+        apart = BoundedReal(mpmath.fadd(touching.value, gap, exact=True), tiny)
+        assert one.agrees_with(touching) and touching.agrees_with(one)
+        assert not one.agrees_with(apart) and not apart.agrees_with(one)
+        # a 3-4-5 triangle: the discs touch at one point
+        unit = BoundedComplex(1, 0)
+        re, im = _dyadic(2 ** 200 + 3, -200), _dyadic(4, -200)
+        five = _dyadic(5, -200)
+        assert unit.agrees_with(_complex(re, im, five))
+        assert not unit.agrees_with(_complex(re, im, mpmath.fsub(five, gap, exact=True)))
 
 
 def _complex(re, im, err):
