@@ -3,8 +3,11 @@
 Elements are residues of rational polynomials in a fixed primitive root
 xi modulo the N-th cyclotomic polynomial Phi_N, so equality is
 canonical and the lattice identities downstream (pairings, the loop-sum
-polynomials) can be tested for exact vanishing.  Coefficients are
-``fractions.Fraction`` throughout; nothing in this module rounds.
+polynomials) can be tested for exact vanishing.  An element is stored as
+phi(N) integer numerators over one positive denominator, in lowest
+terms.  Phi_N is monic with integer coefficients, so the ring
+operations, the Galois action, the trace and the inverse all run on
+Python ints; nothing in this module rounds except ``embed``.
 
 Complex embeddings send xi to exp(2*pi*i*h/N) for h coprime to N and
 are evaluated on demand at a caller-chosen precision with a propagated
@@ -14,6 +17,7 @@ bound.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,6 +25,8 @@ from typing import Sequence, Union
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import (fone, from_float, from_int, fzero, mpc_add, mpc_mul_mpf, mpf_add,
+                          mpf_div, mpf_mul_int, mpf_shift, round_nearest)
 
 from .specfun import BoundedComplex, _bits, _poly_mul, _poly_sub, _trim
 
@@ -60,30 +66,19 @@ def mobius(n: int) -> int:
     return out
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, ascending, computed by exact division
-    of x^n - 1 by the product of Phi_d over proper divisors d."""
+    """Integer coefficients of Phi_n, ascending: x^n - 1 divided exactly by
+    Phi_d for each proper divisor d, all monic integer polynomials."""
     if n == 1:
         return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    den = [1]
-    for d in _divisors(n):
-        if d < n:
-            den = _poly_mul(den, cyclotomic_polynomial(d))
-    quot, rem = _poly_divmod_q([Fraction(c) for c in num], den)
-    if any(q.denominator != 1 for q in quot):
-        raise AssertionError("non-exact integer polynomial division")
-    if rem:
-        raise AssertionError(f"Phi_{n}: nonzero remainder")
-    # ints, not Fractions: _reduce_mod_phi multiplies by these on every construction
-    return tuple(int(q) for q in quot)
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            _, num, rem = _pseudo_divmod(num, cyclotomic_polynomial(d))
+            if rem:
+                raise AssertionError(f"Phi_{n}: nonzero remainder")
+    return tuple(num)
 
 
 @dataclass(frozen=True)
@@ -102,23 +97,29 @@ class EmbeddingIndex:
 
 
 class CycloElem:
-    """An element of Q(mu_n), reduced modulo Phi_n."""
+    """An element of Q(mu_n), reduced modulo Phi_n.
 
-    __slots__ = ("n", "coeffs")
+    ``num`` holds the phi(n) integer numerators of the coefficients of
+    1, xi, ..., xi^(phi(n)-1) and ``den`` their positive common
+    denominator, with gcd(den, *num) = 1 (``den`` is 1 for zero).
+    """
+
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs: Sequence[Rational]):
         if n < 1:
             raise ValueError("modulus must be positive")
-        deg = euler_phi(n)
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > deg:
-            cs = _reduce_mod_phi(n, cs)
-        cs += [Fraction(0)] * (deg - len(cs))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        fs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(f.denominator for f in fs))
+        _set(self, n, *_normal(n, [f.numerator * (den // f.denominator) for f in fs], den))
 
     def __setattr__(self, *a):
         raise AttributeError("CycloElem is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of 1, xi, ..., xi^(phi(n)-1) as ``Fraction``s."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -131,7 +132,7 @@ class CycloElem:
 
     @classmethod
     def from_rational(cls, n: int, q: Rational) -> "CycloElem":
-        return cls(n, [Fraction(q)])
+        return cls(n, [q])
 
     # -- ring structure ------------------------------------------------
     def _check(self, other):
@@ -143,11 +144,17 @@ class CycloElem:
             raise ValueError(f"modulus mismatch: {self.n} vs {other.n}")
         return other
 
+    def _plus(self, other, op):
+        a, b = self.den, other.den
+        g = math.gcd(a, b)
+        fa, fb = b // g, a // g
+        return _elem(self.n, [op(x * fa, y * fb) for x, y in zip(self.num, other.num)], a * fa)
+
     def __add__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycloElem(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._plus(other, operator.add)
 
     __radd__ = __add__
 
@@ -155,31 +162,32 @@ class CycloElem:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycloElem(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._plus(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return CycloElem(self.n, [-a for a in self.coeffs])
+        return _elem(self.n, [-c for c in self.num], self.den)
 
     def __mul__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycloElem(self.n, _poly_mul(self.coeffs, other.coeffs))
+        return _elem(self.n, _poly_mul(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloElem":
-        """Field inverse via the extended Euclidean algorithm in Q[x]."""
+        """Field inverse by the extended Euclidean algorithm on integer polynomials."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(mu_n)")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-        g, inv = _ext_gcd_mod(list(self.coeffs), phi)
-        if g is None:
+        found = _ext_gcd_int(self.num, cyclotomic_polynomial(self.n))
+        if found is None:
             raise AssertionError("gcd(a, Phi_n) != 1 for a nonzero field element")
-        return CycloElem(self.n, inv)
+        t, c = found
+        # num t = c mod Phi_n, so (num / den)^-1 = den t / c
+        return _elem(self.n, [x * self.den for x in t], c)
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -201,38 +209,37 @@ class CycloElem:
 
     # -- predicates and maps --------------------------------------------
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def galois(self, h: int) -> "CycloElem":
         """Apply sigma_h (xi -> xi^h); h must be a unit mod n."""
         if math.gcd(h, self.n) != 1:
             raise ValueError(f"h={h} not a unit mod {self.n}")
-        out = CycloElem.zero(self.n)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out = out + cyclo_from_power(self.n, h * j) * c
-        return out
+        out = [0] * self.n
+        for j, c in enumerate(self.num):
+            out[h * j % self.n] += c
+        return _elem(self.n, out, self.den)
 
     def abs_coeff_sum(self) -> Fraction:
-        return sum(abs(c) for c in self.coeffs)
+        return Fraction(sum(map(abs, self.num)), self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CycloElem.from_rational(self.n, other)
         if not isinstance(other, CycloElem):
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self.n == other.n and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.n, self.coeffs))
+        return hash((self.n, self.num, self.den))
 
     def __repr__(self):
         terms = []
@@ -249,45 +256,83 @@ class CycloElem:
         return f"CycloElem({self.n}: {body})"
 
 
-def _reduce_mod_phi(n: int, coeffs: list[Fraction]) -> list[Fraction]:
+def _set(x: CycloElem, n: int, num: tuple, den: int) -> CycloElem:
+    object.__setattr__(x, "n", n)
+    object.__setattr__(x, "num", num)
+    object.__setattr__(x, "den", den)
+    return x
+
+
+def _elem(n: int, num: list[int], den: int) -> CycloElem:
+    return _set(object.__new__(CycloElem), n, *_normal(n, num, den))
+
+
+def _normal(n: int, num: list[int], den: int) -> tuple[tuple, int]:
+    """num / den (den nonzero) reduced mod Phi_n, padded to phi(n) entries, in lowest
+    terms with a positive denominator."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    cs = list(coeffs)
-    for i in range(len(cs) - 1, deg - 1, -1):
-        c = cs[i]
-        if c:
-            for j in range(deg + 1):
-                cs[i - deg + j] -= c * phi[j]
-    return cs[:deg]
+    if len(num) > n:
+        # xi^n = 1: fold onto n slots first, then Phi_n needs only n - phi(n) steps
+        folded = num[:n]
+        for i in range(n, len(num)):
+            folded[i % n] += num[i]
+        num = folded
+    if len(num) > deg:
+        num = _pseudo_divmod(num, phi)[2]  # Phi_n is monic: s = 1
+    num = num + [0] * (deg - len(num))
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return tuple(num), den
 
 
-def _ext_gcd_mod(a: list[Fraction], m: list[Fraction]):
-    """Return (gcd_is_unit, a^{-1} mod m) over Q[x]; deg a < deg m."""
-    r0, r1 = list(m), _trim(list(a))
-    t0, t1 = [Fraction(0)], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod_q(r0, r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-    if len(r0) != 1:
-        return None, None
-    lead = r0[0]
-    return True, [t / lead for t in t0]
+def _pseudo_divmod(num: list[int], den: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """(s, q, r) with s num = q den + r, s > 0 and deg r < deg den, over Z.
 
-
-def _poly_divmod_q(num, den):
-    # num: Fraction coefficients; den: trimmed, Fraction or int coefficients
-    num = _trim(list(num))
+    The step that cancels a leading coefficient c scales by |lc(den)| / gcd(c, lc(den))
+    only, so s stays 1 while lc(den) divides each c (den monic, say)."""
+    num = list(num)
     dn = len(den) - 1
-    quot = [Fraction(0)] * max(1, len(num) - dn)
-    while len(num) > dn:
-        shift = len(num) - 1 - dn
-        c = num[-1] / den[-1]
-        quot[shift] = c
-        for j in range(dn + 1):
+    lead = den[-1]
+    s = 1
+    quot = [0] * (len(num) - dn)
+    for shift in range(len(num) - 1 - dn, -1, -1):
+        c = num[shift + dn]
+        if not c:
+            continue
+        if c % lead:
+            f = abs(lead) // math.gcd(c, lead)
+            s *= f
+            num = [x * f for x in num[:shift + dn + 1]]
+            quot = [x * f for x in quot]
+            c *= f
+        c = quot[shift] = c // lead
+        for j in range(dn):
             num[shift + j] -= c * den[j]
-        _trim(num)
-    return quot, num
+    return s, quot, _trim(num[:dn])
+
+
+def _ext_gcd_int(a: Sequence[int], m: Sequence[int]):
+    """(t, c) with t a = c mod m, c a nonzero integer, for integer polynomials
+    with deg a < deg m; None when a and m have a common factor over Q.
+
+    Each step keeps t_i a = r_i mod m over Z and divides the pair by the
+    content of both, so no entry outgrows the subresultant that it divides."""
+    r0, r1 = list(m), _trim(list(a))
+    t0, t1 = [0], [1]
+    while len(r1) > 1:
+        s, q, r = _pseudo_divmod(r0, r1)
+        t = _poly_sub([s * x for x in t0], _poly_mul(q, t1))
+        g = math.gcd(*r, *t)
+        r0, r1 = r1, [x // g for x in r]
+        t0, t1 = t1, [x // g for x in t]
+    if not r1:
+        return None
+    return t1, r1[0]
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +342,27 @@ def _poly_divmod_q(num, den):
 def cyclo_from_power(n: int, j: int) -> CycloElem:
     """The class of xi^(j mod n)."""
     j %= n
-    return CycloElem(n, [Fraction(0)] * j + [Fraction(1)])
+    return _elem(n, [0] * j + [1], 1)
 
 
 def one_minus_power(n: int, j: int) -> CycloElem:
     """Convenience: 1 - xi^j, the ubiquitous period-lattice factor."""
     return CycloElem.one(n) - cyclo_from_power(n, j)
+
+
+# one entry per (n, residue, working precision), about 0.7 kB at 140 bits.  The working
+# precision grows with an element's coefficients, so the volume benchmark's 24-triple
+# pool (N = 11, 13) meets 90 keys, 3-4 precisions per degree; this holds every residue
+# of N = 97 at ten precisions
+_ROOTS_MAX = 1024
+
+
+@lru_cache(maxsize=_ROOTS_MAX)
+def _root(n: int, r: int, wp: int) -> tuple:
+    # exp(2 pi i r / n) at wp bits, as a raw mpc
+    with mp.workprec(wp):
+        ang = 2 * mp.pi * r / n
+        return mp.mpc(mpmath.cos(ang), mpmath.sin(ang))._mpc_
 
 
 def embed(a: CycloElem, sigma: EmbeddingIndex, digits: int = 30) -> BoundedComplex:
@@ -311,16 +371,23 @@ def embed(a: CycloElem, sigma: EmbeddingIndex, digits: int = 30) -> BoundedCompl
         raise ValueError(f"modulus mismatch: element {a.n}, embedding {sigma.n}")
     if digits < 10:
         raise ValueError("digits >= 10 required")
-    size = float(a.abs_coeff_sum()) + 1
+    n, h, den = a.n, sigma.h, a.den
+    # the float of the exact abs_coeff_sum, correctly rounded
+    size = sum(map(abs, a.num)) / den + 1
     wp = _bits(digits) + int(math.log2(size + 1)) + 24
-    with mp.workprec(wp):
-        total = mp.mpc(0)
-        for j, c in enumerate(a.coeffs):
-            if c:
-                ang = 2 * mp.pi * ((sigma.h * j) % a.n) / a.n
-                total += (mp.mpf(c.numerator) / c.denominator) * mp.mpc(mpmath.cos(ang), mpmath.sin(ang))
-        err = (mp.mpf(size) + 1) * (len(a.coeffs) + 8) * mp.mpf(2) ** (4 - wp)
-        return BoundedComplex(total, err)
+    # the raw form of summing mpf(p) / q * root into mpc(0) under workprec(wp): the same
+    # roundings to nearest, so the same bits
+    total = (fzero, fzero)
+    for j, c in enumerate(a.num):
+        if c:
+            g = math.gcd(c, den)
+            x = mpf_div(from_int(c // g, wp, round_nearest), from_int(den // g), wp, round_nearest)
+            total = mpc_add(total, mpc_mul_mpf(_root(n, h * j % n, wp), x, wp, round_nearest),
+                            wp, round_nearest)
+    # (size + 1) (phi(n) + 8) 2^(4 - wp)
+    err = mpf_mul_int(mpf_add(from_float(size), fone, wp, round_nearest), len(a.num) + 8,
+                      wp, round_nearest)
+    return BoundedComplex(mp.make_mpc(total), mp.make_mpf(mpf_shift(err, 4 - wp)))
 
 
 def trace_to_rationals(a: CycloElem) -> Fraction:
@@ -331,12 +398,12 @@ def trace_to_rationals(a: CycloElem) -> Fraction:
     """
     n = a.n
     phin = euler_phi(n)
-    out = Fraction(0)
-    for j, c in enumerate(a.coeffs):
+    out = 0
+    for j, c in enumerate(a.num):
         if c:
             d = n // math.gcd(n, j)
-            out += c * mobius(d) * Fraction(phin, euler_phi(d))
-    return out
+            out += c * mobius(d) * (phin // euler_phi(d))
+    return Fraction(out, a.den)
 
 
 def embedding_indices(n: int) -> list[EmbeddingIndex]:

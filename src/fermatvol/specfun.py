@@ -102,8 +102,8 @@ from typing import Optional, Sequence, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (fhalf, from_int, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div,
-                          mpf_exp, mpf_le, mpf_log, mpf_mul, mpf_neg, mpf_pi, mpf_pos,
+from mpmath.libmp import (fhalf, from_float, from_int, from_man_exp, fzero, mpf_abs, mpf_add,
+                          mpf_div, mpf_exp, mpf_le, mpf_log, mpf_mul, mpf_neg, mpf_pi, mpf_pos,
                           mpf_shift, mpf_sign, mpf_sqrt, mpf_sub, round_ceiling, round_floor,
                           round_nearest, to_fixed, to_int)
 
@@ -124,12 +124,6 @@ class PrecisionError(RuntimeError):
 
 def _bits(digits: int) -> int:
     return int(digits * 3.3219281) + 1
-
-
-def _to_mpf(q) -> mpmath.mpf:
-    if isinstance(q, Fraction):
-        return mp.mpf(q.numerator) / q.denominator
-    return mp.mpf(q)
 
 
 def _finite(raw: tuple) -> bool:
@@ -155,6 +149,17 @@ def _fixed_mpf(x: int, prec: int) -> mpmath.mpf:
     return mp.make_mpf(from_man_exp(x, -prec))
 
 
+def _exact_mpf(x) -> tuple:
+    # the raw mpf of an mpf, int or float, exactly: never rounded to the ambient precision
+    if isinstance(x, mpmath.mpf):
+        return x._mpf_
+    if isinstance(x, int):
+        return from_int(x)
+    if isinstance(x, float):
+        return from_float(x)
+    raise TypeError(f"expected an mpf, int or float, got {type(x).__name__}")
+
+
 # significant bits of a rounded-up bound, whatever mp.prec is.  A bound that is a sum
 # is formed exactly and then rounded by mpf_pos: mpf_add's own rounding can miss the
 # ceiling when the larger operand has more bits than the target precision
@@ -167,14 +172,16 @@ class BoundedReal:
     Value and bound are binary fractions.  Sums, differences and products
     are exact on them.  A quotient rounds its value to nearest at the
     ambient mpmath precision and adds the exact residual to its bound,
-    which is rounded up once.
+    which is rounded up once.  The constructor keeps an mpf, int or float
+    value or bound exactly and refuses any other type with ``TypeError``
+    (``_coerce`` reads a ``Fraction``).
     """
 
     __slots__ = ("value", "err")
 
     def __init__(self, value, err=0):
-        self.value = mp.mpf(value) if not isinstance(value, mpmath.mpf) else value
-        self.err = mp.mpf(err) if not isinstance(err, mpmath.mpf) else err
+        self.value = value if isinstance(value, mpmath.mpf) else mp.make_mpf(_exact_mpf(value))
+        self.err = err if isinstance(err, mpmath.mpf) else mp.make_mpf(_exact_mpf(err))
         if not _finite(self.value._mpf_):
             raise ValueError(f"invalid value {value!r}")
         if self.err._mpf_[0] or not _finite(self.err._mpf_):  # the sign bit: err < 0
@@ -235,11 +242,9 @@ def _real(value: tuple, err: tuple) -> BoundedReal:
 def _coerce(x) -> BoundedReal:
     if isinstance(x, BoundedReal):
         return x
-    if isinstance(x, int):
-        return BoundedReal(mp.make_mpf(from_int(x)), 0)
     if isinstance(x, Fraction):
         return _coerce(x.numerator) / x.denominator
-    return BoundedReal(mp.mpf(x), 0)
+    return BoundedReal(x)
 
 
 class BoundedComplex:
@@ -247,14 +252,17 @@ class BoundedComplex:
 
     The parts and the bound are binary fractions.  Sums, differences,
     products and conjugates keep the parts exact; a product's bound is
-    rounded up once from moduli rounded up at ``_BOUND_PREC`` bits.
+    rounded up once from moduli rounded up at ``_BOUND_PREC`` bits.  The
+    constructor keeps an mpc value exactly, and an mpf, int or float one
+    as (x, 0); any other type raises ``TypeError``.
     """
 
     __slots__ = ("value", "err")
 
     def __init__(self, value, err=0):
-        self.value = value if isinstance(value, mpmath.mpc) else mp.mpc(value)
-        self.err = mp.mpf(err) if not isinstance(err, mpmath.mpf) else err
+        self.value = (value if isinstance(value, mpmath.mpc)
+                      else mp.make_mpc((_exact_mpf(value), fzero)))
+        self.err = err if isinstance(err, mpmath.mpf) else mp.make_mpf(_exact_mpf(err))
         if not all(map(_finite, self.value._mpc_)):
             raise ValueError(f"invalid value {value!r}")
         if self.err._mpf_[0] or not _finite(self.err._mpf_):  # the sign bit: err < 0
@@ -848,26 +856,6 @@ def appell_f3_unit(alpha: Rational, alpha2: Rational, beta: Rational, beta2: Rat
             raise DomainError(f"gamma-quotient argument {val} <= 0")
     return _gamma_hyp([gamma, s1], [gamma - alpha, gamma - beta],
                       [alpha2, beta2, s1], [gamma - alpha, gamma - beta], digits)
-
-
-def appell_f3_partial_sum(alpha: Rational, alpha2: Rational, beta: Rational,
-                          beta2: Rational, gamma: Rational,
-                          mmax: int, nmax: int) -> mpmath.mpf:
-    """Truncated double series over [0,mmax) x [0,nmax), for cross-checks."""
-    al, al2, be, be2, ga = (_to_mpf(x) for x in (alpha, alpha2, beta, beta2, gamma))
-    total = mp.mpf(0)
-    um = mp.mpf(1)          # (alpha,m)(beta,m)/m!
-    gam_m = mp.mpf(1)       # (gamma, m)
-    for m in range(mmax):
-        un = mp.mpf(1)      # (alpha',n)(beta',n)/n!
-        gam_mn = gam_m      # (gamma, m+n)
-        for n in range(nmax):
-            total += um * un / gam_mn
-            gam_mn *= ga + m + n
-            un = un * (al2 + n) * (be2 + n) / (n + 1)
-        gam_m *= ga + m
-        um = um * (al + m) * (be + m) / (m + 1)
-    return total
 
 
 # ---------------------------------------------------------------------------

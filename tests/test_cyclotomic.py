@@ -4,12 +4,16 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from fermatvol.cyclotomic import (CycloElem, EmbeddingIndex, cyclo_from_power,
                                   cyclotomic_polynomial, embed,
                                   embedding_indices, euler_phi, mobius,
                                   one_minus_power, trace_to_rationals)
+
+import _cyclo_reference as cyclo_reference
 
 F = Fraction
 
@@ -191,3 +195,70 @@ def test_trace_matches_galois_sum_and_numerics():
         with mp.workprec(220):
             num = sum(embed(x, sig, 30).value for sig in embedding_indices(n))
             assert abs(num - mp.mpf(tr.numerator) / tr.denominator) < mp.mpf(10) ** -25
+
+
+# ----------------------------------------------- the Fraction reference
+
+_BIG_FRACTION = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 12)
+
+
+@st.composite
+def _elements(draw):
+    # two elements of one field with Fraction coefficients, from zero to beyond
+    # deg Phi_n (so the constructor reduces), with some coefficients left at 0
+    n = draw(st.integers(3, 40))
+    coeff = st.one_of(st.just(F(0)), st.integers(-5, 5).map(F), _BIG_FRACTION)
+    cs = st.lists(coeff, max_size=euler_phi(n) + 4)
+    h = draw(st.sampled_from([h for h in range(1, n) if math.gcd(h, n) == 1]))
+    return n, draw(cs), draw(cs), h, draw(st.integers(10, 60))
+
+
+def _same(x: CycloElem, ref: cyclo_reference.RefCyclo) -> bool:
+    return x.n == ref.n and x.coeffs == ref.coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_elements())
+@example((12, [F(1, 3), F(0), F(2, 5), F(0), F(1), F(0), F(-7, 10 ** 12)], [F(0)] * 5 + [F(3)],
+          5, 10))
+def test_matches_fraction_reference(case):
+    n, ca, cb, h, digits = case
+    a, b = CycloElem(n, ca), CycloElem(n, cb)
+    ra, rb = cyclo_reference.RefCyclo(n, ca), cyclo_reference.RefCyclo(n, cb)
+    assert _same(a, ra) and _same(b, rb)
+    assert a.den > 0 and math.gcd(a.den, *a.num) == 1
+    for got, want in ((a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb), (-a, -ra),
+                      (a.galois(h), ra.galois(h))):
+        assert _same(got, want)
+    for x, rx in ((a, ra), (b, rb)):
+        if x.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+        else:
+            assert _same(x.inverse(), rx.inverse())
+    assert trace_to_rationals(a) == cyclo_reference.trace_to_rationals(ra)
+    assert a.abs_coeff_sum() == ra.abs_coeff_sum()
+    # == and hash on the canonical form, whichever way an element was built
+    twin = CycloElem(n, list(ca) + [F(0)] * 3) + b - b
+    assert twin == a and hash(twin) == hash(a)
+    assert (a == b) == (ra.coeffs == rb.coeffs)
+    got, want = embed(a, EmbeddingIndex(h, n), digits), cyclo_reference.embed(ra, h, digits)
+    assert (got.value._mpc_, got.err._mpf_) == (want.value._mpc_, want.err._mpf_)
+
+
+def test_cyclotomic_polynomial_matches_fraction_division():
+    for n in range(1, 106):
+        assert cyclotomic_polynomial(n) == cyclo_reference.cyclotomic_polynomial(n)
+
+
+def test_inverse_of_every_product_of_two_one_minus_powers():
+    # (1 - xi^a)(1 - xi^b) for every a, b not divisible by n, n <= 40
+    for n in range(2, 41):
+        for a in range(1, n):
+            x_a = one_minus_power(n, a)
+            for b in range(a, n):
+                x = x_a * one_minus_power(n, b)
+                assert x * x.inverse() == 1
+    for n in (1, 2, 12, 40):
+        with pytest.raises(ZeroDivisionError):
+            CycloElem.zero(n).inverse()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp, to_rational
+from mpmath.libmp import from_float, from_man_exp, fzero, to_rational
 
 import fermatvol
 from fermatvol import _quadrature, specfun
@@ -21,11 +21,12 @@ from fermatvol.specfun import (_LOG_ULPS, BoundedComplex, BoundedReal, Divergenc
                                _partial_sum, _poly_from_factors, _round_product,
                                _solve_tail_series,
                                _stirling_order, _stirling_sum, _tail_defect_majorant,
-                               appell_f3_partial_sum, appell_f3_unit, dixon_family,
+                               appell_f3_unit, dixon_family,
                                euler_double_integral, gamma_quotient, hyp_unit_sum,
                                ln_gamma)
 
 import _product_reference as product_reference
+from _appell_reference import appell_f3_partial_sum
 import _series_reference as series_reference
 
 F = Fraction
@@ -101,6 +102,26 @@ def test_bounded_classes_reject_non_finite(bad):
                   lambda: BoundedComplex(mp.mpc(0, bad), 0)):
         with pytest.raises(ValueError):
             build()
+
+
+def test_bounded_constructors_keep_values_exactly():
+    with mp.workprec(200):
+        long = mp.mpf(1) + mp.mpf(2) ** -100  # 101 bits
+    with mp.workprec(20):
+        r = BoundedReal(2 ** 60 + 1, 0)
+        z = BoundedComplex(long, 0)
+        w = BoundedComplex(2 ** 60 + 1, 0.1)
+    assert r.value._mpf_ == from_man_exp(2 ** 60 + 1, 0) and r.err == 0
+    assert z.value._mpc_ == (long._mpf_, fzero) and z.err == 0
+    assert w.value.real == 2 ** 60 + 1 and w.err._mpf_ == from_float(0.1)
+    for bad in (F(1, 3), "1", 1j, None):
+        with pytest.raises(TypeError):
+            BoundedReal(bad, 0)
+        with pytest.raises(TypeError):
+            BoundedReal(0, bad)
+        with pytest.raises(TypeError):
+            BoundedComplex(bad, 0)
+    assert specfun._coerce(F(1, 2)).value == 0.5  # the route for a Fraction
 
 
 _FACTOR = st.tuples(_BOUNDED, _UNIT)
