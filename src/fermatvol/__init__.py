@@ -3,28 +3,27 @@
 Layers, bottom up: bounded special functions and the unit-argument
 series engine (``specfun``), exact cyclotomic arithmetic
 (``cyclotomic``), curve periods and harmonic volume (``fermat``),
-exterior-algebra permutation sums (``extalg``), invariant values and
-verdicts (``ceresa``), and a CLI (``cli``).
+invariant values and verdicts (``ceresa``), and a CLI (``cli``).
 """
 
 from .ceresa import (CeresaResult, ScanResult, f_value, klein_value,
                      multiples_scan, table1)
 from .cyclotomic import CycloElem, EmbeddingIndex, cyclo_from_power, embed, trace_to_rationals
-from .fermat import (FermatCurve, FermatIndex, LoopIndex, TripleConfig,
+from .fermat import (FermatCurve, FermatIndex, TripleConfig,
                      assumption_check, delta_iterated_integral,
                      harmonic_volume_sigma, harmonic_volume_trace)
 from .specfun import (BoundedComplex, BoundedReal, DivergenceError, DomainError,
-                      PrecisionError, appell_f3_unit, dixon_family,
-                      euler_double_integral, gamma_quotient, hyp_unit_sum, ln_gamma)
+                      PrecisionError, dixon_family, euler_double_integral,
+                      gamma_quotient, hyp_unit_sum, ln_gamma)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundedComplex", "BoundedReal", "CeresaResult",
     "CycloElem", "DivergenceError", "DomainError", "EmbeddingIndex",
-    "FermatCurve", "FermatIndex", "LoopIndex",
+    "FermatCurve", "FermatIndex",
     "PrecisionError", "ScanResult", "TripleConfig",
-    "appell_f3_unit", "assumption_check", "cyclo_from_power",
+    "assumption_check", "cyclo_from_power",
     "delta_iterated_integral", "dixon_family", "embed",
     "euler_double_integral", "f_value", "gamma_quotient",
     "harmonic_volume_sigma", "harmonic_volume_trace", "hyp_unit_sum",

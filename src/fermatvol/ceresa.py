@@ -252,7 +252,7 @@ def klein_value(k: int, digits: int = 30) -> CeresaResult:
     * 3F2(1/7, 2/7, 4/7; 1, 1; 1), the degree-7 value at the quartic triple.
 
     Note: this closed form, the traced harmonic volume over twists {1,2,4}
-    (``klein_trace_route``) and plain mpmath gamma/hyp3f2 at 60-120 dps all
+    (``harmonic_volume_trace``) and plain mpmath gamma/hyp3f2 at 60-120 dps all
     give the k=13 fractional part 0.0703575612...; the acceptance suite
     checks it against the mpmath evaluation.  The previously reported
     0.96275 is not a value of this formula and is not reproduced.
@@ -269,12 +269,3 @@ def _klein_terms(inner: int) -> list[BoundedReal]:
     f = hyp_unit_sum([s7, 2 * s7, 4 * s7], [1, 1], inner + 6)
     return [_round_product([g, g, f], _bits(inner) + 40) for g in gs]
 
-
-def klein_trace_route(k: int, digits: int = 30) -> BoundedReal:
-    """Same value through the traced harmonic volume (cross-module check)."""
-    from .fermat import FermatCurve, harmonic_volume_trace, klein_triple
-    curve = FermatCurve(7)
-    t = klein_triple()
-    prefactor = math.factorial(k) * 2 * 49 ** (k - 1)
-    return _certify(7, k, prefactor, digits,
-                    lambda inner: [harmonic_volume_trace(curve, t, inner)]).value

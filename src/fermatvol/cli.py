@@ -290,6 +290,8 @@ def main(argv=None) -> int:
         ap.error("--tolerance must be a finite positive number")
     if args.command == "table" and args.k < 1:  # the rows would each report a DomainError
         ap.error("--k must be at least 1")
+    if args.command == "table" and args.n_min < 4:  # so would the rows below degree 4
+        ap.error("--n-min must be at least 4")
     _check_budget(ap, args, digits)
     out = sys.stdout
     dispatch = {

@@ -6,8 +6,8 @@ canonical and the lattice identities downstream (pairings, the loop-sum
 polynomials) can be tested for exact vanishing.  An element is stored as
 phi(N) integer numerators over one positive denominator, in lowest
 terms.  Phi_N is monic with integer coefficients, so the ring
-operations, the Galois action, the trace and the inverse all run on
-Python ints; nothing in this module rounds except ``embed``.
+operations, the trace and the inverse all run on Python ints; nothing
+in this module rounds except ``embed``.
 
 Complex embeddings send xi to exp(2*pi*i*h/N) for h coprime to N and
 are evaluated on demand at a caller-chosen precision with a propagated
@@ -164,9 +164,6 @@ class CycloElem:
             return NotImplemented
         return self._plus(other, operator.sub)
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __neg__(self):
         return _elem(self.n, [-c for c in self.num], self.den)
 
@@ -189,44 +186,9 @@ class CycloElem:
         # num t = c mod Phi_n, so (num / den)^-1 = den t / c
         return _elem(self.n, [x * self.den for x in t], c)
 
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = CycloElem.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # -- predicates and maps --------------------------------------------
     def is_zero(self) -> bool:
         return not any(self.num)
-
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.num[0], self.den)
-
-    def galois(self, h: int) -> "CycloElem":
-        """Apply sigma_h (xi -> xi^h); h must be a unit mod n."""
-        if math.gcd(h, self.n) != 1:
-            raise ValueError(f"h={h} not a unit mod {self.n}")
-        out = [0] * self.n
-        for j, c in enumerate(self.num):
-            out[h * j % self.n] += c
-        return _elem(self.n, out, self.den)
 
     def abs_coeff_sum(self) -> Fraction:
         return Fraction(sum(map(abs, self.num)), self.den)

@@ -3,9 +3,9 @@ r"""High-precision, error-bounded special functions.
 Everything analytic in this package flows through here: log-gamma and
 gamma quotients with proved Stirling remainders, generalized
 hypergeometric series pFq-1 at unit argument with a rigorous truncation
-bound, Appell's F3 at (1,1), the Euler-type double integral over the
-ordered simplex (a quadrature oracle), and the ten-expression Dixon
-family used as a built-in consistency check.
+bound, the Euler-type double integral over the ordered simplex (a
+quadrature oracle), and the ten-expression Dixon family used as a
+built-in consistency check.
 
 Error-bound conventions
 -----------------------
@@ -674,8 +674,7 @@ def _ratio_eventually_below_one(p, q, M):
 
 
 def hyp_unit_sum(uppers: Sequence[Rational], lowers: Sequence[Rational],
-                 digits: int = 30, terms: Optional[int] = None,
-                 series_order: Optional[int] = None) -> BoundedReal:
+                 digits: int = 30) -> BoundedReal:
     """Sum of the pFq-1 series at argument 1 with a rigorous error bound.
 
     The q lower parameters exclude the implicit (1,n); the convergence
@@ -697,9 +696,8 @@ def hyp_unit_sum(uppers: Sequence[Rational], lowers: Sequence[Rational],
         raise DivergenceError(
             f"unit-argument series diverges: margin {margin} <= 0 for {uppers}; {lowers}")
 
-    wp = _bits(digits) + 46
     if stop is not None:
-        prec = _fixed_prec(wp, stop + 1)
+        prec = _fixed_prec(_bits(digits) + 46, stop + 1)
         S, S_err, _, _ = _partial_sum(uppers, lowers, stop + 1, prec)
         # S_err counts ulps whatever prec is: when terms far above 1 break the
         # contract, one rerun with S_err 10^digits < 2^prec meets it
@@ -709,8 +707,14 @@ def hyp_unit_sum(uppers: Sequence[Rational], lowers: Sequence[Rational],
         return _certified_sum(S, S_err, prec, digits, uppers, lowers)
 
     # the fastest measured (M, K) whose bounds are no wider than those of M = 24 digits
-    K = series_order or int(digits * 0.46) + 8
-    M = terms or 4 * digits
+    return _hyp_unit_series(uppers, lowers, margin, digits, 4 * digits, int(digits * 0.46) + 8)
+
+
+def _hyp_unit_series(uppers: list[Fraction], lowers: list[Fraction], margin: Fraction,
+                     digits: int, M: int, K: int) -> BoundedReal:
+    """``hyp_unit_sum`` of a non-terminating series from M terms and a tail of order K;
+    each failed attempt doubles M and raises K by half."""
+    wp = _bits(digits) + 46
     # all linear factors must be positive (and comfortably so for the
     # negative-parameter Q-majorization) from index M on
     floor_shift = max([0] + [int(math.floor(-2 * float(x))) + 1
@@ -822,40 +826,11 @@ def _round_product(factors: Sequence[BoundedReal], prec: int) -> BoundedReal:
 
 def _gamma_hyp(gnum, gden, uppers, lowers, digits: int) -> BoundedReal:
     """Gamma[gnum; gden] * pFq-1(uppers; lowers; 1), the closed form of every
-    twist term, arc integral, Appell value and Dixon member: both factors are
+    twist term, arc integral and Dixon member: both factors are
     certified with six guard digits, and their product is rounded once at
     2^-(bits(digits) + 40)."""
     return _round_product([gamma_quotient(gnum, gden, digits + 6),
                            hyp_unit_sum(uppers, lowers, digits + 6)], _bits(digits) + 40)
-
-
-# ---------------------------------------------------------------------------
-# Appell F3 at (1,1)
-# ---------------------------------------------------------------------------
-
-def appell_f3_unit(alpha: Rational, alpha2: Rational, beta: Rational, beta2: Rational,
-                   gamma: Rational, digits: int = 30) -> BoundedReal:
-    """Appell F3(alpha, alpha', beta, beta', gamma; 1, 1).
-
-    The inner single-variable series is a Gauss 2F1 at 1 and is summed
-    in closed form, which collapses the double series to a single
-    unit-argument 3F2 (the m-sum over (alpha, beta) is closed first):
-
-        F3 = Gamma[gamma, gamma-a-b; gamma-a, gamma-b]
-             * 3F2(a', b', gamma-a-b; gamma-a, gamma-b; 1).
-
-    Direct summation of the double series cannot certify 10^-digits for
-    sub-unit margins; the reduction is exact, so the reported bound is
-    the series engine's bound times the gamma-quotient interval.
-    """
-    s1, s2 = gamma - alpha - beta, gamma - alpha2 - beta2
-    if s1 <= 0 or s2 <= 0:
-        raise DivergenceError(f"F3 at (1,1) requires positive margins, got {s1}, {s2}")
-    for val in (gamma, gamma - alpha, gamma - beta):
-        if val <= 0:
-            raise DomainError(f"gamma-quotient argument {val} <= 0")
-    return _gamma_hyp([gamma, s1], [gamma - alpha, gamma - beta],
-                      [alpha2, beta2, s1], [gamma - alpha, gamma - beta], digits)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""``Fraction`` version of ``fermatvol.cyclotomic``.
+"""``Fraction`` version of ``fermatvol.cyclotomic``, and the maps only tests use.
 
 ``cyclotomic`` stores an element as integer numerators over one common
-denominator and runs the ring operations, the Galois action, the trace and
-the inverse on Python ints; these are the ``Fraction`` loops it replaced,
-kept as references that must give equal elements and bit-identical
-embeddings.
+denominator and runs the ring operations, the trace and the inverse on
+Python ints; ``RefCyclo`` and the functions beside it are the ``Fraction``
+loops it replaced, kept as references that must give equal elements and
+bit-identical embeddings.  ``galois``, ``is_rational`` and ``rational_value``
+act on a ``CycloElem``'s integers; no certified value needs them.
 """
 
 import math
@@ -13,7 +14,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from fermatvol.cyclotomic import euler_phi, mobius
+from fermatvol.cyclotomic import CycloElem, _elem, euler_phi, mobius
 from fermatvol.specfun import BoundedComplex, _bits, _poly_mul, _poly_sub, _trim
 
 
@@ -142,3 +143,23 @@ def embed(a, h, digits):
                 total += (mp.mpf(c.numerator) / c.denominator) * mp.mpc(mpmath.cos(ang), mpmath.sin(ang))
         err = (mp.mpf(size) + 1) * (len(a.coeffs) + 8) * mp.mpf(2) ** (4 - wp)
         return BoundedComplex(total, err)
+
+
+def galois(a: CycloElem, h: int) -> CycloElem:
+    """Apply sigma_h (xi -> xi^h) to a; h must be a unit mod n."""
+    if math.gcd(h, a.n) != 1:
+        raise ValueError(f"h={h} not a unit mod {a.n}")
+    out = [0] * a.n
+    for j, c in enumerate(a.num):
+        out[h * j % a.n] += c
+    return _elem(a.n, out, a.den)
+
+
+def is_rational(a: CycloElem) -> bool:
+    return not any(a.num[1:])
+
+
+def rational_value(a: CycloElem) -> Fraction:
+    if not is_rational(a):
+        raise ValueError(f"{a!r} is not rational")
+    return Fraction(a.num[0], a.den)

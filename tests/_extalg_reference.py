@@ -1,10 +1,13 @@
-"""Exterior-algebra combinatorics over exact coefficients.
+"""Exterior-algebra combinatorics over exact coefficients, for the tests.
 
-The three permutation sums implemented here, the (p,q)-shuffle
-expansion, the chained-matching pairing of the degree-2(k-1) power
-class, and the constrained sum evaluating the k-fold invariant through
-the k=1 functional, are generated directly (never by filtering the full
-symmetric group, which the tests do as an oracle for small grades).
+No certified value in ``fermatvol`` calls these sums; the tests use them
+to check the k-dependence of ``f_value`` and ``klein_value`` and the
+permutation identities behind it.  The three permutation sums, the
+(p,q)-shuffle expansion, the chained-matching pairing of the
+degree-2(k-1) power class, and the constrained sum evaluating the
+k-fold invariant through the k=1 functional, are generated directly
+(never by filtering the full symmetric group, which the brute-force
+references at the end do as an oracle for small grades).
 Coefficients are generic: anything with +, *, unary minus and integer
 multiples works, so the same code runs over Q(mu_N) elements in exact
 identities and over bounded complex values in the analytic assembly.

@@ -18,12 +18,12 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from fermatvol.ceresa import (f_value, genus, klein_trace_route, klein_value,
-                              multiples_scan, table1)
-from fermatvol.extalg import (ceresa_eval_k, ceresa_eval_k_bruteforce, pi_pq,
-                              perm_sign, v_pairing, v_pairing_bruteforce)
+from _extalg_reference import (ceresa_eval_k, ceresa_eval_k_bruteforce, pi_pq,
+                               perm_sign, v_pairing, v_pairing_bruteforce)
+from _fermat_reference import example_triple, klein_trace_route
+from fermatvol.ceresa import f_value, genus, klein_value, multiples_scan, table1
 from fermatvol.fermat import (FermatCurve, delta_iterated_integral,
-                              example_triple, harmonic_volume_trace, index_set)
+                              harmonic_volume_trace, index_set)
 from fermatvol.specfun import dixon_family, euler_double_integral, gamma_quotient
 
 F = Fraction

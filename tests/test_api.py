@@ -1,8 +1,10 @@
 import importlib.util
+import inspect
+import pkgutil
 from pathlib import Path
 
 import fermatvol
-from fermatvol import ceresa, fermat
+from fermatvol import ceresa, cyclotomic, fermat, specfun
 
 
 def test_all_exports_resolve():
@@ -27,3 +29,25 @@ def test_bench_trace_targets_resolve():
     assert missing == []
     assert hasattr(ceresa._h_term, "cache_info")
     assert hasattr(fermat._sigma_exact_parts_cached, "cache_info")
+
+
+def test_package_is_the_certifier():
+    # the package holds the certifier only; the oracles that only tests use live in tests/
+    modules = sorted(m.name for m in pkgutil.iter_modules(fermatvol.__path__))
+    assert modules == ["_quadrature", "ceresa", "cli", "cyclotomic", "fermat", "specfun"]
+    gone = {
+        fermatvol: ["LoopIndex", "appell_f3_unit"],
+        fermat: ["LoopIndex", "period_integral", "PathData", "delta_path_data",
+                 "kappa_path_data", "kappa_rs_path_data", "kappa_rs_exact",
+                 "kappa_iterated_integral", "kappa_rs_iterated_integral",
+                 "example_triple", "klein_triple", "phi_pairing"],
+        ceresa: ["klein_trace_route"],
+        specfun: ["appell_f3_unit"],
+        cyclotomic.CycloElem: ["galois", "is_rational", "rational_value", "__pow__",
+                               "__truediv__", "__rsub__"],
+    }
+    present = [(owner.__name__, name) for owner, names in gone.items()
+               for name in names if hasattr(owner, name)]
+    assert present == []
+    assert "terms" not in inspect.signature(specfun.hyp_unit_sum).parameters
+    assert "series_order" not in inspect.signature(specfun.hyp_unit_sum).parameters

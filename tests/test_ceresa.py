@@ -16,13 +16,15 @@ from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import from_man_exp, to_rational
 
+import _cyclo_reference as cyclo_reference
 import _scan_reference as scan_reference
+from _extalg_reference import ceresa_eval_k
+from _fermat_reference import example_triple, klein_trace_route, phi_pairing
 from fermatvol import ceresa, specfun
 from fermatvol.ceresa import (CeresaResult, RowFailure, _decimal_len, f_value,
-                              genus, klein_trace_route, klein_value,
-                              multiples_scan, table1,
+                              genus, klein_value, multiples_scan, table1,
                               verdict_for)
-from fermatvol.fermat import FermatCurve, example_triple, harmonic_volume_trace
+from fermatvol.fermat import FermatCurve, harmonic_volume_trace
 from fermatvol.specfun import BoundedReal, DomainError, PrecisionError
 
 F = Fraction
@@ -404,8 +406,7 @@ def test_f_value_through_permutation_sum(curve_case, k):
     # k.  For the Klein triple this checks the k-dependence of klein_value
     # by a route that does not share its k! 7^{2k} prefactor.
     from fermatvol.cyclotomic import one_minus_power
-    from fermatvol.extalg import ceresa_eval_k
-    from fermatvol.fermat import FermatCurve, FermatIndex, phi_pairing
+    from fermatvol.fermat import FermatIndex
 
     n = 7
     curve = FermatCurve(n)
@@ -423,8 +424,8 @@ def test_f_value_through_permutation_sum(curve_case, k):
     scale = {}
     for (c, cneg) in chain:
         labels += [c, cneg]
-        scale[c] = one_minus_power(n, c.a + c.b) / (
-            one_minus_power(n, c.a) * one_minus_power(n, c.b))
+        scale[c] = one_minus_power(n, c.a + c.b) * (
+            one_minus_power(n, c.a) * one_minus_power(n, c.b)).inverse()
     assert len(set(labels)) == 2 * k + 1
 
     def pair(x, y):
@@ -432,8 +433,8 @@ def test_f_value_through_permutation_sum(curve_case, k):
         if raw.is_zero():
             return 0
         val = raw * scale.get(x, 1) * scale.get(y, 1)
-        assert val.is_rational()
-        q = val.rational_value()
+        assert cyclo_reference.is_rational(val)
+        q = cyclo_reference.rational_value(val)
         assert q.denominator == 1
         return int(q)
 

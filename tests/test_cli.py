@@ -139,6 +139,7 @@ def test_env_digits_invalid_exits_2(monkeypatch, capsys, env):
     ["oracle-test", "--tolerance", "inf"],
     ["oracle-test", "--tolerance", "0"],
     ["table", "--k", "0"],
+    ["table", "--n-min", "2", "--n-max", "6"],
     ["dixon-test", "--trials", str(DIXON_TRIALS_MAX + 1)],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_out_of_range_exits_2(capsys, argv):

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from _extalg_reference import (Multivector, WedgeWord, ceresa_eval_k,
+                               ceresa_eval_k_bruteforce, chained_matchings,
+                               det_exact, perm_sign, pi_pq, v_pairing,
+                               v_pairing_bruteforce, wedge_pairing)
 from fermatvol.cyclotomic import CycloElem, euler_phi
-from fermatvol.extalg import (Multivector, WedgeWord, ceresa_eval_k,
-                              ceresa_eval_k_bruteforce, chained_matchings,
-                              det_exact, perm_sign, pi_pq, v_pairing,
-                              v_pairing_bruteforce, wedge_pairing)
 
 F = Fraction
 

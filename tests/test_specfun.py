@@ -17,16 +17,15 @@ import fermatvol
 from fermatvol import _quadrature, specfun
 from fermatvol.specfun import (_LOG_ULPS, BoundedComplex, BoundedReal, DivergenceError,
                                DomainError, PrecisionError, _bernoulli_even, _bits,
-                               _defect_poly, _fixed_prec, _ln_gamma_fixed, _log_fixed,
-                               _partial_sum, _poly_from_factors, _round_product,
-                               _solve_tail_series,
+                               _defect_poly, _fixed_prec, _hyp_unit_series,
+                               _ln_gamma_fixed, _log_fixed, _partial_sum,
+                               _poly_from_factors, _round_product, _solve_tail_series,
                                _stirling_order, _stirling_sum, _tail_defect_majorant,
-                               appell_f3_unit, dixon_family,
-                               euler_double_integral, gamma_quotient, hyp_unit_sum,
-                               ln_gamma)
+                               dixon_family, euler_double_integral, gamma_quotient,
+                               hyp_unit_sum, ln_gamma)
 
 import _product_reference as product_reference
-from _appell_reference import appell_f3_partial_sum
+from _appell_reference import appell_f3_partial_sum, appell_f3_unit
 import _series_reference as series_reference
 
 F = Fraction
@@ -517,8 +516,9 @@ def test_tail_bound_soundness(seed):
     d = F(rng.randint(10, 19), 10)
     e = 1 + a + b + c - d + F(rng.randint(5, 15), 10)  # margin in [0.5, 1.5]
     assert d + e - a - b - c > 0
-    near = hyp_unit_sum([a, b, c], [d, e], 25, terms=500, series_order=14)
-    far = hyp_unit_sum([a, b, c], [d, e], 25, terms=5000, series_order=14)
+    margin = d + e - a - b - c
+    near = _hyp_unit_series([a, b, c], [d, e], margin, 25, 500, 14)
+    far = _hyp_unit_series([a, b, c], [d, e], margin, 25, 5000, 14)
     assert abs(near.value - far.value) <= near.err + far.err
     # and the truncated raw sum sits below the value for positive terms,
     # approaching it from underneath
@@ -555,8 +555,11 @@ def test_hyp_unit_sum_encloses_double_precision_reference(series, digits, short)
     # ``short`` starts from a quarter of the default (M, K), so that the accepted
     # attempt's bound is mostly the truncation term rather than rounding
     uppers, lowers = series
-    kw = {"terms": digits, "series_order": digits // 8 + 4} if short else {}
-    r = hyp_unit_sum(uppers, lowers, digits, **kw)
+    if short:
+        r = _hyp_unit_series(uppers, lowers, sum(lowers) - sum(uppers), digits,
+                             digits, digits // 8 + 4)
+    else:
+        r = hyp_unit_sum(uppers, lowers, digits)
     ref = hyp_unit_sum(uppers, lowers, 2 * digits)
     assert r.err <= mp.mpf(10) ** -digits
     assert abs(_exact(r.value) - _exact(ref.value)) <= _exact(r.err) + _exact(ref.err)
@@ -578,8 +581,8 @@ def test_default_schedule_bound_no_wider_than_fixed_schedule(name, digits):
     uppers, lowers = _SCHEDULE_CASES[name]
     new = hyp_unit_sum(uppers, lowers, digits)
     # the former fixed schedule: M = 24 d terms, K = 0.42 d + 6 capped at 48
-    old = hyp_unit_sum(uppers, lowers, digits, terms=max(400, 24 * digits),
-                       series_order=min(48, max(12, int(0.42 * digits) + 6)))
+    old = _hyp_unit_series(uppers, lowers, sum(lowers) - sum(uppers), digits,
+                           max(400, 24 * digits), min(48, max(12, int(0.42 * digits) + 6)))
     assert _exact(new.err) <= _exact(old.err)
     assert abs(_exact(new.value) - _exact(old.value)) <= _exact(new.err) + _exact(old.err)
 
