@@ -22,7 +22,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from mpmath import mp
 
 _TOL = 1e-12        # stop doubling once two consecutive orders agree this well
 _DOUBLINGS = 4      # order-doubling budget per sub-integral
@@ -110,10 +109,9 @@ def _converge(eval_at, start_order, max_doublings, tol):
     return prev, (best_err if best_err is not None else abs(prev))
 
 
-def simplex_beta_integral(a1: Fraction, b1: Fraction, a2: Fraction, b2: Fraction):
-    """See specfun.euler_double_integral for the decomposition."""
-    from .specfun import BoundedReal  # local import avoids a cycle
-
+def simplex_beta_integral(a1: Fraction, b1: Fraction, a2: Fraction,
+                          b2: Fraction) -> tuple[float, float]:
+    """(value, error estimate); see specfun.euler_double_integral for the decomposition."""
     fa1, fb1, fa2, fb2 = float(a1), float(b1), float(a2), float(b2)
     n0 = 24
 
@@ -158,4 +156,4 @@ def simplex_beta_integral(a1: Fraction, b1: Fraction, a2: Fraction, b2: Fraction
     total = va + vb * vc - vd
     scale = abs(va) + abs(vb * vc) + abs(vd) + 1.0
     err = 10.0 * (ea + eb * abs(vc) + ec * abs(vb) + ed) + 1e-14 * scale
-    return BoundedReal(mp.mpf(total), mp.mpf(err))
+    return total, err

@@ -36,6 +36,9 @@ INNER_DIGITS_MAX = 250
 # 3.7 ms each at 30 digits for N = 5, 6 and 10, and the 33,124 pairs of N = 15 took 3.1
 # minutes (5.5 ms each); at 250 digits a pair weighs 25, and N = 7 (900 pairs) took 16 s
 ORACLE_PAIRS_MAX = 33_124
+# oracle-test evaluates its closed forms at no fewer digits, dixon-test its trials at no more
+ORACLE_DIGITS_MIN = 20
+DIXON_DIGITS_MAX = 25
 # a dixon-test trial (ten closed forms at 25 digits) took 11-14 ms on the same VM,
 # over 200 and 2,000 trials, so this is about a minute
 DIXON_TRIALS_MAX = 5_000
@@ -69,16 +72,13 @@ def _needed_inner_digits(n: int, k: int, digits: int) -> int:
 
 
 def _check_budget(ap: argparse.ArgumentParser, args, digits: int) -> None:
-    # inner digits and weighted work, before any computation: oracle-test pairs run their
-    # closed form at max(20, digits), dixon-test trials at min(digits, 25); a table's
-    # largest prefactor is that of its last degree
-    budget, unit = TWIST_TERMS_MAX, "twist terms"
+    # inner digits and weighted work, before any computation: a self-test runs at the
+    # digits it is given; a table's largest prefactor is that of its last degree
+    budget, unit, inner = TWIST_TERMS_MAX, "twist terms", digits
     if args.command == "oracle-test":
-        inner, work = max(20, digits), ((args.n - 1) * (args.n - 2)) ** 2
-        budget, unit = ORACLE_PAIRS_MAX, "pairs"
+        work, budget, unit = ((args.n - 1) * (args.n - 2)) ** 2, ORACLE_PAIRS_MAX, "pairs"
     elif args.command == "dixon-test":
-        inner, work = min(digits, 25), args.trials
-        budget, unit = DIXON_TRIALS_MAX, "trials"
+        work, budget, unit = args.trials, DIXON_TRIALS_MAX, "trials"
     else:
         if args.command == "table":
             if args.n_min >= args.n_max:
@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("dixon-test", parents=[common],
                        help="ten-way closed-form consistency self-test, at "
-                            "min(--digits, 25) digits")
+                            f"min(--digits, {DIXON_DIGITS_MAX}) digits")
     d.add_argument("--trials", type=int, default=50,
                    help=f"at least 1 and at most {DIXON_TRIALS_MAX}")
     d.add_argument("--seed", type=int, default=20100301)
@@ -150,51 +150,44 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit_result(res: CeresaResult, fmt: str, out) -> None:
-    if fmt == "json":
-        print(res.to_json(), file=out)
-    elif fmt == "csv":
-        print("n,k,frac,err,verdict", file=out)
-        print(res.csv_row(), file=out)
-    else:
-        print(f"N={res.n} k={res.k}  frac={res.frac_6digits()}  "
-              f"err<={mpmath.nstr(res.err, 3)}  verdict={res.verdict}", file=out)
-
-
-def cmd_table(args, digits, out) -> int:
-    rows = ceresa.table1(range(args.n_min, args.n_max), args.k, digits,
-                         threads=max(1, args.threads))
+def _emit(rows, fmt: str, out, text) -> int:
+    """Print result rows as csv, json or text(row), each failed row on stderr; exit
+    status 1 if a row failed or is not certified non-integral."""
     status = 0
-    if args.format == "csv":
+    render = {"csv": CeresaResult.csv_row, "json": CeresaResult.to_json}.get(fmt, text)
+    if fmt == "csv":
         print("n,k,frac,err,verdict", file=out)
-    elif args.format == "text":
-        print(f"N    f(N,{args.k}) mod 1", file=out)
     for row in rows:
         if isinstance(row, RowFailure):
             print(f"row N={row.n}: FAILED {row.message}", file=sys.stderr)
             status = 1
             continue
-        if args.format == "csv":
-            print(row.csv_row(), file=out)
-        elif args.format == "json":
-            print(row.to_json(), file=out)
-        else:
-            print(f"{row.n:<4d} {row.frac_6digits()}", file=out)
+        print(render(row), file=out)
         if row.verdict != "non-integral":
             status = 1
     return status
 
 
+def _result_line(res: CeresaResult) -> str:
+    return (f"N={res.n} k={res.k}  frac={res.frac_6digits()}  "
+            f"err<={mpmath.nstr(res.err, 3)}  verdict={res.verdict}")
+
+
+def cmd_table(args, digits, out) -> int:
+    rows = ceresa.table1(range(args.n_min, args.n_max), args.k, digits,
+                         threads=max(1, args.threads))
+    if args.format == "text":
+        print(f"N    f(N,{args.k}) mod 1", file=out)
+    return _emit(rows, args.format, out, lambda row: f"{row.n:<4d} {row.frac_6digits()}")
+
+
 def cmd_value(args, digits, out) -> int:
-    res = ceresa.f_value(args.n, args.k, digits)
-    _emit_result(res, args.format, out)
+    _emit([ceresa.f_value(args.n, args.k, digits)], args.format, out, _result_line)
     return 0
 
 
 def cmd_check(args, digits, out) -> int:
-    res = ceresa.f_value(args.n, args.k, digits)
-    _emit_result(res, args.format, out)
-    return 0 if res.verdict == "non-integral" else 1
+    return _emit([ceresa.f_value(args.n, args.k, digits)], args.format, out, _result_line)
 
 
 def cmd_scan(args, digits, out) -> int:
@@ -210,9 +203,7 @@ def cmd_scan(args, digits, out) -> int:
 
 
 def cmd_klein(args, digits, out) -> int:
-    res = ceresa.klein_value(args.k, digits)
-    _emit_result(res, args.format, out)
-    return 0 if res.verdict == "non-integral" else 1
+    return _emit([ceresa.klein_value(args.k, digits)], args.format, out, _result_line)
 
 
 def _random_quadruple(rng: random.Random) -> tuple:
@@ -224,25 +215,21 @@ def _random_quadruple(rng: random.Random) -> tuple:
 
 def cmd_dixon_test(args, digits, out) -> int:
     rng = random.Random(args.seed)
-    digits = min(digits, 25)
     worst = mp.mpf(0)
     bad = 0
     for trial in range(args.trials):
         quad = _random_quadruple(rng)
         members = specfun.dixon_family(*quad, digits=digits)
-        live = [m for m in members if not m.skipped]
-        ok = True
-        for i in range(len(live)):
-            for j in range(i + 1, len(live)):
-                a, b = live[i].value, live[j].value
-                gap = abs(a.value - b.value)
-                worst = max(worst, gap)
-                if not a.agrees_with(b):
-                    ok = False
-        n_skipped = len(members) - len(live)
+        live = [m.value for m in members if not m.skipped]
+        # the intervals meet pairwise iff they all meet (Helly in one dimension), so
+        # iff the highest lower end is at most the lowest upper end; both are exact
+        ok = (max(mpmath.fsub(b.value, b.err, exact=True) for b in live)
+              <= min(mpmath.fadd(b.value, b.err, exact=True) for b in live))
+        # rounding is monotone, so this is the largest rounded pairwise gap
+        worst = max(worst, max(b.value for b in live) - min(b.value for b in live))
         print(f"trial {trial:3d} params={tuple(str(x) for x in quad)} "
-              f"live={len(live)} skipped={n_skipped} {'ok' if ok else 'DISAGREE'}",
-              file=out)
+              f"live={len(live)} skipped={len(members) - len(live)} "
+              f"{'ok' if ok else 'DISAGREE'}", file=out)
         if not ok:
             bad += 1
     print(f"worst pairwise gap: {mpmath.nstr(worst, 3)}; "
@@ -262,7 +249,7 @@ def cmd_oracle_test(args, digits, out) -> int:
     for i1, b1 in zip(idxs, betas):
         for i2, b2 in zip(idxs, betas):
             total += 1
-            closed = delta_iterated_integral(curve, i1, i2, max(20, digits))
+            closed = delta_iterated_integral(curve, i1, i2, digits)
             quad = specfun.euler_double_integral(i1.alpha, i1.beta, i2.alpha, i2.beta)
             normalized = closed * b1 * b2
             gap = abs(float(normalized.value - quad.value))
@@ -282,6 +269,8 @@ def main(argv=None) -> int:
     digits = args.digits
     if digits < 10:
         ap.error("--digits (or CERESA_DIGITS) must be at least 10")
+    digits = {"oracle-test": max(ORACLE_DIGITS_MIN, digits),
+              "dixon-test": min(digits, DIXON_DIGITS_MAX)}.get(args.command, digits)
     if args.command == "scan" and ceresa._decimal_len(args.m_max) >= digits:  # no 10^digits built
         ap.error(f"--m-max must be below 10^{digits - 1}, where m_max * err < 0.1")
     if args.command == "dixon-test" and args.trials < 1:

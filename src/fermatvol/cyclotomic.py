@@ -33,37 +33,27 @@ from .specfun import BoundedComplex, _bits, _poly_mul, _poly_sub, _trim
 Rational = Union[int, Fraction]
 
 
-def euler_phi(n: int) -> int:
-    out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            out -= out // p
+@lru_cache(maxsize=None)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """The prime factors of n, ascending, with multiplicity, by trial division; cached,
+    since trace_to_rationals asks for the same divisors of N once per coefficient."""
+    out, p = [], 2
+    while p * p <= n:
+        while n % p == 0:
+            out.append(p)
+            n //= p
         p += 1
-    if m > 1:
-        out -= out // m
-    return out
+    return tuple(out + [n] if n > 1 else out)
+
+
+def euler_phi(n: int) -> int:
+    primes = set(_prime_factors(n))
+    return n * math.prod(p - 1 for p in primes) // math.prod(primes)
 
 
 def mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    out = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if m > 1:
-        out = -out
-    return out
+    factors = _prime_factors(n)
+    return 0 if len(set(factors)) < len(factors) else (-1) ** len(factors)
 
 
 @lru_cache(maxsize=None)
@@ -189,9 +179,6 @@ class CycloElem:
     # -- predicates and maps --------------------------------------------
     def is_zero(self) -> bool:
         return not any(self.num)
-
-    def abs_coeff_sum(self) -> Fraction:
-        return Fraction(sum(map(abs, self.num)), self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -334,7 +321,7 @@ def embed(a: CycloElem, sigma: EmbeddingIndex, digits: int = 30) -> BoundedCompl
     if digits < 10:
         raise ValueError("digits >= 10 required")
     n, h, den = a.n, sigma.h, a.den
-    # the float of the exact abs_coeff_sum, correctly rounded
+    # the float of the exact sum of |coefficients|, correctly rounded
     size = sum(map(abs, a.num)) / den + 1
     wp = _bits(digits) + int(math.log2(size + 1)) + 24
     # the raw form of summing mpf(p) / q * root into mpc(0) under workprec(wp): the same

@@ -53,17 +53,10 @@ class FermatCurve:
         return (self.n - 1) * (self.n - 2) // 2
 
 
-def angle_rep(n: int, a: int) -> int:
-    """The representative of a nonzero residue in {1, ..., n-1}."""
-    r = a % n
-    if r == 0:
-        raise ValueError("angle representative undefined for the zero residue")
-    return r
-
-
 @dataclass(frozen=True)
 class FermatIndex:
-    """A pair (a,b) with a, b, a+b nonzero mod n, labeling a form class."""
+    """A pair (a,b) with a, b, a+b nonzero mod n, labeling a form class; a and b
+    are kept reduced into 1..n-1."""
     n: int
     a: int
     b: int
@@ -75,23 +68,15 @@ class FermatIndex:
             raise ValueError(f"({self.a},{self.b}) not in the index set mod {self.n}")
 
     @property
-    def angle_a(self) -> int:
-        return angle_rep(self.n, self.a)
-
-    @property
-    def angle_b(self) -> int:
-        return angle_rep(self.n, self.b)
-
-    @property
     def alpha(self) -> Fraction:
-        return Fraction(self.angle_a, self.n)
+        return Fraction(self.a, self.n)
 
     @property
     def beta(self) -> Fraction:
-        return Fraction(self.angle_b, self.n)
+        return Fraction(self.b, self.n)
 
     def is_holomorphic(self) -> bool:
-        return self.angle_a + self.angle_b < self.n
+        return self.a + self.b < self.n
 
     def __neg__(self) -> "FermatIndex":
         return FermatIndex(self.n, -self.a, -self.b)

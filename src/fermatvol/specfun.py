@@ -857,7 +857,7 @@ def euler_double_integral(a1: Rational, b1: Rational, a2: Rational, b2: Rational
         if not (0 < x <= 1):
             raise DomainError(f"exponent parameter {x} outside (0, 1]")
     from . import _quadrature
-    return _quadrature.simplex_beta_integral(*fr)
+    return BoundedReal(*_quadrature.simplex_beta_integral(*fr))
 
 
 # ---------------------------------------------------------------------------

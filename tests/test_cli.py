@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
+import mpmath
 import pytest
 
-from fermatvol import ceresa
+from fermatvol import ceresa, specfun
 from fermatvol.cli import (DIXON_TRIALS_MAX, INNER_DIGITS_MAX, TWIST_TERMS_MAX, _check_budget,
                            _needed_inner_digits, _twist_terms_bound, build_parser, main)
+from fermatvol.specfun import BoundedReal
 
 
 def run(capsys, argv):
@@ -200,3 +203,107 @@ def test_inner_digits_is_certify_precision():
                 assert got == want if want <= INNER_DIGITS_MAX else got > INNER_DIGITS_MAX
     # a huge k is rejected from the float estimate, without building k!
     assert _needed_inner_digits(40001, 10 ** 8, 30) > INNER_DIGITS_MAX
+
+
+_VALUE_7_2 = '{"err": "1.5303e-59", "frac": "0.819282798512059136988304612897", "h_terms": 3, ' \
+    '"int_distance": "0.180717201487940863011695387103", "k": 2, "n": 7, ' \
+    '"value": "16761.8192827985120591369883046128968014", "verdict": "non-integral"}\n'
+_CHECK_5 = '{"err": "1.47965e-61", "frac": "0.537741147837383823595168325298", "h_terms": 2, ' \
+    '"int_distance": "0.462258852162616176404831674702", "k": 1, "n": 5, ' \
+    '"value": "55.53774114783738382359516832529768839247", "verdict": "non-integral"}\n'
+_KLEIN_13 = '{"err": "5.29223e-61", "frac": "0.0703575612633883864526598715401", "h_terms": 3, ' \
+    '"int_distance": "0.0703575612633883864526598715401", "k": 13, "n": 7, ' \
+    '"value": "183759970222195481034721888837906.0703576", "verdict": "non-integral"}\n'
+_TABLE_5_3 = '{"err": "5.54868e-58", "frac": "0.529304390189338481881219866331", "h_terms": 2, ' \
+    '"int_distance": "0.470695609810661518118780133669", "k": 3, "n": 5, ' \
+    '"value": "208266.5293043901893384818812198663314718", "verdict": "non-integral"}\n'
+_ROW_4_FAILED = "row N=4: FAILED DomainError: k=3 outside [1, 1] for N=4\n"
+_CSV = "n,k,frac,err,verdict\n"
+
+
+_GOLDEN = [
+    ("value --n 7 --k 2", "text",
+     "N=7 k=2  frac=0.819283  err<=1.53e-59  verdict=non-integral\n", "", 0),
+    ("value --n 7 --k 2", "csv",
+     _CSV + "7,2,0.81928279851205914,1.5303e-59,non-integral\n", "", 0),
+    ("value --n 7 --k 2", "json", _VALUE_7_2, "", 0),
+    ("check --n 5", "text",
+     "N=5 k=1  frac=0.537741  err<=1.48e-61  verdict=non-integral\n", "", 0),
+    ("check --n 5", "csv", _CSV + "5,1,0.53774114783738382,1.47965e-61,non-integral\n", "", 0),
+    ("check --n 5", "json", _CHECK_5, "", 0),
+    ("klein --k 13", "text",
+     "N=7 k=13  frac=0.0703576  err<=5.29e-61  verdict=non-integral\n", "", 0),
+    ("klein --k 13", "csv",
+     _CSV + "7,13,0.070357561263388386,5.29223e-61,non-integral\n", "", 0),
+    ("klein --k 13", "json", _KLEIN_13, "", 0),
+    # N = 4 has no k = 3: its row fails on stderr, the run goes on and exits 1
+    ("table --n-min 4 --n-max 6 --k 3", "text",
+     "N    f(N,3) mod 1\n5    0.529304\n", _ROW_4_FAILED, 1),
+    ("table --n-min 4 --n-max 6 --k 3", "csv",
+     _CSV + "5,3,0.52930439018933848,5.54868e-58,non-integral\n", _ROW_4_FAILED, 1),
+    ("table --n-min 4 --n-max 6 --k 3", "json", _TABLE_5_3, _ROW_4_FAILED, 1),
+]
+
+
+@pytest.mark.parametrize("argv, fmt, out, err, code", _GOLDEN,
+                         ids=[f"{argv.split()[0]}-{fmt}" for argv, fmt, *_ in _GOLDEN])
+def test_result_commands_golden(capsys, argv, fmt, out, err, code):
+    # every byte of the four result-printing commands, in each format
+    assert run(capsys, argv.split() + ["--format", fmt]) == (code, out, err)
+
+
+@pytest.mark.parametrize("seed", [20100301, 20100317])
+def test_dixon_test_reference_lines(capsys, seed):
+    # the reference lines of the perfbench selfcheck workload, keyed "dixon-test SEED:i"
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    reference = json.loads(path.read_text())["selfcheck"]
+    code, out, err = run(capsys, ["dixon-test", "--trials", "8", "--seed", str(seed),
+                                  "--digits", "30"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines == [reference[f"dixon-test {seed}:{i}"] for i in range(len(lines))]
+    assert f"dixon-test {seed}:{len(lines)}" not in reference
+
+
+def _shift_first_member(monkeypatch, shift):
+    """Patch dixon_family so that, in the first trial only, the first live member's
+    value moves up by shift(live members), exactly; its bound stays."""
+    real, calls = specfun.dixon_family, []
+
+    def patched(*args, **kwargs):
+        members = real(*args, **kwargs)
+        if not calls:
+            live = [m.value for m in members if not m.skipped]
+            first = next(m for m in members if not m.skipped)
+            first.value = BoundedReal(mpmath.fadd(first.value.value, shift(live), exact=True),
+                                      first.value.err)
+        calls.append(args)
+        return members
+
+    monkeypatch.setattr(specfun, "dixon_family", patched)
+
+
+def test_dixon_test_reports_disagreement(monkeypatch, capsys):
+    _shift_first_member(monkeypatch, lambda live: 1)
+    code, out, err = run(capsys, ["dixon-test", "--trials", "2"])
+    lines = out.splitlines()
+    assert (code, err) == (1, "")
+    assert lines[0].endswith(" DISAGREE") and lines[1].endswith(" ok")
+    assert lines[2] == "worst pairwise gap: 1.0; 1/2 trials consistent"
+
+
+def _touching_shift(live):
+    # the largest shift of live[0] whose interval still meets every other one
+    tops = [mpmath.fadd(b.value, b.err, exact=True) for b in live[1:]]
+    return mpmath.fsub(mpmath.fadd(min(tops), live[0].err, exact=True), live[0].value,
+                       exact=True)
+
+
+@pytest.mark.parametrize("past, verdict, code", [(0, "ok", 0), (1, "DISAGREE", 1)])
+def test_dixon_test_agreement_is_exact(monkeypatch, capsys, past, verdict, code):
+    # intervals that touch agree; one 2^-200 further apart they do not
+    tiny = mpmath.ldexp(1, -200)
+    _shift_first_member(monkeypatch,
+                        lambda live: mpmath.fadd(_touching_shift(live), past * tiny, exact=True))
+    got, out, _ = run(capsys, ["dixon-test", "--trials", "1"])
+    assert got == code and out.splitlines()[0].endswith(f" {verdict}")

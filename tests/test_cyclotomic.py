@@ -238,7 +238,6 @@ def test_matches_fraction_reference(case):
         else:
             assert _same(x.inverse(), rx.inverse())
     assert trace_to_rationals(a) == cyclo_reference.trace_to_rationals(ra)
-    assert a.abs_coeff_sum() == ra.abs_coeff_sum()
     # == and hash on the canonical form, whichever way an element was built
     twin = CycloElem(n, list(ca) + [F(0)] * 3) + b - b
     assert twin == a and hash(twin) == hash(a)

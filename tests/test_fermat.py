@@ -10,7 +10,7 @@ from fermatvol import fermat, specfun
 from fermatvol.cyclotomic import (CycloElem, EmbeddingIndex, cyclo_from_power,
                                   embed, one_minus_power, trace_to_rationals)
 from fermatvol.fermat import (DeltaLinear, EtaNotZeroError, FermatCurve,
-                              FermatIndex, angle_rep, assumption_check,
+                              FermatIndex, assumption_check,
                               delta_iterated_integral, harmonic_volume_exact_parts,
                               harmonic_volume_sigma, harmonic_volume_trace,
                               harmonic_volume_trace_exact_defect, index_set,
@@ -36,11 +36,12 @@ def test_genus():
 
 
 def test_angle_rep():
-    assert angle_rep(5, 3) == 3
-    assert angle_rep(5, -1) == 4
-    assert angle_rep(7, -2) == 5
+    # an index keeps its residues reduced into 1..n-1
+    assert FermatIndex(5, 3, 1).a == 3
+    assert FermatIndex(5, -1, 2).a == 4
+    assert FermatIndex(7, 1, -2).b == 5
     with pytest.raises(ValueError):
-        angle_rep(5, 10)
+        FermatIndex(5, 10, 1)
 
 
 def test_index_set_membership():
