@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+_ORDER0 = 24        # the first order of every sub-integral
 _TOL = 1e-12        # stop doubling once two consecutive orders agree this well
 _DOUBLINGS = 4      # order-doubling budget per sub-integral
 # oracle-test --n 15, the largest the CLI admits, can ask for at most 221 exponent keys
@@ -109,11 +110,33 @@ def _converge(eval_at, start_order, max_doublings, tol):
     return prev, (best_err if best_err is not None else abs(prev))
 
 
+@lru_cache(maxsize=_RULES_MAX)
+def _full_beta(fa1: float, fb1: float) -> tuple[float, float]:
+    """B(a1, b1) by pure quadrature, converged: the integrand 1 under the Jacobi weight.
+
+    Cached, like region C, since it depends on one exponent pair only."""
+    def at(order):
+        _, w = _jacobi_01(order, fa1 - 1.0, fb1 - 1.0)
+        return float(np.sum(w))
+    return _converge(at, _ORDER0, _DOUBLINGS, _TOL)
+
+
+@lru_cache(maxsize=_RULES_MAX)
+def _region_c(fa2: float, fb2: float) -> tuple[float, float]:
+    """The second beta factor restricted to [1/2, 1], converged."""
+    def at(order):
+        # v = 1 - t/2, weight (1-v)^{b2-1} = (t/2)^{b2-1}
+        tn, tw = _jacobi_01(order, fb2 - 1.0, 0.0)
+        vs = 1.0 - tn / 2.0
+        scale = 0.5 ** fb2
+        return scale * float(np.dot(tw, vs ** (fa2 - 1.0)))
+    return _converge(at, _ORDER0, _DOUBLINGS, _TOL)
+
+
 def simplex_beta_integral(a1: Fraction, b1: Fraction, a2: Fraction,
                           b2: Fraction) -> tuple[float, float]:
     """(value, error estimate); see specfun.euler_double_integral for the decomposition."""
     fa1, fb1, fa2, fb2 = float(a1), float(b1), float(a2), float(b2)
-    n0 = 24
 
     # region A: 0 <= v <= 1/2, u = v w
     def region_a(order):
@@ -125,19 +148,6 @@ def simplex_beta_integral(a1: Fraction, b1: Fraction, a2: Fraction,
         scale = 0.5 ** (fa1 + fa2)
         return scale * float(np.dot(tw, (1.0 - vs) ** (fb2 - 1.0) * inner))
 
-    # full beta B(a1, b1) by pure quadrature: integrand 1 under the Jacobi weight
-    def full_beta(order):
-        _, w = _jacobi_01(order, fa1 - 1.0, fb1 - 1.0)
-        return float(np.sum(w))
-
-    # C: second beta factor restricted to [1/2, 1]
-    def region_c(order):
-        # v = 1 - t/2, weight (1-v)^{b2-1} = (t/2)^{b2-1}
-        tn, tw = _jacobi_01(order, fb2 - 1.0, 0.0)
-        vs = 1.0 - tn / 2.0
-        scale = 0.5 ** fb2
-        return scale * float(np.dot(tw, vs ** (fa2 - 1.0)))
-
     # D: complement correction over [1/2, 1]
     def region_d(order):
         zn, zw = _jacobi_01(order, fb1 - 1.0, 0.0)
@@ -148,10 +158,10 @@ def simplex_beta_integral(a1: Fraction, b1: Fraction, a2: Fraction,
         scale = 0.5 ** (fb1 + fb2)
         return scale * float(np.dot(tw, vals))
 
-    va, ea = _converge(region_a, n0, _DOUBLINGS, _TOL)
-    vb, eb = _converge(full_beta, n0, _DOUBLINGS, _TOL)
-    vc, ec = _converge(region_c, n0, _DOUBLINGS, _TOL)
-    vd, ed = _converge(region_d, n0, _DOUBLINGS, _TOL)
+    va, ea = _converge(region_a, _ORDER0, _DOUBLINGS, _TOL)
+    vb, eb = _full_beta(fa1, fb1)
+    vc, ec = _region_c(fa2, fb2)
+    vd, ed = _converge(region_d, _ORDER0, _DOUBLINGS, _TOL)
 
     total = va + vb * vc - vd
     scale = abs(va) + abs(vb * vc) + abs(vd) + 1.0

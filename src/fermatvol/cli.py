@@ -32,9 +32,11 @@ TWIST_TERMS_MAX = 20_000
 # The series engine certifies them at 500 digits and more, but ln_gamma
 # (inner + 18) gives up from 355
 INNER_DIGITS_MAX = 250
-# oracle-test --n N runs ((N-1)(N-2))^2 closed-form/quadrature pairs, 7.1-7.4, 4.5-5.7 and
-# 3.7 ms each at 30 digits for N = 5, 6 and 10, and the 33,124 pairs of N = 15 took 3.1
-# minutes (5.5 ms each); at 250 digits a pair weighs 25, and N = 7 (900 pairs) took 16 s
+# oracle-test --n N runs ((N-1)(N-2))^2 closed-form/quadrature pairs and evaluates each
+# distinct closed form once: 72/144, 180/400, 375/900, 1,872/5,184 and 10,647/33,124 at
+# N = 5, 6, 7, 10 and 15.  At 30 digits N = 5, 6 and 10 took 0.25-0.43, 0.49-0.66 and
+# 4.4-4.7 s, and the 33,124 pairs of N = 15 took 40 s (1.2 ms each); at 250 digits a
+# pair weighs 25, and N = 7 (900 pairs) took 4.5 s
 ORACLE_PAIRS_MAX = 33_124
 # oracle-test evaluates its closed forms at no fewer digits, dixon-test its trials at no more
 ORACLE_DIGITS_MIN = 20

@@ -175,16 +175,30 @@ def _kappa_rs_terms(curve: FermatCurve, idx1: FermatIndex, idx2: FermatIndex) ->
             (-p1, a, b), (p1, a, b + d), (p2, c, d), (-p2, c, b + d))
 
 
+# one entry per distinct closed form and digits, about 1.5 kB each: oracle-test --n 15,
+# the largest the CLI admits, asks for 10,647 distinct forms in its 33,124 pairs
+_CLOSED_FORMS_MAX = 16_384
+_closed_form_cached = lru_cache(maxsize=_CLOSED_FORMS_MAX)(_gamma_hyp)
+
+
 def delta_iterated_integral(curve: FermatCurve, idx1: FermatIndex, idx2: FermatIndex,
                             digits: int = 30) -> BoundedReal:
     """The ordered double integral of the normalized form pair over the arc,
-    as gamma quotient times unit-argument 3F2 (the symmetric closed form)."""
+    as gamma quotient times unit-argument 3F2 (the symmetric closed form).
+
+    The closed form is an exact function of its four parameter multisets
+    (the gamma quotient and the series multiply exact integers), so it is
+    memoised on them, sorted, and on ``digits``.  The change of variables
+    (u, v) -> (1-v, 1-u) maps (a1, b1, a2, b2) to (b2, a2, b1, a1) with the
+    same multisets, so ``oracle-test`` evaluates 72 distinct forms for its
+    144 pairs at N = 5.
+    """
     a1, b1 = idx1.alpha, idx1.beta
     a2, b2 = idx2.alpha, idx2.beta
-    return _gamma_hyp([a1 + a2, b1 + b2, a1 + b1, a2 + b2],
-                      [a2, b1, a1 + a2 + b2, a1 + b1 + b2],
-                      [a1, b2, a1 + a2 + b1 + b2 - 1],
-                      [a1 + a2 + b2, a1 + b1 + b2], digits)
+    return _closed_form_cached(tuple(sorted([a1 + a2, b1 + b2, a1 + b1, a2 + b2])),
+                               tuple(sorted([a2, b1, a1 + a2 + b2, a1 + b1 + b2])),
+                               tuple(sorted([a1, b2, a1 + a2 + b1 + b2 - 1])),
+                               tuple(sorted([a1 + a2 + b2, a1 + b1 + b2])), digits)
 
 
 def _evaluate_delta_linear(curve, ex: DeltaLinear, idx1, idx2,

@@ -1,8 +1,13 @@
 import ast
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import fermatvol
 from fermatvol import _quadrature, ceresa, cli, cyclotomic, fermat, specfun
@@ -61,3 +66,36 @@ def test_package_is_the_certifier():
     names = {getattr(node, "module", None) or "" for node in imports}
     names |= {alias.name for node in imports for alias in node.names}
     assert not [name for name in names if "specfun" in name]
+
+
+_NUMPY_FREE_CALLS = {
+    "import": "pass",
+    "f_value": "fermatvol.f_value(5, 1)",
+    "table1": "fermatvol.table1(range(4, 7), 1)",
+    "klein_value": "fermatvol.klein_value(13)",
+    "multiples_scan": "fermatvol.multiples_scan(5, 1, 100)",
+    "harmonic_volume_sigma": "fermatvol.harmonic_volume_sigma(FermatCurve(11), "
+    "assumption_check(FermatCurve(11), FermatIndex(11, 4, 5), FermatIndex(11, 2, 4), "
+    "FermatIndex(11, 5, 2)), EmbeddingIndex(1, 11))",
+    "cli-value": "cli.main(['value', '--n', '5'])",
+    "cli-check": "cli.main(['check', '--n', '5'])",
+    "cli-table": "cli.main(['table', '--n-min', '4', '--n-max', '7'])",
+    "cli-dixon-test": "cli.main(['dixon-test', '--trials', '2'])",
+}
+
+
+@pytest.mark.parametrize("call,loads_numpy", [
+    *(pytest.param(call, False, id=name) for name, call in _NUMPY_FREE_CALLS.items()),
+    pytest.param("cli.main(['oracle-test', '--n', '4'])", True, id="cli-oracle-test")])
+def test_numpy_only_on_the_quadrature_path(call, loads_numpy):
+    # a fresh interpreter: importing numpy costs about 0.1 s, so only the quadrature
+    # oracle may pay it, never the certifier's own paths
+    script = ("import contextlib, io, sys\nimport fermatvol\nfrom fermatvol import cli\n"
+              "from fermatvol.cyclotomic import EmbeddingIndex\n"
+              "from fermatvol.fermat import FermatCurve, FermatIndex, assumption_check\n"
+              f"with contextlib.redirect_stdout(io.StringIO()):\n    {call}\n"
+              "print('numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fermatvol.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert done.stdout.splitlines()[-1] == str(loads_numpy)

@@ -178,6 +178,16 @@ def test_oracle_test_reference_line(capsys):
     assert out == "144 pairs at N=5: worst |closed - quadrature| = 6.65e-10\n"
 
 
+def test_oracle_test_reruns_byte_identical(capsys):
+    # the second run in one process reads every closed form and quadrature factor
+    # from the memos and must print the same bytes as the first
+    from fermatvol import fermat
+    fermat._closed_form_cached.cache_clear()
+    first = run(capsys, ["oracle-test", "--n", "5"])
+    assert fermat._closed_form_cached.cache_info().currsize == 72
+    assert run(capsys, ["oracle-test", "--n", "5"]) == first
+
+
 def test_twist_terms_bound_closed_form():
     for lo in range(-3, 15):
         for hi in range(-3, 17):

@@ -193,15 +193,80 @@ def test_delta_iterated_integral_example_value():
         assert abs(v.value - ref) <= v.err + mp.mpf(10) ** -40
 
 
+def _closed_form_lists(i1, i2):
+    # the closed form's four parameter lists, in delta_iterated_integral's own order
+    a1, b1, a2, b2 = i1.alpha, i1.beta, i2.alpha, i2.beta
+    return ([a1 + a2, b1 + b2, a1 + b1, a2 + b2], [a2, b1, a1 + a2 + b2, a1 + b1 + b2],
+            [a1, b2, a1 + a2 + b1 + b2 - 1], [a1 + a2 + b2, a1 + b1 + b2])
+
+
 def test_delta_symmetric_under_tenth_expression_symmetry():
-    # swapping (a1,b1,a2,b2) -> (b2,a2,b1,a1) fixes the closed form
+    # swapping (a1,b1,a2,b2) -> (b2,a2,b1,a1) fixes the closed form; the swapped pair
+    # shares the memo entry, so it is evaluated from its own unsorted lists
     curve = FermatCurve(7)
     i1, i2 = FermatIndex(7, 2, 3), FermatIndex(7, 3, 5)
     j1 = FermatIndex(7, i2.b, i2.a)
     j2 = FermatIndex(7, i1.b, i1.a)
     a = delta_iterated_integral(curve, i1, i2, 25)
-    b = delta_iterated_integral(curve, j1, j2, 25)
+    b = specfun._gamma_hyp(*_closed_form_lists(j1, j2), 25)
     assert a.agrees_with(b)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_delta_memo_equals_unsorted_closed_form(n):
+    # the memo sorts each parameter list; the closed form multiplies exact integers, so
+    # every ordered pair, the first or a repeated evaluation of its form, has the value
+    # and bound of _gamma_hyp on the unsorted lists, bit for bit
+    curve = FermatCurve(n)
+    fermat._closed_form_cached.cache_clear()
+    for i1 in index_set(n):
+        for i2 in index_set(n):
+            got = delta_iterated_integral(curve, i1, i2, 20)
+            want = specfun._gamma_hyp(*_closed_form_lists(i1, i2), 20)
+            assert (got.value._mpf_, got.err._mpf_) == (want.value._mpf_, want.err._mpf_)
+
+
+def test_delta_memo_keys_on_digits():
+    # a 30-digit and a 40-digit request are two entries, each at its own digits
+    curve = FermatCurve(5)
+    i1, i2 = FermatIndex(5, 1, 2), FermatIndex(5, 3, 1)
+    fermat._closed_form_cached.cache_clear()
+    lo = delta_iterated_integral(curve, i1, i2, 30)
+    hi = delta_iterated_integral(curve, i1, i2, 40)
+    assert fermat._closed_form_cached.cache_info().currsize == 2
+    want = specfun._gamma_hyp(*_closed_form_lists(i1, i2), 40)
+    assert (hi.value._mpf_, hi.err._mpf_) == (want.value._mpf_, want.err._mpf_)
+    assert hi.err < mp.mpf(10) ** -40 and hi.err < lo.err / 10 ** 9
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_delta_memo_keys_on_every_multiset(which):
+    # on the arc integrals any three multisets fix the fourth, so only forms outside
+    # them show a key that drops one: moving one parameter of one list is a new entry
+    lists = [tuple(sorted(x)) for x in
+             _closed_form_lists(FermatIndex(7, 2, 3), FermatIndex(7, 3, 5))]
+    moved = list(lists)
+    moved[which] = (lists[which][0] + F(1, 2),) + lists[which][1:]
+    fermat._closed_form_cached.cache_clear()
+    fermat._closed_form_cached(*lists, 25)
+    got = fermat._closed_form_cached(*moved, 25)
+    assert fermat._closed_form_cached.cache_info().currsize == 2
+    want = specfun._gamma_hyp(*moved, 25)
+    assert (got.value._mpf_, got.err._mpf_) == (want.value._mpf_, want.err._mpf_)
+
+
+@pytest.mark.parametrize("n,forms", [(5, 72), (6, 180), (7, 375)])
+def test_oracle_test_evaluates_each_form_once(n, forms, capsys):
+    # (a1, b1, a2, b2) and (b2, a2, b1, a1) share one closed form; a run from a cleared
+    # memo evaluates each distinct form once, and the memo holds all of N = 15's 10,647
+    from fermatvol import cli
+    fermat._closed_form_cached.cache_clear()
+    cli.main(["oracle-test", "--n", str(n)])
+    capsys.readouterr()
+    info = fermat._closed_form_cached.cache_info()
+    pairs = ((n - 1) * (n - 2)) ** 2
+    assert (info.currsize, info.misses, info.hits) == (forms, forms, pairs - forms)
+    assert info.maxsize >= 10_647
 
 
 def test_kappa_iterated_integral_via_recomposition_numeric():
@@ -388,7 +453,8 @@ def test_harmonic_volume_sigma_independent_of_call_history():
     # a warm cache never answers a 20-digit request with a 30-digit entry
     curve, t = _n11_triple()
     sigmas = [EmbeddingIndex(h, 11) for h in range(1, 11)]
-    caches = (harmonic_volume_sigma, specfun._ln_gamma_fixed, _sigma_exact_parts_cached)
+    caches = (harmonic_volume_sigma, specfun._ln_gamma_fixed, _sigma_exact_parts_cached,
+              fermat._closed_form_cached)
     for cache in caches:
         cache.cache_clear()
     for sig in sigmas:
@@ -407,7 +473,8 @@ def test_harmonic_volume_sigma_independent_of_ambient_precision():
     sigmas = [EmbeddingIndex(h, 11) for h in range(1, 11)]
     runs = []
     for prec in (20, 400):
-        for cache in (harmonic_volume_sigma, specfun._ln_gamma_fixed, _sigma_exact_parts_cached):
+        for cache in (harmonic_volume_sigma, specfun._ln_gamma_fixed, _sigma_exact_parts_cached,
+                      fermat._closed_form_cached):
             cache.cache_clear()
         with mp.workprec(prec):
             runs.append([_bits_of(harmonic_volume_sigma(curve, t, sig, 30)) for sig in sigmas])

@@ -830,6 +830,21 @@ def test_jacobi_rules_are_cached_read_only_and_exact():
     assert _quadrature._jacobi_01.cache_info().hits > hits
 
 
+def test_two_exponent_factors_converge_once_per_pair():
+    # B(a1, b1) reads (a1, b1) only and region C (a2, b2) only: a second integral sharing
+    # them reads both from their caches, which hold the floats of a fresh convergence
+    for cache in (_quadrature._full_beta, _quadrature._region_c):
+        cache.cache_clear()
+    euler_double_integral(F(2, 7), F(3, 7), F(1, 7), F(5, 7))
+    euler_double_integral(F(2, 7), F(3, 7), F(4, 7), F(5, 7))
+    euler_double_integral(F(1, 7), F(1, 7), F(1, 7), F(5, 7))
+    assert _quadrature._full_beta.cache_info()[:2] == (1, 2)
+    assert _quadrature._region_c.cache_info()[:2] == (1, 2)
+    for cache, args in ((_quadrature._full_beta, (2 / 7, 3 / 7)),
+                        (_quadrature._region_c, (4 / 7, 5 / 7))):
+        assert cache(*args) == cache.__wrapped__(*args)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 24, 96, 384])
 @pytest.mark.parametrize("alpha,beta", [
     (0.0, 0.0), (-0.5, -0.5), (0.4, 0.4), (-0.95, -0.95),   # alpha == beta
