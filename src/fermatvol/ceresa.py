@@ -31,8 +31,9 @@ from typing import Callable, Iterable, Optional, Union
 
 import mpmath
 
-from .specfun import (BoundedReal, DomainError, PrecisionError, _bits, _exact_fixed,
-                      _fixed_mpf, _gamma_hyp, _round_product, gamma_quotient, hyp_unit_sum)
+from .specfun import (BoundedReal, DomainError, PrecisionError, _bits, _certified,
+                      _exact_fixed, _fixed_mpf, _gamma_hyp, _round_product, gamma_quotient,
+                      hyp_unit_sum)
 
 MARGIN_FACTOR = 10  # non-integrality requires distance > MARGIN_FACTOR * err
 
@@ -142,14 +143,12 @@ def _certify(n: int, k: int, prefactor: int, digits: int,
     total = sum(parts)
     (v, e), prec = _exact_fixed(total.value, total.err)
     v, e = v * prefactor, e * prefactor
-    err = _fixed_mpf(e, prec)
-    if e * 10 ** digits > 1 << prec:
-        raise PrecisionError(f"certified bound {mpmath.nstr(err, 3)} above 10^-{digits}")
+    value = _certified(v, e, prec, digits, "certified", relative=False)
     frac = v % (1 << prec)
     dist = min(frac, (1 << prec) - frac)
-    return CeresaResult(n=n, k=k, value=BoundedReal(_fixed_mpf(v, prec), err),
-                        frac=_fixed_mpf(frac, prec), int_distance=_fixed_mpf(dist, prec),
-                        err=err, h_terms=len(parts), verdict=verdict_for(dist, e))
+    return CeresaResult(n=n, k=k, value=value, frac=_fixed_mpf(frac, prec),
+                        int_distance=_fixed_mpf(dist, prec), err=value.err,
+                        h_terms=len(parts), verdict=verdict_for(dist, e))
 
 
 def f_value(n: int, k: int, digits: int = 30) -> CeresaResult:

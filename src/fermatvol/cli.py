@@ -108,23 +108,24 @@ def build_parser() -> argparse.ArgumentParser:
                         default=os.environ.get("CERESA_DIGITS") or "30",
                         help="decimal accuracy target, at least 10 "
                              "(default: env CERESA_DIGITS, else 30)")
-    common.add_argument("--format", choices=("csv", "json", "text"), default="text")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker processes for independent rows")
+    rows = argparse.ArgumentParser(add_help=False, parents=[common])
+    rows.add_argument("--format", choices=("csv", "json", "text"), default="text")
     sub = ap.add_subparsers(dest="command", required=True)
     budget = f"(N-1)//2 twist terms per degree, weighted by inner digits, within {TWIST_TERMS_MAX}"
 
-    t = sub.add_parser("table", parents=[common], help="fractional parts for a degree range")
+    t = sub.add_parser("table", parents=[rows], help="fractional parts for a degree range")
     t.add_argument("--n-min", type=int, default=4)
     t.add_argument("--n-max", type=int, default=100,
                    help=f"exclusive upper bound; {budget}")
     t.add_argument("--k", type=int, default=1)
+    t.add_argument("--threads", type=int, default=1,
+                   help="worker processes for independent rows")
 
-    v = sub.add_parser("value", parents=[common], help="single invariant value")
+    v = sub.add_parser("value", parents=[rows], help="single invariant value")
     v.add_argument("--n", type=int, required=True, help=budget)
     v.add_argument("--k", type=int, default=1)
 
-    c = sub.add_parser("check", parents=[common], help="non-integrality verdict")
+    c = sub.add_parser("check", parents=[rows], help="non-integrality verdict")
     c.add_argument("--n", type=int, required=True, help=budget)
     c.add_argument("--k", type=int, default=1)
 
@@ -133,8 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k", type=int, default=1)
     s.add_argument("--m-max", type=int, required=True,
                    help="largest multiple, below 10^(digits-1) so that m_max * err < 0.1")
+    s.add_argument("--format", choices=("text", "json"), default="text")
 
-    kq = sub.add_parser("klein", parents=[common], help="Klein-quartic triple value at degree 7")
+    kq = sub.add_parser("klein", parents=[rows], help="Klein-quartic triple value at degree 7")
     kq.add_argument("--k", type=int, default=13)
 
     d = sub.add_parser("dixon-test", parents=[common],

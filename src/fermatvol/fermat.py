@@ -253,6 +253,11 @@ def assumption_check(curve: FermatCurve,
     return TripleConfig((idx1, idx2, idx3), sums, pairwise, strong, tuple(twists))
 
 
+def _require_supported(t: TripleConfig) -> None:
+    if not (t.sums_to_zero and t.pairwise_parallel_holo):
+        raise EtaNotZeroError("triple must sum to zero with parallel holomorphy")
+
+
 @lru_cache(maxsize=512)
 def _sigma_exact_parts_cached(n: int, a1: int, b1: int, a2: int, b2: int,
                               a3: int, b3: int) -> DeltaLinear:
@@ -290,8 +295,7 @@ def harmonic_volume_sigma(curve: FermatCurve, t: TripleConfig,
     value is the conjugate of the conjugate-embedding value.  Mixed
     configurations would need the nonzero correction form and raise.
     """
-    if not (t.sums_to_zero and t.pairwise_parallel_holo):
-        raise EtaNotZeroError("triple must sum to zero with parallel holomorphy")
+    _require_supported(t)
     i1, i2, _ = t.indices
     h = sigma.h
     holo1 = i1.scaled(h).is_holomorphic()
@@ -313,8 +317,7 @@ def harmonic_volume_trace(curve: FermatCurve, t: TripleConfig,
     integer in total (a tested identity), so modulo 1 this is the whole
     invariant.
     """
-    if not (t.sums_to_zero and t.pairwise_parallel_holo):
-        raise EtaNotZeroError("triple must sum to zero with parallel holomorphy")
+    _require_supported(t)
     n = curve.n
     i1, i2, _ = t.indices
     return sum(delta_iterated_integral(curve, i1.scaled(h), i2.scaled(h), digits + 4)
@@ -325,9 +328,11 @@ def harmonic_volume_trace_exact_defect(curve: FermatCurve, t: TripleConfig) -> F
     """Exact rational: trace of the cleared exact parts over all embeddings.
 
     The traced volume equals the trace display plus this number; the
-    underlying identity forces it to be a rational integer.
+    underlying identity forces it to be a rational integer.  Supported
+    triples only, as for ``harmonic_volume_sigma``.
     """
     from .cyclotomic import trace_to_rationals
+    _require_supported(t)
     i1, i2, i3 = t.indices
     n = curve.n
     ex = harmonic_volume_exact_parts(curve, t)

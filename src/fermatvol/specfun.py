@@ -10,7 +10,10 @@ built-in consistency check.
 Error-bound conventions
 -----------------------
 Results are ``BoundedReal`` (or ``BoundedComplex``) pairs (value, err)
-with |true - value| <= err.  Bound propagation is conservative:
+with |true - value| <= err.  Log-gamma, gamma quotients, both kinds of series
+and ``ceresa``'s f(N,k) leave through one exit, ``_certified``, which checks
+err <= 10^-digits (1 + |value|), or 10^-digits (absolute) for log-gamma and
+f(N,k), on exact integers.  Bound propagation is conservative:
 
 * log-gamma uses the Stirling series for real y > 0, whose remainder
   after J terms is bounded by the first omitted term
@@ -42,17 +45,18 @@ with |true - value| <= err.  Bound propagation is conservative:
   its coefficients are read back from b-bit slots, b a multiple of 8
   with |G_i| <= 2^{K+1} (|Q|_1 (|V|_1 + L) + |P|_1 |V|_1) < 2^(b-1).
 
-The series engine rounds in fixed point on plain Python ints: every
-quantity is an integer count of ulps 2^-prec, prec being the working
-precision plus guard bits for the number of terms.  A term advances by
+One fixed-point loop, ``_fixed_point_sum``, sums both kinds of series on
+plain Python ints: every quantity is an integer count of ulps 2^-prec, prec
+being the working precision plus guard bits for the number of terms.  A term advances by
 T <- floor(T num(n) / den(n)), with the integer term ratio num/den built
 from the parameters' numerators and denominators.  Floor division is off
 by less than one ulp, so the error E_n of T_n obeys the recurrence
 E_0 = 0, E_{n+1} = ceil(E_n |num| / |den|) + 1; the partial sum is off by
 at most the sum of the E_n, the tail floor(T_M W(M)) (W(M) an exact
-rational) by ceil(E_M |W(M)|) + 1, and the truncation bound is rounded up
-from exact integers.  Value and bound are returned as these integers
-times 2^-prec, exactly.
+rational; a terminating series has none) by ceil(E_M |W(M)|) + 1, and the
+truncation bound is rounded up from exact integers.  These ulp counts do
+not depend on prec, so one rerun with them times 10^digits below
+2^(prec-1) meets the contract when terms far above 1 break it.
 
 Log-gamma rounds in the same fixed point.  Each Stirling term is one
 floor division of the exact Bernoulli numerator times D^{2j-1} by
@@ -331,6 +335,17 @@ def _coerce_c(x) -> BoundedComplex:
     return BoundedComplex(x, 0)
 
 
+def _certified(value: int, err: int, prec: int, digits: int, what: str,
+               relative: bool = True) -> BoundedReal:
+    """value within err, both in ulps of 2^-prec, once the ``digits`` contract holds on
+    the exact integers: err <= 10^-digits (1 + |value|), or 10^-digits when not
+    ``relative``; PrecisionError otherwise.  The one exit; see the module docstring."""
+    if err * 10 ** digits > (1 << prec) + (abs(value) if relative else 0):
+        raise PrecisionError(f"{what} bound {mpmath.nstr(_fixed_mpf(err, prec), 3)} above "
+                             f"10^-{digits}" + (" (1 + |value|)" if relative else ""))
+    return BoundedReal(_fixed_mpf(value, prec), _fixed_mpf(err, prec))
+
+
 # ---------------------------------------------------------------------------
 # log-gamma with proved Stirling remainder
 # ---------------------------------------------------------------------------
@@ -463,13 +478,14 @@ def ln_gamma(x: Rational, digits: int = 30) -> BoundedReal:
 
     R = prod_{i<m} (a + iD) being the exact integer rising factorial.  The
     remainder bound is the first omitted Stirling term, which is valid for
-    all real positive arguments.
+    all real positive arguments.  Raises PrecisionError when the bound
+    exceeds 10^-digits.
     """
     q = Fraction(x)
     if q <= 0:
         raise DomainError(f"ln_gamma requires a positive argument, got {q}")
     value, round_err, rem, prec = _ln_gamma_fixed(q, digits)
-    return BoundedReal(_fixed_mpf(value, prec), _fixed_mpf(round_err + rem, prec))
+    return _certified(value, round_err + rem, prec, digits, "ln_gamma", relative=False)
 
 
 # ulps charged to the fixed-point exp.  mpmath evaluates it at 8 more bits than the
@@ -511,10 +527,7 @@ def gamma_quotient(numerators: Sequence[Rational], denominators: Sequence[Ration
     ib = max(1, (3 * ((S >> p) + 1) + 1) // 2)
     value = to_fixed(mpf_exp(from_man_exp(S, -p), prec + ib + 8, round_floor), prec)
     err = -(-(value + _EXP_ULPS) * E * ((1 << p) + E) >> 2 * p) + _EXP_ULPS
-    if err * 10 ** digits > (1 << prec) + value:
-        raise PrecisionError(f"gamma quotient bound {mpmath.nstr(_fixed_mpf(err, prec), 3)} "
-                             f"above 10^-{digits} (1 + |value|)")
-    return BoundedReal(_fixed_mpf(value, prec), _fixed_mpf(err, prec))
+    return _certified(value, err, prec, digits, "gamma quotient")
 
 
 # ---------------------------------------------------------------------------
@@ -687,25 +700,13 @@ def hyp_unit_sum(uppers: Sequence[Rational], lowers: Sequence[Rational],
     for low in lowers:
         if low <= 0 and low.denominator == 1:
             raise DomainError(f"lower parameter {low} is a non-positive integer")
-    stop = None
-    for u in uppers:
-        if u <= 0 and u.denominator == 1:
-            stop = -int(u) if stop is None else min(stop, -int(u))
+    stops = [-int(u) for u in uppers if u <= 0 and u.denominator == 1]
+    if stops:
+        return _fixed_point_sum(uppers, lowers, min(stops) + 1, digits)
     margin = sum(lowers) - sum(uppers)
-    if stop is None and margin <= 0:
+    if margin <= 0:
         raise DivergenceError(
             f"unit-argument series diverges: margin {margin} <= 0 for {uppers}; {lowers}")
-
-    if stop is not None:
-        prec = _fixed_prec(_bits(digits) + 46, stop + 1)
-        S, S_err, _, _ = _partial_sum(uppers, lowers, stop + 1, prec)
-        # S_err counts ulps whatever prec is: when terms far above 1 break the
-        # contract, one rerun with S_err 10^digits < 2^prec meets it
-        if S_err * 10 ** digits > (1 << prec) + abs(S):
-            prec = (S_err * 10 ** digits).bit_length()
-            S, S_err, _, _ = _partial_sum(uppers, lowers, stop + 1, prec)
-        return _certified_sum(S, S_err, prec, digits, uppers, lowers)
-
     # the fastest measured (M, K) whose bounds are no wider than those of M = 24 digits
     return _hyp_unit_series(uppers, lowers, margin, digits, 4 * digits, int(digits * 0.46) + 8)
 
@@ -714,7 +715,6 @@ def _hyp_unit_series(uppers: list[Fraction], lowers: list[Fraction], margin: Fra
                      digits: int, M: int, K: int) -> BoundedReal:
     """``hyp_unit_sum`` of a non-terminating series from M terms and a tail of order K;
     each failed attempt doubles M and raises K by half."""
-    wp = _bits(digits) + 46
     # all linear factors must be positive (and comfortably so for the
     # negative-parameter Q-majorization) from index M on
     floor_shift = max([0] + [int(math.floor(-2 * float(x))) + 1
@@ -725,18 +725,24 @@ def _hyp_unit_series(uppers: list[Fraction], lowers: list[Fraction], margin: Fra
     P = _poly_from_factors(uppers, D, d)
     Q = _poly_from_factors(lowers + [Fraction(1)], D, d)
     for _attempt in range(5):
-        result = _hyp_unit_attempt(uppers, lowers, P, Q, margin, digits, M, K, wp)
-        if result is not None:
-            return result
+        if _ratio_eventually_below_one(P, Q, M):
+            V, L = _solve_tail_series(P, Q, margin, K)
+            hn, hd = _tail_defect_majorant(P, Q, V, L, K, M)
+            # Q(n) >= n^deg * qscale for n >= M (negative lowers shrink the product)
+            qscale = math.prod([1 + b / M for b in lowers if b < 0], start=Fraction(1))
+            # the exact W(M) = M V(1/M) = Wn / Wd, and E = |t_M| H(M) (M^{-K-1} + M^{-K}/K)
+            Wn = 0
+            for Vk in V:
+                Wn = Wn * M + Vk
+            result = _fixed_point_sum(uppers, lowers, M, digits,
+                                      (Wn, L * M ** (K - 1), hn * qscale.denominator * (K + M),
+                                       hd * qscale.numerator * K * M ** (K + 1)))
+            if result is not None:
+                return result
         M *= 2
         K += K // 2
     raise PrecisionError(f"series tail bound did not reach 10^-{digits} "
                          f"for {uppers}; {lowers}")
-
-
-def _fixed_prec(wp: int, terms: int) -> int:
-    # guard bits for the ~terms^2 ulps that floor division may accumulate
-    return wp + terms.bit_length()
 
 
 def _partial_sum(uppers, lowers, terms, prec):
@@ -767,47 +773,30 @@ def _partial_sum(uppers, lowers, terms, prec):
     return S, S_err, T, E
 
 
-def _hyp_unit_attempt(uppers, lowers, P, Q, s, digits, M, K, wp):
-    if not _ratio_eventually_below_one(P, Q, M):
-        return None
-    V, L = _solve_tail_series(P, Q, s, K)
-    hn, hd = _tail_defect_majorant(P, Q, V, L, K, M)
-    # Q(n) >= n^deg * qscale for n >= M (negative lowers shrink the product)
-    qscale = Fraction(1)
-    for b in lowers:
-        if b < 0:
-            qscale *= 1 + b / M
-    hn, hd = hn * qscale.denominator, hd * qscale.numerator
-    # tail t_M W(M) with the exact W(M) = M V(1/M) = Wn / Wd
-    Wn = 0
-    for Vk in V:
-        Wn = Wn * M + Vk
-    Wd = L * M ** (K - 1)
-    prec = _fixed_prec(wp, M)
+def _fixed_point_sum(uppers, lowers, terms: int, digits: int,
+                     tail: Optional[tuple[int, int, int, int]] = None) -> Optional[BoundedReal]:
+    """The first ``terms`` terms in fixed point, plus for a non-terminating series its
+    tail t_terms Wn / Wd within E = |t_terms| En / Ed, ``tail = (Wn, Wd, En, Ed)``;
+    None when 2 E misses 10^-digits.  One rerun, as the module docstring says."""
+    # guard bits for the ~terms^2 ulps that floor division may accumulate
+    prec = _bits(digits) + 46 + terms.bit_length()
     while True:
-        S, S_err, T, T_err = _partial_sum(uppers, lowers, M, prec)
-        tail = T * Wn // Wd
-        tail_err = -(-T_err * abs(Wn) // Wd) + 1
-        # |t_M| H(M) (M^{-K-1} + M^{-K}/K), rounded up, in ulps
-        Ebound = -(-(abs(T) + T_err) * hn * (K + M) // (hd * K * M ** (K + 1)))
-        if 2 * Ebound * 10 ** digits > 1 << prec:
-            return None
-        # S_err and tail_err count ulps whatever prec is: when terms far above 1
-        # break the contract, one rerun with (S_err + tail_err) 10^digits < 2^(prec-1) meets it
-        err = S_err + tail_err + Ebound
-        rounding = (S_err + tail_err) * 10 ** digits
-        if err * 10 ** digits <= (1 << prec) + abs(S + tail) or prec > rounding.bit_length():
-            return _certified_sum(S + tail, err, prec, digits, uppers, lowers)
+        S, err, T, T_err = _partial_sum(uppers, lowers, terms, prec)
+        E = 0
+        if tail is not None:
+            Wn, Wd, En, Ed = tail
+            S += T * Wn // Wd
+            err += -(-T_err * abs(Wn) // Wd) + 1
+            E = -(-(abs(T) + T_err) * En // Ed)
+            if 2 * E * 10 ** digits > 1 << prec:
+                return None
+        rounding = err * 10 ** digits
+        try:
+            return _certified(S, err + E, prec, digits, f"series {uppers}; {lowers}")
+        except PrecisionError:
+            if prec > rounding.bit_length():
+                raise
         prec = rounding.bit_length() + 1
-
-
-def _certified_sum(value: int, err: int, prec: int, digits: int, uppers, lowers) -> BoundedReal:
-    # gamma_quotient's contract on the exact integers: terms far above 1 (large
-    # parameters) carry rounding errors that the guard bits do not cover
-    if err * 10 ** digits > (1 << prec) + abs(value):
-        raise PrecisionError(f"series bound {mpmath.nstr(_fixed_mpf(err, prec), 3)} above "
-                             f"10^-{digits} (1 + |value|) for {uppers}; {lowers}")
-    return BoundedReal(_fixed_mpf(value, prec), _fixed_mpf(err, prec))
 
 
 def _round_product(factors: Sequence[BoundedReal], prec: int) -> BoundedReal:

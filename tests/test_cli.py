@@ -144,6 +144,11 @@ def test_env_digits_invalid_exits_2(monkeypatch, capsys, env):
     ["table", "--k", "0"],
     ["table", "--n-min", "2", "--n-max", "6"],
     ["dixon-test", "--trials", str(DIXON_TRIALS_MAX + 1)],
+    # an option only the commands that read it accept
+    ["value", "--n", "5", "--threads", "7"],
+    ["dixon-test", "--format", "json"],
+    ["scan", "--n", "5", "--m-max", "10", "--format", "csv"],
+    ["oracle-test", "--format", "csv", "--threads", "2"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_out_of_range_exits_2(capsys, argv):
     # rejected before any certified value is computed

@@ -549,6 +549,22 @@ def test_trace_is_real_sum_of_conjugate_sigmas():
         assert abs(gap - mpmath.nint(gap)) <= err + tr.err + mp.mpf(10) ** -20
 
 
+@pytest.mark.parametrize("n,t1,t2,t3", [
+    (5, (1, 1), (1, 2), (2, 1)),    # does not sum to zero
+    (7, (1, 1), (1, 2), (5, 4)),    # not parallel-holomorphic: h = 3 splits the first two
+])
+def test_every_volume_requires_supported_triple(n, t1, t2, t3):
+    curve = FermatCurve(n)
+    t = assumption_check(curve, *(FermatIndex(n, a, b) for a, b in (t1, t2, t3)))
+    assert not (t.sums_to_zero and t.pairwise_parallel_holo)
+    with pytest.raises(EtaNotZeroError):
+        harmonic_volume_sigma(curve, t, EmbeddingIndex(1, n), 20)
+    with pytest.raises(EtaNotZeroError):
+        harmonic_volume_trace(curve, t, 20)
+    with pytest.raises(EtaNotZeroError):
+        harmonic_volume_trace_exact_defect(curve, t)
+
+
 def test_trace_requires_assumption():
     curve = FermatCurve(5)
     t = assumption_check(curve, FermatIndex(5, 1, 1), FermatIndex(5, 1, 2),

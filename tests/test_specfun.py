@@ -17,7 +17,7 @@ import fermatvol
 from fermatvol import _quadrature, specfun
 from fermatvol.specfun import (_LOG_ULPS, BoundedComplex, BoundedReal, DivergenceError,
                                DomainError, PrecisionError, _bernoulli_even, _bits,
-                               _defect_poly, _fixed_prec, _hyp_unit_series,
+                               _certified, _defect_poly, _hyp_unit_series,
                                _ln_gamma_fixed, _log_fixed, _partial_sum,
                                _poly_from_factors, _round_product, _solve_tail_series,
                                _stirling_order, _stirling_sum, _tail_defect_majorant,
@@ -381,6 +381,37 @@ def test_gamma_quotient_raises_on_wide_bound(monkeypatch):
         gamma_quotient([F(1, 3)], [F(2, 3)], 30)
 
 
+@pytest.mark.parametrize("relative", [True, False])
+@pytest.mark.parametrize("value", [976, -976, 0])
+@pytest.mark.parametrize("digits,prec", [(0, 7), (3, 10), (30, 150)])
+def test_certified_accepts_the_contract_and_not_one_ulp_more(digits, prec, value, relative):
+    # err <= 10^-digits (1 + |value|), or err <= 10^-digits, on the exact integers
+    limit = ((1 << prec) + (abs(value) if relative else 0)) // 10 ** digits
+    r = _certified(value, limit, prec, digits, "test", relative=relative)
+    assert (r.value, r.err) == (mpmath.ldexp(value, -prec), mpmath.ldexp(limit, -prec))
+    with pytest.raises(PrecisionError, match=f"test bound .* above 10\\^-{digits}"):
+        _certified(value, limit + 1, prec, digits, "test", relative=relative)
+
+
+def test_certified_at_the_contract_exactly():
+    # 10^-3 (1 + 976/1024) = 2/1024 and 10^0 = 1024/1024 are reached, not just approached
+    assert _certified(976, 2, 10, 3, "test").err == mp.mpf(2) / 1024
+    assert _certified(-976, 1024, 10, 0, "test", relative=False).err == 1
+    with pytest.raises(PrecisionError):
+        _certified(976, 2, 10, 3, "test", relative=False)
+
+
+def test_ln_gamma_enforces_absolute_digits_contract(monkeypatch):
+    # a remainder above 10^-digits raises, whatever the value; one at it does not
+    def remainder(rem):
+        return lambda q, digits: (1 << 200, 0, rem, 100)
+    monkeypatch.setattr(specfun, "_ln_gamma_fixed", remainder((1 << 100) // 10 ** 20))
+    assert ln_gamma(F(1, 3), 20).err <= mp.mpf(10) ** -20
+    monkeypatch.setattr(specfun, "_ln_gamma_fixed", remainder((1 << 100) // 10 ** 20 + 1))
+    with pytest.raises(PrecisionError, match="ln_gamma bound"):
+        ln_gamma(F(1, 3), 20)
+
+
 _GAMMA_ARG = st.fractions(min_value=F(1, 40), max_value=4, max_denominator=40)
 
 
@@ -683,7 +714,7 @@ def test_series_kernels_match_list_reference(series, digits, escalated, terms):
     assert (_tail_defect_majorant(P, Q, V, L, K, M)
             == series_reference.tail_defect_majorant(P, Q, V, L, K, M))
     terms = M if terms is None else terms
-    prec = _fixed_prec(_bits(digits) + 46, M)
+    prec = _bits(digits) + 46 + M.bit_length()
     assert (_partial_sum(uppers, lowers, terms, prec)
             == series_reference.partial_sum(uppers, lowers, terms, prec))
 
