@@ -10,9 +10,9 @@ posteriori by doubling the order until two consecutive levels agree.
 This module deliberately avoids hypergeometric series, gamma functions
 and incomplete-beta routines: nodes and weights come from a numpy
 Golub-Welsch builder (G. H. Golub and J. H. Welsch, Math. Comp. 23,
-1969), and the one Beta value that normalises them from libm's
-``math.lgamma``, keeping the oracle independent of the closed forms it
-is used to check.
+1969), and the Beta values that normalise them, B(a1, b1) among them,
+from libm's ``math.lgamma``, keeping the oracle independent of the
+closed forms it is used to check.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 _ORDER0 = 24        # the first order of every sub-integral
 _TOL = 1e-12        # stop doubling once two consecutive orders agree this well
 _DOUBLINGS = 4      # order-doubling budget per sub-integral
-# oracle-test --n 15, the largest the CLI admits, can ask for at most 221 exponent keys
-# x 5 orders = 1,105 distinct rules (2.6 MB of nodes and weights), so this holds its
+# oracle-test --n 15, the largest the CLI admits, can ask for at most 39 exponent keys
+# x 5 orders = 195 distinct rules (0.46 MB of nodes and weights), so this holds its
 # whole working set and still bounds the cache for callers passing arbitrary rationals
 _RULES_MAX = 2048
 
@@ -95,51 +95,38 @@ def _kernel_sums(xs, nodes, weights, power: float):
     return (1.0 - np.outer(xs, nodes)) ** power @ weights
 
 
-def _converge(eval_at, start_order, max_doublings, tol):
-    order = start_order
+def _converge(eval_at):
+    """(value, error estimate): double the order from _ORDER0 until two consecutive
+    levels agree within _TOL, at most _DOUBLINGS times; the estimate is their last gap."""
+    order = _ORDER0
     prev = eval_at(order)
-    best_err = None
-    for _ in range(max_doublings):
+    for _ in range(_DOUBLINGS):
         order *= 2
         cur = eval_at(order)
         err = abs(cur - prev)
         prev = cur
-        best_err = err
-        if err <= tol:
+        if err <= _TOL:
             break
-    return prev, (best_err if best_err is not None else abs(prev))
-
-
-@lru_cache(maxsize=_RULES_MAX)
-def _full_beta(fa1: float, fb1: float) -> tuple[float, float]:
-    """B(a1, b1) by pure quadrature, converged: the integrand 1 under the Jacobi weight.
-
-    Cached, like region C, since it depends on one exponent pair only."""
-    def at(order):
-        _, w = _jacobi_01(order, fa1 - 1.0, fb1 - 1.0)
-        return float(np.sum(w))
-    return _converge(at, _ORDER0, _DOUBLINGS, _TOL)
+    return prev, err
 
 
 @lru_cache(maxsize=_RULES_MAX)
 def _region_c(fa2: float, fb2: float) -> tuple[float, float]:
-    """The second beta factor restricted to [1/2, 1], converged."""
+    """The second beta factor restricted to [1/2, 1], converged.
+
+    Cached, since it depends on one exponent pair only."""
     def at(order):
         # v = 1 - t/2, weight (1-v)^{b2-1} = (t/2)^{b2-1}
         tn, tw = _jacobi_01(order, fb2 - 1.0, 0.0)
         vs = 1.0 - tn / 2.0
         scale = 0.5 ** fb2
         return scale * float(np.dot(tw, vs ** (fa2 - 1.0)))
-    return _converge(at, _ORDER0, _DOUBLINGS, _TOL)
+    return _converge(at)
 
 
-def simplex_beta_integral(a1: Fraction, b1: Fraction, a2: Fraction,
-                          b2: Fraction) -> tuple[float, float]:
-    """(value, error estimate); see specfun.euler_double_integral for the decomposition."""
-    fa1, fb1, fa2, fb2 = float(a1), float(b1), float(a2), float(b2)
-
-    # region A: 0 <= v <= 1/2, u = v w
-    def region_a(order):
+def _region(fa1: float, fb1: float, fa2: float, fb2: float) -> tuple[float, float]:
+    """Region A, 0 <= v <= 1/2 with u = v w, converged; region D is this at (b1, a1, b2, a2)."""
+    def at(order):
         wn, ww = _jacobi_01(order, fa1 - 1.0, 0.0)
         # v = t/2 with weight v^{a1+a2-1}: jacobian 1/2, scale (1/2)^{a1+a2-1}
         tn, tw = _jacobi_01(order, fa1 + fa2 - 1.0, 0.0)
@@ -147,23 +134,19 @@ def simplex_beta_integral(a1: Fraction, b1: Fraction, a2: Fraction,
         inner = _kernel_sums(vs, wn, ww, fb1 - 1.0)
         scale = 0.5 ** (fa1 + fa2)
         return scale * float(np.dot(tw, (1.0 - vs) ** (fb2 - 1.0) * inner))
+    return _converge(at)
 
-    # D: complement correction over [1/2, 1]
-    def region_d(order):
-        zn, zw = _jacobi_01(order, fb1 - 1.0, 0.0)
-        tn, tw = _jacobi_01(order, fb1 + fb2 - 1.0, 0.0)
-        one_minus_vs = tn / 2.0
-        g = _kernel_sums(one_minus_vs, zn, zw, fa1 - 1.0)
-        vals = (1.0 - one_minus_vs) ** (fa2 - 1.0) * g
-        scale = 0.5 ** (fb1 + fb2)
-        return scale * float(np.dot(tw, vals))
 
-    va, ea = _converge(region_a, _ORDER0, _DOUBLINGS, _TOL)
-    vb, eb = _full_beta(fa1, fb1)
+def simplex_beta_integral(a1: Fraction, b1: Fraction, a2: Fraction,
+                          b2: Fraction) -> tuple[float, float]:
+    """(value, error estimate); see specfun.euler_double_integral for the decomposition."""
+    fa1, fb1, fa2, fb2 = float(a1), float(b1), float(a2), float(b2)
+    va, ea = _region(fa1, fb1, fa2, fb2)
+    vb = math.exp(math.lgamma(fa1) + math.lgamma(fb1) - math.lgamma(fa1 + fb1))
     vc, ec = _region_c(fa2, fb2)
-    vd, ed = _converge(region_d, _ORDER0, _DOUBLINGS, _TOL)
+    vd, ed = _region(fb1, fa1, fb2, fa2)
 
     total = va + vb * vc - vd
     scale = abs(va) + abs(vb * vc) + abs(vd) + 1.0
-    err = 10.0 * (ea + eb * abs(vc) + ec * abs(vb) + ed) + 1e-14 * scale
+    err = 10.0 * (ea + ec * vb + ed) + 1e-14 * scale
     return total, err

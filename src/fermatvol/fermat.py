@@ -96,6 +96,13 @@ def index_set(n: int) -> list[FermatIndex]:
     return out
 
 
+def _check_degree(curve: FermatCurve, *indices) -> None:
+    """Form and embedding indices must have the curve's degree."""
+    for idx in indices:
+        if idx.n != curve.n:
+            raise ValueError(f"{idx} is not an index of degree {curve.n}")
+
+
 # ---------------------------------------------------------------------------
 # exact carriers: c0 + c1 * (integral over delta)
 # ---------------------------------------------------------------------------
@@ -193,6 +200,7 @@ def delta_iterated_integral(curve: FermatCurve, idx1: FermatIndex, idx2: FermatI
     same multisets, so ``oracle-test`` evaluates 72 distinct forms for its
     144 pairs at N = 5.
     """
+    _check_degree(curve, idx1, idx2)
     a1, b1 = idx1.alpha, idx1.beta
     a2, b2 = idx2.alpha, idx2.beta
     return _closed_form_cached(tuple(sorted([a1 + a2, b1 + b2, a1 + b1, a2 + b2])),
@@ -235,6 +243,7 @@ def assumption_check(curve: FermatCurve,
       indices are holomorphic together or not at all.
     * strong_holo: the same statement over all three indices.
     """
+    _check_degree(curve, idx1, idx2, idx3)
     n = curve.n
     sums = ((idx1.a + idx2.a + idx3.a) % n == 0) and ((idx1.b + idx2.b + idx3.b) % n == 0)
     pairwise = True
@@ -253,7 +262,8 @@ def assumption_check(curve: FermatCurve,
     return TripleConfig((idx1, idx2, idx3), sums, pairwise, strong, tuple(twists))
 
 
-def _require_supported(t: TripleConfig) -> None:
+def _require_supported(curve: FermatCurve, t: TripleConfig) -> None:
+    _check_degree(curve, *t.indices)
     if not (t.sums_to_zero and t.pairwise_parallel_holo):
         raise EtaNotZeroError("triple must sum to zero with parallel holomorphy")
 
@@ -295,7 +305,8 @@ def harmonic_volume_sigma(curve: FermatCurve, t: TripleConfig,
     value is the conjugate of the conjugate-embedding value.  Mixed
     configurations would need the nonzero correction form and raise.
     """
-    _require_supported(t)
+    _require_supported(curve, t)
+    _check_degree(curve, sigma)
     i1, i2, _ = t.indices
     h = sigma.h
     holo1 = i1.scaled(h).is_holomorphic()
@@ -317,7 +328,7 @@ def harmonic_volume_trace(curve: FermatCurve, t: TripleConfig,
     integer in total (a tested identity), so modulo 1 this is the whole
     invariant.
     """
-    _require_supported(t)
+    _require_supported(curve, t)
     n = curve.n
     i1, i2, _ = t.indices
     return sum(delta_iterated_integral(curve, i1.scaled(h), i2.scaled(h), digits + 4)
@@ -332,7 +343,7 @@ def harmonic_volume_trace_exact_defect(curve: FermatCurve, t: TripleConfig) -> F
     triples only, as for ``harmonic_volume_sigma``.
     """
     from .cyclotomic import trace_to_rationals
-    _require_supported(t)
+    _require_supported(curve, t)
     i1, i2, i3 = t.indices
     n = curve.n
     ex = harmonic_volume_exact_parts(curve, t)

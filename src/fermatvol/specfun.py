@@ -836,10 +836,14 @@ def euler_double_integral(a1: Rational, b1: Rational, a2: Rational, b2: Rational
     v=1 is rewritten through its complement so that every piece has
     power singularities only at coordinate endpoints:
 
-      A = int_{0<=v<=1/2} v^{a1+a2-1}(1-v)^{b2-1} int_0^1 w^{a1-1}(1-vw)^{b1-1} dw dv
-      I = A + B(a1,b1) C - D,  C = int_{1/2}^1 v^{a2-1}(1-v)^{b2-1} dv,
-      D = int_{1/2}^1 v^{a2-1}(1-v)^{b1+b2-1} g(v) dv,
-      g(v) = int_0^1 z^{b1-1} (1-(1-v)z)^{a1-1} dz.
+      I = A(a1,b1,a2,b2) + B(a1,b1) C(a2,b2) - A(b1,a1,b2,a2),
+      A(a1,b1,a2,b2) = int_0^{1/2} v^{a1+a2-1}(1-v)^{b2-1} int_0^1 w^{a1-1}(1-vw)^{b1-1} dw dv,
+      C(a2,b2) = int_{1/2}^1 v^{a2-1}(1-v)^{b2-1} dv.
+
+    A is the ordered integral over u <= v <= 1/2 (u = vw).  B(a1,b1) C covers
+    u in [0,1], v in [1/2,1]; the subtracted part, u > v >= 1/2, is A with the
+    exponents swapped under (u, v) -> (1-v, 1-u).  B(a1,b1) is the normaliser
+    the Gauss-Jacobi rules already carry, from libm's lgamma.
     """
     fr = [Fraction(x) for x in (a1, b1, a2, b2)]
     for x in fr:
@@ -859,7 +863,6 @@ class DixonMember:
     value: Optional[BoundedReal]  # None when skipped
     skipped: bool
     margin: Fraction
-    note: str = ""
 
 
 def _dixon_table(a1: Fraction, b1: Fraction, a2: Fraction, b2: Fraction):
@@ -906,10 +909,8 @@ def dixon_family(a1: Rational, b1: Rational, a2: Rational, b2: Rational,
     out = []
     for i, (gnum, gden, fup, flo) in enumerate(_dixon_table(*fr), start=1):
         margin = sum(flo) - sum(fup)
-        bad_gamma = any(g <= 0 for g in gnum + gden)
-        if margin <= 0 or bad_gamma:
-            reason = "3F2 margin <= 0" if margin <= 0 else "gamma argument <= 0"
-            out.append(DixonMember(i, None, True, margin, reason))
+        if margin <= 0 or any(g <= 0 for g in gnum + gden):
+            out.append(DixonMember(i, None, True, margin))
             continue
         out.append(DixonMember(i, _gamma_hyp(gnum, gden, fup, flo, digits), False, margin))
     return out

@@ -565,6 +565,29 @@ def test_every_volume_requires_supported_triple(n, t1, t2, t3):
         harmonic_volume_trace_exact_defect(curve, t)
 
 
+def test_indices_of_another_degree_raise():
+    # N = 5 indices read on the degree-7 curve gave sigma 0 (true 20.307...i), trace 49
+    # (true 25) and defect 0 (true -150) with no error
+    idxs = [FermatIndex(5, a, b) for a, b in ((1, 1), (1, 1), (3, 3))]
+    t = assumption_check(FermatCurve(5), *idxs)
+    wrong = FermatCurve(7)
+    calls = [lambda: assumption_check(wrong, *idxs),
+             lambda: harmonic_volume_sigma(wrong, t, EmbeddingIndex(1, 7), 20),
+             lambda: harmonic_volume_trace(wrong, t, 20),
+             lambda: harmonic_volume_trace_exact_defect(wrong, t),
+             lambda: delta_iterated_integral(wrong, idxs[0], idxs[1], 20)]
+    for call in calls:
+        with pytest.raises(ValueError, match="not an index of degree 7") as info:
+            call()
+        assert not isinstance(info.value, EtaNotZeroError)
+    # an embedding of another degree: h = 3 mod 7 sent the antiholomorphic branch to its
+    # conjugate and back until RecursionError
+    right = FermatCurve(5)
+    for h in (1, 3):
+        with pytest.raises(ValueError, match="not an index of degree 5"):
+            harmonic_volume_sigma(right, t, EmbeddingIndex(h, 7), 20)
+
+
 def test_trace_requires_assumption():
     curve = FermatCurve(5)
     t = assumption_check(curve, FermatIndex(5, 1, 1), FermatIndex(5, 1, 2),

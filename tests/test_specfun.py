@@ -862,18 +862,58 @@ def test_jacobi_rules_are_cached_read_only_and_exact():
 
 
 def test_two_exponent_factors_converge_once_per_pair():
-    # B(a1, b1) reads (a1, b1) only and region C (a2, b2) only: a second integral sharing
-    # them reads both from their caches, which hold the floats of a fresh convergence
-    for cache in (_quadrature._full_beta, _quadrature._region_c):
-        cache.cache_clear()
+    # region C reads (a2, b2) only: a second integral sharing them reads it from its
+    # cache, which holds the floats of a fresh convergence
+    _quadrature._region_c.cache_clear()
     euler_double_integral(F(2, 7), F(3, 7), F(1, 7), F(5, 7))
     euler_double_integral(F(2, 7), F(3, 7), F(4, 7), F(5, 7))
     euler_double_integral(F(1, 7), F(1, 7), F(1, 7), F(5, 7))
-    assert _quadrature._full_beta.cache_info()[:2] == (1, 2)
     assert _quadrature._region_c.cache_info()[:2] == (1, 2)
-    for cache, args in ((_quadrature._full_beta, (2 / 7, 3 / 7)),
-                        (_quadrature._region_c, (4 / 7, 5 / 7))):
-        assert cache(*args) == cache.__wrapped__(*args)
+    assert _quadrature._region_c(4 / 7, 5 / 7) == _quadrature._region_c.__wrapped__(4 / 7, 5 / 7)
+
+
+def _region_d_reference(fa1, fb1, fa2, fb2):
+    """Region D as its own closure converged by its own doubling loop, as the oracle
+    computed it before region A's function took it over with the exponents swapped."""
+    def region_d(order):
+        zn, zw = _quadrature._jacobi_01(order, fb1 - 1.0, 0.0)
+        tn, tw = _quadrature._jacobi_01(order, fb1 + fb2 - 1.0, 0.0)
+        one_minus_vs = tn / 2.0
+        g = _quadrature._kernel_sums(one_minus_vs, zn, zw, fa1 - 1.0)
+        vals = (1.0 - one_minus_vs) ** (fa2 - 1.0) * g
+        scale = 0.5 ** (fb1 + fb2)
+        return scale * float(np.dot(tw, vals))
+    order, prev = 24, region_d(24)
+    for _ in range(4):
+        order *= 2
+        cur = region_d(order)
+        err, prev = abs(cur - prev), cur
+        if err <= 1e-12:
+            break
+    return prev, err
+
+
+def test_region_d_is_region_a_mirrored():
+    # D is A under (u, v) -> (1 - v, 1 - u): the swapped-exponent call reproduces the
+    # old closure's value and estimate bit for bit
+    from fermatvol.fermat import index_set
+    for n in range(4, 8):
+        exps = [(float(i.alpha), float(i.beta)) for i in index_set(n)]
+        for fa1, fb1 in exps:
+            for fa2, fb2 in exps:
+                assert _quadrature._region(fb1, fa1, fb2, fa2) \
+                    == _region_d_reference(fa1, fb1, fa2, fb2)
+
+
+@pytest.mark.parametrize("a1,b1", [(F(1, 7), F(6, 7)), (F(2, 7), F(3, 7)), (F(1, 40), F(1, 40)),
+                                   (F(39, 40), F(1, 3)), (F(1, 2), F(1, 2)), (F(1), F(1, 5))])
+def test_rule_weights_sum_to_libm_beta(a1, b1):
+    # the oracle reads B(a1, b1) from lgamma instead of summing a rule: every rule the
+    # doubling can reach carries that total
+    beta = math.exp(math.lgamma(a1) + math.lgamma(b1) - math.lgamma(a1 + b1))
+    for order in (24, 48, 96, 192, 384):
+        _, weights = _quadrature._jacobi_01(order, float(a1) - 1.0, float(b1) - 1.0)
+        assert abs(float(np.sum(weights)) - beta) <= 1e-14 * beta
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 24, 96, 384])
