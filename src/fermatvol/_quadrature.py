@@ -124,8 +124,12 @@ def _region_c(fa2: float, fb2: float) -> tuple[float, float]:
     return _converge(at)
 
 
+@lru_cache(maxsize=_RULES_MAX)
 def _region(fa1: float, fb1: float, fa2: float, fb2: float) -> tuple[float, float]:
-    """Region A, 0 <= v <= 1/2 with u = v w, converged; region D is this at (b1, a1, b2, a2)."""
+    """Region A, 0 <= v <= 1/2 with u = v w, converged; region D is this at (b1, a1, b2, a2).
+
+    Cached, since the pair (a1,b1)x(a2,b2) and its swap (b1,a1)x(b2,a2) ask for the
+    same two regions; ``oracle-test`` at N <= 8 asks for at most 1,764 distinct ones."""
     def at(order):
         wn, ww = _jacobi_01(order, fa1 - 1.0, 0.0)
         # v = t/2 with weight v^{a1+a2-1}: jacobian 1/2, scale (1/2)^{a1+a2-1}

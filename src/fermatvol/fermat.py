@@ -161,6 +161,7 @@ class DeltaLinear:
 
 def kappa_exact(curve: FermatCurve, idx1: FermatIndex, idx2: FermatIndex) -> DeltaLinear:
     """(1-xi^{a+c})(1-xi^{b+d}) * I_delta + (1-xi^b)(xi^{a+c}+xi^{c+d}-xi^c-xi^d)."""
+    _check_degree(curve, idx1, idx2)
     n = curve.n
     a, b = idx1.a, idx1.b
     c, d = idx2.a, idx2.b
@@ -285,6 +286,7 @@ def harmonic_volume_exact_parts(curve: FermatCurve, t: TripleConfig) -> DeltaLin
     zero-sum triple the delta coefficient is N^2 (1-xi^{-a3})(1-xi^{-b3})/(1-xi^{-(a3+b3)});
     the tests check the result against the literal loop.
     """
+    _check_degree(curve, *t.indices)
     i1, i2, i3 = t.indices
     return _sigma_exact_parts_cached(curve.n, i1.a, i1.b, i2.a, i2.b, i3.a, i3.b)
 

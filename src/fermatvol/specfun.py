@@ -44,6 +44,14 @@ f(N,k), on exact integers.  Bound propagation is conservative:
   products of one big integer with the small coefficients of P and Q;
   its coefficients are read back from b-bit slots, b a multiple of 8
   with |G_i| <= 2^{K+1} (|Q|_1 (|V|_1 + L) + |P|_1 |V|_1) < 2^(b-1).
+  The exact solve for V is the same at every order up to K: step m
+  rescales the common denominator and the earlier coefficients by an
+  integer f_m and appends v_m, reading nothing that K changes.  So each
+  series keeps its highest solve in ``_TAIL_SOLVES``, a process-local LRU
+  memo keyed on the exact (P, Q, margin), as its coefficients and its
+  factors f_m.  A lower order divides out prod_{m>K} f_m; a higher one,
+  from the next precision of an all-k sweep or from a failed attempt,
+  continues from the last step.  Both return the integers of a cold solve.
 
 One fixed-point loop, ``_fixed_point_sum``, sums both kinds of series on
 plain Python ints: every quantity is an integer count of ulps 2^-prec, prec
@@ -97,6 +105,8 @@ numerator divided by its denominator.  ``agrees_with`` compares exactly.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -576,6 +586,15 @@ def _alternate(a):
     return [-c if j % 2 else c for j, c in enumerate(a)]
 
 
+# one entry per (P, Q, s): the alternating-sign coefficients over their common
+# denominator and the per-step denominator factors f_m, at the highest order solved
+# so far; 4-5 kB for a twist 3F2 at 62 digits (K = 36), 9-13 kB at 126 and 24-40 kB
+# at 256.  An all-k sweep of N = 4..9 keeps 13 series live
+_TAIL_SOLVES_MAX = 64
+_TAIL_SOLVES = OrderedDict()
+_TAIL_SOLVES_LOCK = threading.Lock()
+
+
 def _solve_tail_series(P, Q, s, K):
     """Coefficients v_k = V[k] / L of W(n) = n V(1/n) for the tail recurrence.
 
@@ -587,9 +606,39 @@ def _solve_tail_series(P, Q, s, K):
     lower parameters (with 1), so Q[0] = D^d and every C is an integer
     over D^d; the solution is kept over the one common denominator L.
 
-    Row k of C is read only at j <= K+1-k.  Rows and V are kept in
-    alternating-sign form, c_j (-1)^j and v_k (-1)^k, in which dividing by
-    (1+x) is a prefix sum.
+    The solve at order K is an exact prefix of every higher one (see the
+    module docstring): ``_TAIL_SOLVES`` divides it out of the series' highest
+    solve or continues that one, so (V, L) is the same integers whatever was
+    asked before.
+    """
+    key = (tuple(P), tuple(Q), s)
+    with _TAIL_SOLVES_LOCK:
+        entry = _TAIL_SOLVES.get(key)
+        if entry is not None:
+            _TAIL_SOLVES.move_to_end(key)
+    if entry is None or len(entry[1]) <= K:
+        entry = _tail_solve_steps(P, Q, s, K, *(entry or ((), ())))
+        with _TAIL_SOLVES_LOCK:
+            # a concurrent solve of the same series may have gone further
+            if len(_TAIL_SOLVES.get(key, ((), ()))[1]) < len(entry[1]):
+                _TAIL_SOLVES[key] = entry
+            _TAIL_SOLVES.move_to_end(key)
+            while len(_TAIL_SOLVES) > _TAIL_SOLVES_MAX:
+                _TAIL_SOLVES.popitem(last=False)
+    Valt, factors = entry
+    if len(factors) > K + 1:
+        later = math.prod(factors[K + 1:])
+        Valt = [x // later for x in Valt[:K + 1]]
+    return _alternate(Valt), math.prod(factors[:K + 1])
+
+
+def _tail_solve_steps(P, Q, s, K, Valt, factors):
+    """Steps len(factors)..K of the triangular solve, continuing from the alternating-sign
+    coefficients ``Valt`` and the factors f_m of the steps before; new tuples.
+
+    Row k of C is read only at j <= K+1-k, where its entries are prefix sums that
+    do not depend on K.  Rows and V are kept in alternating-sign form, c_j (-1)^j
+    and v_k (-1)^k, in which dividing by (1+x) is a prefix sum.
     """
     Qalt = _alternate(Q[:K + 2])
     Qalt += [0] * (K + 2 - len(Qalt))
@@ -601,9 +650,9 @@ def _solve_tail_series(P, Q, s, K):
         C.append(list(map(sub, Qalt, row)))
         row = list(accumulate(row[:K + 1 - k]))
     sn, sd = s.numerator, s.denominator
-    Valt: list[int] = []
-    L = 1
-    for m in range(K + 1):
+    Valt, factors = list(Valt), list(factors)
+    L = math.prod(factors)
+    for m in range(len(factors), K + 1):
         # R = L q_m - sum_{k<m} v_k C[k][m+1-k], the sum with every sign folded into (-1)^m
         acc = sum(map(mul, Valt, map(getitem, C, range(m + 1, 1, -1))))
         R = L * Qalt[m] + acc if m % 2 == 0 else -(L * Qalt[m] + acc)
@@ -611,11 +660,12 @@ def _solve_tail_series(P, Q, s, K):
         num, den = sd * R, Q[0] * (sn + m * sd)
         g = math.gcd(num, den)
         f = den // g
+        factors.append(f)
         if f > 1:
             L *= f
             Valt = [x * f for x in Valt]
         Valt.append(-(num // g) if m % 2 else num // g)
-    return _alternate(Valt), L
+    return tuple(Valt), tuple(factors)
 
 
 def _defect_poly(P, Q, V, L, K):
@@ -714,7 +764,7 @@ def hyp_unit_sum(uppers: Sequence[Rational], lowers: Sequence[Rational],
 def _hyp_unit_series(uppers: list[Fraction], lowers: list[Fraction], margin: Fraction,
                      digits: int, M: int, K: int) -> BoundedReal:
     """``hyp_unit_sum`` of a non-terminating series from M terms and a tail of order K;
-    each failed attempt doubles M and raises K by half."""
+    each failed attempt doubles M and raises K by half, continuing the tail solve."""
     # all linear factors must be positive (and comfortably so for the
     # negative-parameter Q-majorization) from index M on
     floor_shift = max([0] + [int(math.floor(-2 * float(x))) + 1

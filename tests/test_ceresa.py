@@ -61,6 +61,36 @@ def test_f_value_scaling_in_k():
         assert gap <= r3.value.err + scale * r1.value.err
 
 
+def test_f_value_independent_of_k_order(monkeypatch):
+    # every admissible k at N = 9, ascending and then descending, each from cold caches:
+    # ascending continues each twist series' tail solve to the next precision, descending
+    # solves it once at the highest and reads the lower orders back from its exact prefix
+    resumed = []
+    steps = specfun._tail_solve_steps
+
+    def counted(P, Q, s, K, Valt, factors):
+        resumed.append(bool(factors))
+        return steps(P, Q, s, K, Valt, factors)
+
+    monkeypatch.setattr(specfun, "_tail_solve_steps", counted)
+
+    def sweep(ks):
+        ceresa._h_term.cache_clear()
+        specfun._ln_gamma_fixed.cache_clear()
+        specfun._TAIL_SOLVES.clear()
+        resumed.clear()
+        rows = {k: f_value(9, k) for k in ks}
+        return {k: (r.value.value._mpf_, r.err._mpf_, r.frac._mpf_, r.verdict)
+                for k, r in rows.items()}, any(resumed)
+
+    ks = range(1, genus(9) - 1)
+    up, up_resumed = sweep(ks)
+    down, down_resumed = sweep(reversed(ks))
+    assert up == down
+    assert up_resumed and not down_resumed
+    assert {v[3] for v in up.values()} == {"non-integral"}
+
+
 def test_verdict_logic():
     assert verdict_for(mp.mpf("0.3"), mp.mpf("0.001")) == "non-integral"
     assert verdict_for(mp.mpf("0.3"), mp.mpf("0.04")) == "inconclusive"

@@ -186,11 +186,23 @@ def test_oracle_test_reference_line(capsys):
 def test_oracle_test_reruns_byte_identical(capsys):
     # the second run in one process reads every closed form and quadrature factor
     # from the memos and must print the same bytes as the first
-    from fermatvol import fermat
+    from fermatvol import _quadrature, fermat
     fermat._closed_form_cached.cache_clear()
+    _quadrature._region.cache_clear()
     first = run(capsys, ["oracle-test", "--n", "5"])
     assert fermat._closed_form_cached.cache_info().currsize == 72
     assert run(capsys, ["oracle-test", "--n", "5"]) == first
+
+
+def test_oracle_test_evaluates_each_region_once(capsys):
+    # the 144 pairs ask for 288 regions: A at (a1, b1, a2, b2) and, as region D, A at
+    # the swapped pair (b1, a1, b2, a2), which is another of the 144
+    from fermatvol import _quadrature
+    _quadrature._region.cache_clear()
+    code, out, _ = run(capsys, ["oracle-test", "--n", "5"])
+    assert code == 0 and out == "144 pairs at N=5: worst |closed - quadrature| = 6.65e-10\n"
+    info = _quadrature._region.cache_info()
+    assert (info.misses, info.hits) == (144, 144)
 
 
 def test_twist_terms_bound_closed_form():

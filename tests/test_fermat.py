@@ -449,19 +449,23 @@ def test_harmonic_volume_sigma_evaluates_each_conjugate_pair_once(monkeypatch):
         assert _bits_of(values[11 - h]) == (re, mpf_neg(im), err)
 
 
+def _clear_caches():
+    for cache in (harmonic_volume_sigma, specfun._ln_gamma_fixed, _sigma_exact_parts_cached,
+                  fermat._closed_form_cached):
+        cache.cache_clear()
+    specfun._TAIL_SOLVES.clear()
+
+
 def test_harmonic_volume_sigma_independent_of_call_history():
-    # a warm cache never answers a 20-digit request with a 30-digit entry
+    # a warm cache never answers a 20-digit request with a 30-digit entry; the tail
+    # solves of the 30-digit series answer the 20-digit ones by their exact prefix
     curve, t = _n11_triple()
     sigmas = [EmbeddingIndex(h, 11) for h in range(1, 11)]
-    caches = (harmonic_volume_sigma, specfun._ln_gamma_fixed, _sigma_exact_parts_cached,
-              fermat._closed_form_cached)
-    for cache in caches:
-        cache.cache_clear()
+    _clear_caches()
     for sig in sigmas:
         harmonic_volume_sigma(curve, t, sig, 30)
     warm = [_bits_of(harmonic_volume_sigma(curve, t, sig, 20)) for sig in sigmas]
-    for cache in caches:
-        cache.cache_clear()
+    _clear_caches()
     cold = [_bits_of(harmonic_volume_sigma(curve, t, sig, 20)) for sig in sigmas]
     assert warm == cold
     assert cold != [_bits_of(harmonic_volume_sigma(curve, t, sig, 30)) for sig in sigmas]
@@ -473,9 +477,7 @@ def test_harmonic_volume_sigma_independent_of_ambient_precision():
     sigmas = [EmbeddingIndex(h, 11) for h in range(1, 11)]
     runs = []
     for prec in (20, 400):
-        for cache in (harmonic_volume_sigma, specfun._ln_gamma_fixed, _sigma_exact_parts_cached,
-                      fermat._closed_form_cached):
-            cache.cache_clear()
+        _clear_caches()
         with mp.workprec(prec):
             runs.append([_bits_of(harmonic_volume_sigma(curve, t, sig, 30)) for sig in sigmas])
     assert runs[0] == runs[1]
@@ -567,7 +569,7 @@ def test_every_volume_requires_supported_triple(n, t1, t2, t3):
 
 def test_indices_of_another_degree_raise():
     # N = 5 indices read on the degree-7 curve gave sigma 0 (true 20.307...i), trace 49
-    # (true 25) and defect 0 (true -150) with no error
+    # (true 25), defect 0 (true -150) and exact parts DeltaLinear(0, 0) with no error
     idxs = [FermatIndex(5, a, b) for a, b in ((1, 1), (1, 1), (3, 3))]
     t = assumption_check(FermatCurve(5), *idxs)
     wrong = FermatCurve(7)
@@ -575,7 +577,9 @@ def test_indices_of_another_degree_raise():
              lambda: harmonic_volume_sigma(wrong, t, EmbeddingIndex(1, 7), 20),
              lambda: harmonic_volume_trace(wrong, t, 20),
              lambda: harmonic_volume_trace_exact_defect(wrong, t),
-             lambda: delta_iterated_integral(wrong, idxs[0], idxs[1], 20)]
+             lambda: delta_iterated_integral(wrong, idxs[0], idxs[1], 20),
+             lambda: kappa_exact(wrong, idxs[0], idxs[1]),
+             lambda: harmonic_volume_exact_parts(wrong, t)]
     for call in calls:
         with pytest.raises(ValueError, match="not an index of degree 7") as info:
             call()

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath
@@ -733,12 +734,101 @@ def test_tail_defect_majorant_detects_wrong_solution(index, step):
         series_reference.tail_defect_majorant(P, Q, V, L, 33, 224)
 
 
-@pytest.mark.parametrize("uppers, lowers", [
+_TAIL_GRID = [
     ([F(23, 97), F(23, 97), F(51, 97)], [F(1), F(1)]),
     ([F(-7, 3), F(1, 2)], [F(3, 2)]),
     ([F(-1, 2), F(-1, 3), F(-1, 4)], []),       # len(P) > len(Q)
     ([F(1, 5), F(0), F(2, 5)], [F(7, 5), F(-1, 3)]),
-])
+]
+
+
+def _tail_keys(grid):
+    return [(*_tail_polys(uppers, lowers), sum(lowers) - sum(uppers)) for uppers, lowers in grid]
+
+
+@pytest.mark.parametrize("maxsize", [64, 1])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tail_solve_memo_is_order_independent(monkeypatch, maxsize, seed):
+    # each series asked for its orders, twice, in a seeded shuffle on one warm memo: an
+    # order below the stored one is its exact prefix, one above continues it, and every
+    # answer is the cold reference's integers; at maxsize 1 the series evict each other
+    monkeypatch.setattr(specfun, "_TAIL_SOLVES_MAX", maxsize)
+    specfun._TAIL_SOLVES.clear()
+    keys = _tail_keys(_TAIL_GRID)
+    requests = [(i, K) for i in range(len(keys)) for K in (1, 2, 3, 8, 17, 33, 34, 49)] * 2
+    random.Random(seed).shuffle(requests)
+    want = {}
+    for i, K in requests:
+        if (i, K) not in want:
+            want[i, K] = series_reference.solve_tail_series(*keys[i], K)
+        assert _solve_tail_series(*keys[i], K) == want[i, K], (i, K)
+    assert len(specfun._TAIL_SOLVES) == min(maxsize, len(keys))
+    specfun._TAIL_SOLVES.clear()
+
+
+def test_tail_solve_memo_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(specfun, "_TAIL_SOLVES_MAX", 2)
+    specfun._TAIL_SOLVES.clear()
+    a, b, c = _tail_keys(_TAIL_GRID[:3])
+    _solve_tail_series(*a, 8)
+    _solve_tail_series(*b, 8)
+    _solve_tail_series(*a, 3)       # a prefix read also marks a as used
+    _solve_tail_series(*c, 8)
+    assert [key[2] for key in specfun._TAIL_SOLVES] == [a[2], c[2]]
+    specfun._TAIL_SOLVES.clear()
+
+
+def test_interrupted_tail_solve_keeps_the_stored_entry(monkeypatch):
+    # an exception part-way through an extension leaves the stored solve as it was
+    P, Q, s = _tail_keys(_TAIL_GRID[:1])[0]
+    specfun._TAIL_SOLVES.clear()
+    _solve_tail_series(P, Q, s, 20)
+    (entry,) = specfun._TAIL_SOLVES.values()
+    products = []
+
+    def failing_mul(x, y):
+        products.append(1)
+        if len(products) > 40:
+            raise RuntimeError("interrupted")
+        return x * y
+
+    monkeypatch.setattr(specfun, "mul", failing_mul)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        _solve_tail_series(P, Q, s, 30)
+    monkeypatch.undo()
+    assert len(specfun._TAIL_SOLVES) == 1
+    assert specfun._TAIL_SOLVES[tuple(P), tuple(Q), s] is entry
+    assert _solve_tail_series(P, Q, s, 30) == series_reference.solve_tail_series(P, Q, s, 30)
+    specfun._TAIL_SOLVES.clear()
+
+
+def test_tail_solve_memo_under_threads():
+    # more threads than cores ask for shuffled orders of three series at a short switch
+    # interval; a lost update or a half-made entry would hand some thread other integers,
+    # and the memo must end with each series at its highest order
+    keys = _tail_keys(_TAIL_GRID[:3])
+    want = {(i, K): series_reference.solve_tail_series(*keys[i], K)
+            for i in range(len(keys)) for K in (4, 9, 17, 30)}
+
+    def worker(seed):
+        jobs = list(want) * 3
+        random.Random(seed).shuffle(jobs)
+        return all(_solve_tail_series(*keys[i], K) == want[i, K] for i, K in jobs)
+
+    specfun._TAIL_SOLVES.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(worker, seed) for seed in range(8)]
+            assert all(f.result(timeout=120) for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(len(factors) for _, factors in specfun._TAIL_SOLVES.values()) == [31] * 3
+    specfun._TAIL_SOLVES.clear()
+
+
+@pytest.mark.parametrize("uppers, lowers", _TAIL_GRID)
 @pytest.mark.parametrize("K", [1, 2, 3, 8, 33])
 def test_defect_poly_has_list_length(uppers, lowers, K):
     # hd = L D^d M^(len(G) - K - 3) depends on the length, trailing zeros included
@@ -852,9 +942,12 @@ def test_jacobi_rules_are_cached_read_only_and_exact():
         for arr in (nodes, weights):
             with pytest.raises(ValueError):
                 arr[0] = 0.5
-    # the same integral twice: identical value and bound, and the rules come from the cache
+    # the same integral twice: identical value and bound, and the rules come from the cache;
+    # the converged regions are cached too, so they are cleared for the second to rebuild
     args = (F(2, 7), F(3, 7), F(1, 7), F(5, 7))
     first = euler_double_integral(*args)
+    _quadrature._region.cache_clear()
+    _quadrature._region_c.cache_clear()
     hits = _quadrature._jacobi_01.cache_info().hits
     second = euler_double_integral(*args)
     assert (second.value, second.err) == (first.value, first.err)
