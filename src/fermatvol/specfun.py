@@ -46,11 +46,12 @@ f(N,k), on exact integers.  Bound propagation is conservative:
   with |G_i| <= 2^{K+1} (|Q|_1 (|V|_1 + L) + |P|_1 |V|_1) < 2^(b-1).
   The exact solve for V is the same at every order up to K: step m
   rescales the common denominator and the earlier coefficients by an
-  integer f_m and appends v_m, reading nothing that K changes.  So each
-  series keeps its highest solve in ``_TAIL_SOLVES``, a process-local LRU
-  memo keyed on the exact (P, Q, margin), as its coefficients and its
-  factors f_m.  A lower order divides out prod_{m>K} f_m; a higher one,
-  from the next precision of an all-k sweep or from a failed attempt,
+  integer f_m and appends v_m, reading one anti-diagonal of the system and
+  nothing that K changes.  So each series keeps one record in ``_SERIES``,
+  a process-local LRU memo keyed on its exact parameters, and its tail
+  half is the highest solve: the coefficients, the factors f_m and the
+  next anti-diagonal.  A lower order divides out prod_{m>K} f_m; a higher
+  one, from the next precision of an all-k sweep or from a failed attempt,
   continues from the last step.  Both return the integers of a cold solve.
 
 One fixed-point loop, ``_fixed_point_sum``, sums both kinds of series on
@@ -64,13 +65,17 @@ at most the sum of the E_n, the tail floor(T_M W(M)) (W(M) an exact
 rational; a terminating series has none) by ceil(E_M |W(M)|) + 1, and the
 truncation bound is rounded up from exact integers.  These ulp counts do
 not depend on prec, so one rerun with them times 10^digits below
-2^(prec-1) meets the contract when terms far above 1 break it.
+2^(prec-1) meets the contract when terms far above 1 break it.  Nor do
+the ratios, so the partial-sum half of the series' record keeps the
+ratios and the E_n for the most terms asked so far: another prec, or
+fewer terms, reruns only the T chain, and more terms continue the one
+loop from the stored end.
 
 Log-gamma rounds in the same fixed point.  Each Stirling term is one
 floor division of the exact Bernoulli numerator times D^{2j-1} by
 A^{2j-1} (under one ulp each), and the remainder bound is rounded up
-from exact integers.  Only ln A, ln D, ln R and ln(2 pi) come from
-mpmath; each is evaluated with guard bits and charged a stated
+from exact integers.  Only ln A, ln D, ln R and ln(2 pi) (once per prec)
+come from mpmath; each is evaluated with guard bits and charged a stated
 ``_LOG_ULPS``, and the error of ln y = ln A - ln D is multiplied by
 |y - 1/2|.  Guard bits for that total keep the rounding below one ulp of
 the nominal working precision, so the bound is the Stirling remainder
@@ -111,7 +116,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from operator import getitem, mul, sub
+from operator import add, mul
 from typing import Optional, Sequence, Union
 
 import mpmath
@@ -361,26 +366,35 @@ def _certified(value: int, err: int, prec: int, digits: int, what: str,
 # ---------------------------------------------------------------------------
 
 _BERNOULLI_EVEN: list[Fraction] = [Fraction(1)]
+# beside the row: (numerator, denominator (2n)(2n-1)) of B_2n / ((2n)(2n-1)), the
+# Stirling coefficients, and the last row of the Seidel-Entringer-Arnold triangle
+_STIRLING_COEFFS: list[Optional[tuple[int, int]]] = [None]
+_SEIDEL_ROW: list[int] = [1]
+_BERNOULLI_LOCK = threading.Lock()
 
 
 def _bernoulli_even(J: int) -> list[Fraction]:
     """The shared row [B_0, B_2, ..., B_2n], n >= J, of exact Bernoulli numbers.
 
-    Built from the tangent numbers T_n (Brent and Harvey's integer
-    recurrence) as B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)); a row that
-    is too short is rebuilt at least twice as long.
+    Built from the tangent numbers T_n = A_{2n-1}, the zigzag numbers A_k
+    ending the rows of the Seidel-Entringer-Arnold triangle (one prefix sum
+    per row; Brent and Harvey), as B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)).
+    A row that is too short grows in place to exactly J + 1 entries, the
+    Stirling coefficients first, so a reader of either never finds it short.
     """
     row = _BERNOULLI_EVEN
     if len(row) <= J:
-        N = max(J, 2 * (len(row) - 1))
-        T = [0, 1] + [0] * (N - 1)
-        for k in range(2, N + 1):
-            T[k] = (k - 1) * T[k - 1]
-        for k in range(2, N + 1):
-            for j in range(k, N + 1):
-                T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
-        row[1:] = [Fraction((-1) ** (n - 1) * 2 * n * T[n], 4 ** n * (4 ** n - 1))
-                   for n in range(1, N + 1)]
+        with _BERNOULLI_LOCK:
+            seidel = _SEIDEL_ROW
+            for n in range(len(row), J + 1):
+                # rows 2n - 1 and 2n from row 2n - 2: each is 0 and the prefix sums of
+                # the row before, reversed
+                seidel[:] = [0, *accumulate(reversed(seidel))]
+                T = seidel[-1]
+                seidel[:] = [0, *accumulate(reversed(seidel))]
+                b = Fraction((-1) ** (n - 1) * 2 * n * T, 4 ** n * (4 ** n - 1))
+                _STIRLING_COEFFS.append((b.numerator, b.denominator * (2 * n) * (2 * n - 1)))
+                row.append(b)
     return row
 
 
@@ -418,16 +432,18 @@ def _stirling_sum(A: int, D: int, J: int, prec: int) -> tuple[int, int, int]:
     rem is the first omitted term |B_{2J+2}| / ((2J+2)(2J+1) y^{2J+1}) in
     ulps, rounded up, which bounds the remainder for every real y > 0.
     """
-    B = _bernoulli_even(J + 1)
+    _bernoulli_even(J + 1)
+    coeffs = _STIRLING_COEFFS
     num, den = D << prec, A          # 2^prec D^{2j-1} and A^{2j-1}
     D2, A2 = D * D, A * A
     S = 0
     for j in range(1, J + 1):
-        S += B[j].numerator * num // (B[j].denominator * (2 * j) * (2 * j - 1) * den)
+        bn, bd = coeffs[j]
+        S += bn * num // (bd * den)
         num *= D2
         den *= A2
-    b = B[J + 1]
-    rem = -(-abs(b.numerator) * num // (b.denominator * (2 * J + 2) * (2 * J + 1) * den))
+    bn, bd = coeffs[J + 1]
+    rem = -(-abs(bn) * num // (bd * den))
     return S, J, rem
 
 
@@ -441,6 +457,13 @@ def _log_fixed(n: int, prec: int) -> int:
     # floor(2^prec ln n) within _LOG_ULPS, since |ln n| < n.bit_length()
     lp = prec + n.bit_length().bit_length() + 8
     return to_fixed(mpf_log(from_int(n), lp, round_floor), prec)
+
+
+@lru_cache(maxsize=256)
+def _half_ln_2pi(prec: int) -> int:
+    # floor(2^prec ln(2 pi) / 2) within _LOG_ULPS; one entry per working precision, of
+    # which the default 96-row table meets one
+    return to_fixed(mpf_log(mpf_shift(mpf_pi(prec + 8), 1), prec + 8), prec - 1)
 
 
 # one entry per distinct (argument, digits), about 0.4 kB each: the default 96-row
@@ -470,10 +493,9 @@ def _ln_gamma_fixed(q: Fraction, digits: int) -> tuple[int, int, int, int]:
     prec = _bits(digits) + 30 + (round_err + J).bit_length()
     LA, LD = _log_fixed(A, prec), _log_fixed(D, prec)
     S, S_err, rem = _stirling_sum(A, D, J, prec)
-    half_ln_2pi = to_fixed(mpf_log(mpf_shift(mpf_pi(prec + 8), 1), prec + 8), prec - 1)
     value = ((2 * A - D) * (LA - LD) // (2 * D)        # (y - 1/2) ln y
              - (A << prec) // D                         # - y
-             + half_ln_2pi + S
+             + _half_ln_2pi(prec) + S
              - _log_fixed(math.prod(range(a, A, D)), prec) + m * LD)   # - ln(R / D^m)
     return value, round_err + S_err, rem, prec
 
@@ -586,76 +608,107 @@ def _alternate(a):
     return [-c if j % 2 else c for j, c in enumerate(a)]
 
 
-# one entry per (P, Q, s): the alternating-sign coefficients over their common
-# denominator and the per-step denominator factors f_m, at the highest order solved
-# so far; 4-5 kB for a twist 3F2 at 62 digits (K = 36), 9-13 kB at 126 and 24-40 kB
-# at 256.  An all-k sweep of N = 4..9 keeps 13 series live
-_TAIL_SOLVES_MAX = 64
-_TAIL_SOLVES = OrderedDict()
-_TAIL_SOLVES_LOCK = threading.Lock()
+def _series_polys(uppers, lowers):
+    # P = D^d prod (1 + a x) over the uppers and Q the same over the lowers and 1, D
+    # clearing every denominator: integer coefficients, Q[0] = D^d
+    D = math.lcm(*(x.denominator for x in uppers + lowers))
+    d = max(len(uppers), len(lowers) + 1)
+    return _poly_from_factors(uppers, D, d), _poly_from_factors(lowers + [Fraction(1)], D, d)
 
 
-def _solve_tail_series(P, Q, s, K):
+# one record per series, keyed on its exact (uppers, lowers): its partial-sum half and
+# its tail-solve half, each an immutable tuple at the most terms or the highest order
+# asked so far (None until asked).  A twist 3F2 holds 28-29 kB of term ratios and ulp
+# counts and 6-7 kB of solve at 62 digits (M = 248, K = 36), 58 kB and 13-16 kB at 126.
+# An all-k sweep of N = 4..9 keeps 13 series live
+_SERIES_MAX = 16
+_SERIES = OrderedDict()
+_SERIES_LOCK = threading.Lock()
+
+
+def _series_key(uppers, lowers) -> tuple:
+    # the exact parameters as int pairs: a key of Fractions costs more to hash and compare
+    return (tuple([(a.numerator, a.denominator) for a in uppers]),
+            tuple([(b.numerator, b.denominator) for b in lowers]))
+
+
+def _series_half(key, i: int):
+    """Half i (0: partial sum, 1: tail solve) of the series' record, or None;
+    a read marks the record used."""
+    with _SERIES_LOCK:
+        record = _SERIES.get(key)
+        if record is None:
+            return None
+        _SERIES.move_to_end(key)
+        return record[i]
+
+
+def _store_half(key, i: int, half: tuple) -> None:
+    # replace half i with a longer one, never mutated in place: a concurrent extension
+    # of the same series may have stored more; then evict the least recently used
+    with _SERIES_LOCK:
+        record = list(_SERIES.get(key, (None, None)))
+        if record[i] is None or len(record[i][0]) < len(half[0]):
+            record[i] = half
+            _SERIES[key] = tuple(record)
+        _SERIES.move_to_end(key)
+        while len(_SERIES) > _SERIES_MAX:
+            _SERIES.popitem(last=False)
+
+
+def _solve_tail_series(uppers, lowers, K):
     """Coefficients v_k = V[k] / L of W(n) = n V(1/n) for the tail recurrence.
 
     Writing the functional equation q V = x q + p (1+x) V(x/(1+x)) order
     by order gives a triangular linear system: the unknown v_m enters
     the x^{m+1} equation with coefficient (s + m), s the convergence
     margin, via C[k][j] = q_{j-k} - [p (1+x)^{1-k}]_{j-k}.  Here P and Q
-    are D^d p and D^d q with p, q = prod (1 + a x) over the upper and the
-    lower parameters (with 1), so Q[0] = D^d and every C is an integer
-    over D^d; the solution is kept over the one common denominator L.
+    are D^d p and D^d q (``_series_polys``), so Q[0] = D^d and every C is an
+    integer over D^d; the solution is kept over the one common denominator L.
 
     The solve at order K is an exact prefix of every higher one (see the
-    module docstring): ``_TAIL_SOLVES`` divides it out of the series' highest
+    module docstring): the series' record divides it out of the highest
     solve or continues that one, so (V, L) is the same integers whatever was
     asked before.
     """
-    key = (tuple(P), tuple(Q), s)
-    with _TAIL_SOLVES_LOCK:
-        entry = _TAIL_SOLVES.get(key)
-        if entry is not None:
-            _TAIL_SOLVES.move_to_end(key)
-    if entry is None or len(entry[1]) <= K:
-        entry = _tail_solve_steps(P, Q, s, K, *(entry or ((), ())))
-        with _TAIL_SOLVES_LOCK:
-            # a concurrent solve of the same series may have gone further
-            if len(_TAIL_SOLVES.get(key, ((), ()))[1]) < len(entry[1]):
-                _TAIL_SOLVES[key] = entry
-            _TAIL_SOLVES.move_to_end(key)
-            while len(_TAIL_SOLVES) > _TAIL_SOLVES_MAX:
-                _TAIL_SOLVES.popitem(last=False)
-    Valt, factors = entry
+    key = _series_key(uppers, lowers)
+    solve = _series_half(key, 1)
+    if solve is None or len(solve[0]) <= K:
+        P, Q = _series_polys(uppers, lowers)
+        solve = _tail_solve_steps(P, Q, sum(lowers) - sum(uppers), K, *(solve or ((), (), ())))
+        _store_half(key, 1, solve)
+    Valt, factors, _ = solve
     if len(factors) > K + 1:
         later = math.prod(factors[K + 1:])
         Valt = [x // later for x in Valt[:K + 1]]
     return _alternate(Valt), math.prod(factors[:K + 1])
 
 
-def _tail_solve_steps(P, Q, s, K, Valt, factors):
+def _tail_solve_steps(P, Q, s, K, Valt, factors, diag):
     """Steps len(factors)..K of the triangular solve, continuing from the alternating-sign
-    coefficients ``Valt`` and the factors f_m of the steps before; new tuples.
+    coefficients ``Valt``, the factors f_m of the steps before and the anti-diagonal
+    ``diag`` of the next step; new tuples (Valt, factors, diag).
 
-    Row k of C is read only at j <= K+1-k, where its entries are prefix sums that
-    do not depend on K.  Rows and V are kept in alternating-sign form, c_j (-1)^j
-    and v_k (-1)^k, in which dividing by (1+x) is a prefix sum.
+    Rows and V are kept in alternating-sign form, c_j (-1)^j and v_k (-1)^k, in which
+    dividing by (1+x) is a prefix sum: row k of [P (1+x)^{1-k}] is a_k, the prefix sums
+    of a_{k-1}.  Step m reads row k only at j = m+1-k, so it needs one anti-diagonal,
+    a_k(m) for k <= m, and Pascal's rule a_k(m+1) = a_k(m) + a_{k-1}(m) gives the next;
+    ``diag`` ends with a_0[0], which every row starts with.  No entry depends on K.
     """
-    Qalt = _alternate(Q[:K + 2])
-    Qalt += [0] * (K + 2 - len(Qalt))
-    # [P (1+x)^{1-k}]_j (-1)^j for j < K+2-k: start from P (1+x), then divide by (1+x) per row
-    row = _alternate(_poly_mul(P, [1, 1])[:K + 2])
-    row += [0] * (K + 2 - len(row))
-    C = []
-    for k in range(K):
-        C.append(list(map(sub, Qalt, row)))
-        row = list(accumulate(row[:K + 1 - k]))
+    Qalt = _alternate(Q)
+    row = _alternate(_poly_mul(P, [1, 1]))     # a_0 = [P (1+x)]_j (-1)^j
+    row += [0] * (K + 3 - len(row))
     sn, sd = s.numerator, s.denominator
     Valt, factors = list(Valt), list(factors)
+    diag = list(diag) or [row[1], row[0]]
     L = math.prod(factors)
     for m in range(len(factors), K + 1):
-        # R = L q_m - sum_{k<m} v_k C[k][m+1-k], the sum with every sign folded into (-1)^m
-        acc = sum(map(mul, Valt, map(getitem, C, range(m + 1, 1, -1))))
-        R = L * Qalt[m] + acc if m % 2 == 0 else -(L * Qalt[m] + acc)
+        # R = L q_m - sum_{k<m} v_k C[k][m+1-k], the sum with every sign folded into
+        # (-1)^m; C[k][m+1-k] = q_{m+1-k} - a_k(m), and q_j vanishes from j = len(Q) on
+        lo = max(0, m + 2 - len(Q))
+        acc = sum(map(mul, Valt[lo:], Qalt[m + 1 - lo:1:-1])) - sum(map(mul, Valt, diag))
+        Lq = L * Qalt[m] if m < len(Q) else 0
+        R = Lq + acc if m % 2 == 0 else -(Lq + acc)
         # v_m = (R / (L D^d)) / (s + m)
         num, den = sd * R, Q[0] * (sn + m * sd)
         g = math.gcd(num, den)
@@ -665,7 +718,8 @@ def _tail_solve_steps(P, Q, s, K, Valt, factors):
             L *= f
             Valt = [x * f for x in Valt]
         Valt.append(-(num // g) if m % 2 else num // g)
-    return tuple(Valt), tuple(factors)
+        diag = [row[m + 2], *map(add, diag[1:], diag), row[0]]
+    return tuple(Valt), tuple(factors), tuple(diag)
 
 
 def _defect_poly(P, Q, V, L, K):
@@ -758,11 +812,11 @@ def hyp_unit_sum(uppers: Sequence[Rational], lowers: Sequence[Rational],
         raise DivergenceError(
             f"unit-argument series diverges: margin {margin} <= 0 for {uppers}; {lowers}")
     # the fastest measured (M, K) whose bounds are no wider than those of M = 24 digits
-    return _hyp_unit_series(uppers, lowers, margin, digits, 4 * digits, int(digits * 0.46) + 8)
+    return _hyp_unit_series(uppers, lowers, digits, 4 * digits, int(digits * 0.46) + 8)
 
 
-def _hyp_unit_series(uppers: list[Fraction], lowers: list[Fraction], margin: Fraction,
-                     digits: int, M: int, K: int) -> BoundedReal:
+def _hyp_unit_series(uppers: list[Fraction], lowers: list[Fraction], digits: int, M: int,
+                     K: int) -> BoundedReal:
     """``hyp_unit_sum`` of a non-terminating series from M terms and a tail of order K;
     each failed attempt doubles M and raises K by half, continuing the tail solve."""
     # all linear factors must be positive (and comfortably so for the
@@ -770,13 +824,10 @@ def _hyp_unit_series(uppers: list[Fraction], lowers: list[Fraction], margin: Fra
     floor_shift = max([0] + [int(math.floor(-2 * float(x))) + 1
                              for x in list(uppers) + list(lowers) if x < 0])
     M = max(M, floor_shift + 2)
-    D = math.lcm(*(x.denominator for x in uppers + lowers))
-    d = max(len(uppers), len(lowers) + 1)
-    P = _poly_from_factors(uppers, D, d)
-    Q = _poly_from_factors(lowers + [Fraction(1)], D, d)
+    P, Q = _series_polys(uppers, lowers)
     for _attempt in range(5):
         if _ratio_eventually_below_one(P, Q, M):
-            V, L = _solve_tail_series(P, Q, margin, K)
+            V, L = _solve_tail_series(uppers, lowers, K)
             hn, hd = _tail_defect_majorant(P, Q, V, L, K, M)
             # Q(n) >= n^deg * qscale for n >= M (negative lowers shrink the product)
             qscale = math.prod([1 + b / M for b in lowers if b < 0], start=Fraction(1))
@@ -795,6 +846,21 @@ def _hyp_unit_series(uppers: list[Fraction], lowers: list[Fraction], margin: Fra
                          f"for {uppers}; {lowers}")
 
 
+def _term_ratios(uppers, lowers, start, stop):
+    # num(n) = prod bd * prod (n ad + an) and den(n) = (n+1) prod ad * prod (n bd + bn)
+    # for start <= n < stop
+    nums = [math.prod(b.denominator for b in lowers)] * (stop - start)
+    for a in uppers:
+        an, ad = a.numerator, a.denominator
+        nums = list(map(mul, nums, range(an + start * ad, an + stop * ad, ad)))
+    den0 = math.prod(a.denominator for a in uppers)
+    dens = range((start + 1) * den0, (stop + 1) * den0, den0)
+    for b in lowers:
+        bn, bd = b.numerator, b.denominator
+        dens = list(map(mul, dens, range(bn + start * bd, bn + stop * bd, bd)))
+    return nums, dens
+
+
 def _partial_sum(uppers, lowers, terms, prec):
     """Fixed-point sum of t_n over n < terms, in units of 2^-prec.
 
@@ -802,24 +868,31 @@ def _partial_sum(uppers, lowers, terms, prec):
     |T - 2^prec t_terms| <= T_err.  Each step is T = T * num // den with
     the integer term ratio num/den; floor division is off by less than
     one ulp, so the error E of T obeys E' = ceil(E |num| / |den|) + 1.
+
+    Neither the ratios nor E read prec, so the series' record keeps them for the
+    most terms asked so far: fewer terms run only the T loop and sum the stored E for
+    S_err, and more continue one loop over T, S, E and S_err from the stored end.
     """
-    # num(n) = prod bd * prod (n ad + an) and den(n) = (n+1) prod ad * prod (n bd + bn)
-    nums = [math.prod(b.denominator for b in lowers)] * terms
-    for a in uppers:
-        nums = list(map(mul, nums, range(a.numerator, a.numerator + terms * a.denominator,
-                                         a.denominator)))
-    den0 = math.prod(a.denominator for a in uppers)
-    dens = range(den0, (terms + 1) * den0, den0)
-    for b in lowers:
-        dens = list(map(mul, dens, range(b.numerator, b.numerator + terms * b.denominator,
-                                         b.denominator)))
+    key = _series_key(uppers, lowers)
+    nums, dens, Es = _series_half(key, 0) or ((), (), (0,))
     T = 1 << prec
-    S = S_err = E = 0
-    for num, den in zip(nums, dens):
+    S = 0
+    for num, den in zip(nums[:terms], dens):
+        S += T
+        T = T * num // den
+    if terms <= len(nums):
+        return S, sum(Es[:terms]), T, Es[terms]
+    more_nums, more_dens = _term_ratios(uppers, lowers, len(nums), terms)
+    Es = list(Es)
+    push_E = Es.append
+    E, S_err = Es[-1], sum(Es[:-1])
+    for num, den in zip(more_nums, more_dens):
         S += T
         S_err += E
         T = T * num // den
         E = -(-E * abs(num) // abs(den)) + 1
+        push_E(E)
+    _store_half(key, 0, (nums + tuple(more_nums), dens + tuple(more_dens), tuple(Es)))
     return S, S_err, T, E
 
 

@@ -63,21 +63,27 @@ def test_f_value_scaling_in_k():
 
 def test_f_value_independent_of_k_order(monkeypatch):
     # every admissible k at N = 9, ascending and then descending, each from cold caches:
-    # ascending continues each twist series' tail solve to the next precision, descending
-    # solves it once at the highest and reads the lower orders back from its exact prefix
+    # ascending continues each twist series' tail solve and partial sum to the next
+    # precision, descending solves and sums it once at the highest and reads the lower
+    # orders and lengths back from its exact prefix
     resumed = []
-    steps = specfun._tail_solve_steps
+    steps, ratios = specfun._tail_solve_steps, specfun._term_ratios
 
-    def counted(P, Q, s, K, Valt, factors):
+    def counted_steps(P, Q, s, K, Valt, factors, diag):
         resumed.append(bool(factors))
-        return steps(P, Q, s, K, Valt, factors)
+        return steps(P, Q, s, K, Valt, factors, diag)
 
-    monkeypatch.setattr(specfun, "_tail_solve_steps", counted)
+    def counted_ratios(uppers, lowers, start, stop):
+        resumed.append(start > 0)
+        return ratios(uppers, lowers, start, stop)
+
+    monkeypatch.setattr(specfun, "_tail_solve_steps", counted_steps)
+    monkeypatch.setattr(specfun, "_term_ratios", counted_ratios)
 
     def sweep(ks):
         ceresa._h_term.cache_clear()
         specfun._ln_gamma_fixed.cache_clear()
-        specfun._TAIL_SOLVES.clear()
+        specfun._SERIES.clear()
         resumed.clear()
         rows = {k: f_value(9, k) for k in ks}
         return {k: (r.value.value._mpf_, r.err._mpf_, r.frac._mpf_, r.verdict)

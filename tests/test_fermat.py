@@ -453,12 +453,13 @@ def _clear_caches():
     for cache in (harmonic_volume_sigma, specfun._ln_gamma_fixed, _sigma_exact_parts_cached,
                   fermat._closed_form_cached):
         cache.cache_clear()
-    specfun._TAIL_SOLVES.clear()
+    specfun._SERIES.clear()
 
 
 def test_harmonic_volume_sigma_independent_of_call_history():
     # a warm cache never answers a 20-digit request with a 30-digit entry; the tail
-    # solves of the 30-digit series answer the 20-digit ones by their exact prefix
+    # solves and partial sums of the 30-digit series answer the 20-digit ones by their
+    # exact prefix
     curve, t = _n11_triple()
     sigmas = [EmbeddingIndex(h, 11) for h in range(1, 11)]
     _clear_caches()

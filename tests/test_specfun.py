@@ -5,6 +5,7 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from operator import mul
 
 import mpmath
 import numpy as np
@@ -274,12 +275,44 @@ def _bernoulli_reference(n):
 _BERNOULLI = _bernoulli_reference(2 * 41 + 2)
 
 
-def test_bernoulli_even_matches_recurrence():
+def _fresh_bernoulli(monkeypatch):
+    # the row as at import: B_0 alone
+    monkeypatch.setattr(specfun, "_BERNOULLI_EVEN", [F(1)])
+    monkeypatch.setattr(specfun, "_STIRLING_COEFFS", [None])
+    monkeypatch.setattr(specfun, "_SEIDEL_ROW", [1])
+
+
+def test_bernoulli_even_matches_recurrence(monkeypatch):
     ref = _bernoulli_reference(400)[::2]
     for J in (0, 1, 3, 10, 200, 57):  # grows, then a shorter request reuses the row
         row = _bernoulli_even(J)
         assert len(row) > J
         assert row[:201] == ref[:len(row)]
+    # from B_0 alone the row grows in place to exactly J + 1 entries, the Stirling
+    # coefficients beside it
+    _fresh_bernoulli(monkeypatch)
+    longest = 0
+    for J in (44, 45, 95, 30, 200):
+        row = _bernoulli_even(J)
+        longest = max(longest, J)
+        assert row is specfun._BERNOULLI_EVEN and len(row) == longest + 1
+        assert row == ref[:longest + 1]
+        assert specfun._STIRLING_COEFFS[1:] == [
+            (b.numerator, b.denominator * (2 * n) * (2 * n - 1)) for n, b in enumerate(row)][1:]
+
+
+def test_ln_gamma_core_independent_of_bernoulli_growth(monkeypatch):
+    # the same (value, round_err, rem, prec) from a row grown by these requests in
+    # either order; a cold row for each of them gives it too
+    args = [(F(1, 3), 30), (F(97, 5), 120), (F(2, 7), 56), (F(11, 13), 250), (F(5, 4), 12)]
+    runs = []
+    for order in (args, args[::-1]):
+        _fresh_bernoulli(monkeypatch)
+        runs.append({a: _ln_gamma_fixed.__wrapped__(*a) for a in order})
+    assert runs[0] == runs[1]
+    for a in args:
+        _fresh_bernoulli(monkeypatch)
+        assert _ln_gamma_fixed.__wrapped__(*a) == runs[0][a]
 
 
 @settings(max_examples=200, deadline=None)
@@ -548,9 +581,8 @@ def test_tail_bound_soundness(seed):
     d = F(rng.randint(10, 19), 10)
     e = 1 + a + b + c - d + F(rng.randint(5, 15), 10)  # margin in [0.5, 1.5]
     assert d + e - a - b - c > 0
-    margin = d + e - a - b - c
-    near = _hyp_unit_series([a, b, c], [d, e], margin, 25, 500, 14)
-    far = _hyp_unit_series([a, b, c], [d, e], margin, 25, 5000, 14)
+    near = _hyp_unit_series([a, b, c], [d, e], 25, 500, 14)
+    far = _hyp_unit_series([a, b, c], [d, e], 25, 5000, 14)
     assert abs(near.value - far.value) <= near.err + far.err
     # and the truncated raw sum sits below the value for positive terms,
     # approaching it from underneath
@@ -588,8 +620,7 @@ def test_hyp_unit_sum_encloses_double_precision_reference(series, digits, short)
     # attempt's bound is mostly the truncation term rather than rounding
     uppers, lowers = series
     if short:
-        r = _hyp_unit_series(uppers, lowers, sum(lowers) - sum(uppers), digits,
-                             digits, digits // 8 + 4)
+        r = _hyp_unit_series(uppers, lowers, digits, digits, digits // 8 + 4)
     else:
         r = hyp_unit_sum(uppers, lowers, digits)
     ref = hyp_unit_sum(uppers, lowers, 2 * digits)
@@ -613,7 +644,7 @@ def test_default_schedule_bound_no_wider_than_fixed_schedule(name, digits):
     uppers, lowers = _SCHEDULE_CASES[name]
     new = hyp_unit_sum(uppers, lowers, digits)
     # the former fixed schedule: M = 24 d terms, K = 0.42 d + 6 capped at 48
-    old = _hyp_unit_series(uppers, lowers, sum(lowers) - sum(uppers), digits,
+    old = _hyp_unit_series(uppers, lowers, digits,
                            max(400, 24 * digits), min(48, max(12, int(0.42 * digits) + 6)))
     assert _exact(new.err) <= _exact(old.err)
     assert abs(_exact(new.value) - _exact(old.value)) <= _exact(new.err) + _exact(old.err)
@@ -709,7 +740,7 @@ def test_series_kernels_match_list_reference(series, digits, escalated, terms):
     K, M = int(digits * 0.46) + 8, 4 * digits
     K += K // 2 if escalated else 0
     P, Q = _tail_polys(uppers, lowers)
-    V, L = _solve_tail_series(P, Q, margin, K)
+    V, L = _solve_tail_series(uppers, lowers, K)
     assert (V, L) == series_reference.solve_tail_series(P, Q, margin, K)
     assert _defect_poly(P, Q, V, L, K) == series_reference.defect_poly(P, Q, V, L, K)
     assert (_tail_defect_majorant(P, Q, V, L, K, M)
@@ -726,7 +757,7 @@ def test_tail_defect_majorant_detects_wrong_solution(index, step):
     # a V with one coefficient changed breaks one of the K+2 vanishing orders
     uppers, lowers = [F(23, 97), F(23, 97), F(51, 97)], [F(1), F(1)]
     P, Q = _tail_polys(uppers, lowers)
-    V, L = _solve_tail_series(P, Q, F(1), 33)
+    V, L = _solve_tail_series(uppers, lowers, 33)
     V[index] += step
     with pytest.raises(AssertionError, match="tail series solve lost cancellation"):
         _tail_defect_majorant(P, Q, V, L, 33, 224)
@@ -739,83 +770,120 @@ _TAIL_GRID = [
     ([F(-7, 3), F(1, 2)], [F(3, 2)]),
     ([F(-1, 2), F(-1, 3), F(-1, 4)], []),       # len(P) > len(Q)
     ([F(1, 5), F(0), F(2, 5)], [F(7, 5), F(-1, 3)]),
+    ([F(-6), F(1, 3), F(5, 7)], [F(3, 2), F(-2, 3)]),   # terminating at n = 6
 ]
 
 
-def _tail_keys(grid):
-    return [(*_tail_polys(uppers, lowers), sum(lowers) - sum(uppers)) for uppers, lowers in grid]
+def _tail_reference(uppers, lowers, K):
+    # a cold solve's (V, L) from the list loops
+    return series_reference.solve_tail_series(*_tail_polys(uppers, lowers),
+                                              sum(lowers) - sum(uppers), K)
+
+
+def _ask(grid, request):
+    # one request to the series engine: ("tail", i, K) or ("sum", i, terms, prec)
+    kind, i, *args = request
+    return (_solve_tail_series if kind == "tail" else _partial_sum)(*grid[i], *args)
+
+
+def _want(grid, request):
+    kind, i, *args = request
+    return (_tail_reference if kind == "tail" else series_reference.partial_sum)(*grid[i], *args)
 
 
 @pytest.mark.parametrize("maxsize", [64, 1])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_tail_solve_memo_is_order_independent(monkeypatch, maxsize, seed):
-    # each series asked for its orders, twice, in a seeded shuffle on one warm memo: an
-    # order below the stored one is its exact prefix, one above continues it, and every
-    # answer is the cold reference's integers; at maxsize 1 the series evict each other
-    monkeypatch.setattr(specfun, "_TAIL_SOLVES_MAX", maxsize)
-    specfun._TAIL_SOLVES.clear()
-    keys = _tail_keys(_TAIL_GRID)
-    requests = [(i, K) for i in range(len(keys)) for K in (1, 2, 3, 8, 17, 33, 34, 49)] * 2
+    # each series asked for its orders and its partial sums at several lengths and
+    # precisions, twice, in a seeded shuffle on one warm memo: an order or a length below
+    # the stored one reads it, one above continues it, and every answer is the cold
+    # reference's integers; at maxsize 1 the series evict each other
+    monkeypatch.setattr(specfun, "_SERIES_MAX", maxsize)
+    specfun._SERIES.clear()
+    grid = _TAIL_GRID
+    requests = ([("tail", i, K) for i in range(len(grid)) for K in (1, 2, 3, 8, 17, 33, 34, 49)]
+                + [("sum", i, terms, prec) for i in range(len(grid))
+                   for terms in (1, 2, 7, 40, 41, 130) for prec in (4, 60, 211)]) * 2
     random.Random(seed).shuffle(requests)
     want = {}
-    for i, K in requests:
-        if (i, K) not in want:
-            want[i, K] = series_reference.solve_tail_series(*keys[i], K)
-        assert _solve_tail_series(*keys[i], K) == want[i, K], (i, K)
-    assert len(specfun._TAIL_SOLVES) == min(maxsize, len(keys))
-    specfun._TAIL_SOLVES.clear()
+    for request in requests:
+        if request not in want:
+            want[request] = _want(grid, request)
+        assert _ask(grid, request) == want[request], request
+    assert len(specfun._SERIES) == min(maxsize, len(grid))
+    if maxsize >= len(grid):
+        for sums, solve in specfun._SERIES.values():
+            assert (len(sums[0]), len(solve[0])) == (130, 50)
+    specfun._SERIES.clear()
 
 
 def test_tail_solve_memo_evicts_least_recently_used(monkeypatch):
-    monkeypatch.setattr(specfun, "_TAIL_SOLVES_MAX", 2)
-    specfun._TAIL_SOLVES.clear()
-    a, b, c = _tail_keys(_TAIL_GRID[:3])
+    monkeypatch.setattr(specfun, "_SERIES_MAX", 2)
+    specfun._SERIES.clear()
+    a, b, c = _TAIL_GRID[:3]
     _solve_tail_series(*a, 8)
     _solve_tail_series(*b, 8)
     _solve_tail_series(*a, 3)       # a prefix read also marks a as used
     _solve_tail_series(*c, 8)
-    assert [key[2] for key in specfun._TAIL_SOLVES] == [a[2], c[2]]
-    specfun._TAIL_SOLVES.clear()
+    assert list(specfun._SERIES) == [specfun._series_key(*a), specfun._series_key(*c)]
+    _partial_sum(*a, 10, 60)
+    _partial_sum(*c, 5, 60)         # so does a read of the partial-sum half
+    _partial_sum(*b, 10, 60)
+    assert list(specfun._SERIES) == [specfun._series_key(*c), specfun._series_key(*b)]
+    specfun._SERIES.clear()
 
 
 def test_interrupted_tail_solve_keeps_the_stored_entry(monkeypatch):
-    # an exception part-way through an extension leaves the stored solve as it was
-    P, Q, s = _tail_keys(_TAIL_GRID[:1])[0]
-    specfun._TAIL_SOLVES.clear()
-    _solve_tail_series(P, Q, s, 20)
-    (entry,) = specfun._TAIL_SOLVES.values()
-    products = []
+    # an exception part-way through an extension leaves the stored half as it was,
+    # whichever half it extends
+    uppers, lowers = _TAIL_GRID[0]
+    key = specfun._series_key(uppers, lowers)
+    specfun._SERIES.clear()
+    _solve_tail_series(uppers, lowers, 20)
+    _partial_sum(uppers, lowers, 20, 100)
+    sums, solve = specfun._SERIES[key]
+    calls = []
 
-    def failing_mul(x, y):
-        products.append(1)
-        if len(products) > 40:
-            raise RuntimeError("interrupted")
-        return x * y
+    def failing(op):
+        def wrapped(*args):
+            calls.append(1)
+            if len(calls) > 40:
+                raise RuntimeError("interrupted")
+            return op(*args)
+        return wrapped
 
-    monkeypatch.setattr(specfun, "mul", failing_mul)
-    with pytest.raises(RuntimeError, match="interrupted"):
-        _solve_tail_series(P, Q, s, 30)
-    monkeypatch.undo()
-    assert len(specfun._TAIL_SOLVES) == 1
-    assert specfun._TAIL_SOLVES[tuple(P), tuple(Q), s] is entry
-    assert _solve_tail_series(P, Q, s, 30) == series_reference.solve_tail_series(P, Q, s, 30)
-    specfun._TAIL_SOLVES.clear()
+    for name, op, extend in [("mul", mul, lambda: _solve_tail_series(uppers, lowers, 30)),
+                             ("abs", abs, lambda: _partial_sum(uppers, lowers, 60, 100))]:
+        calls.clear()
+        monkeypatch.setattr(specfun, name, failing(op), raising=False)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            extend()
+        monkeypatch.undo()
+        assert len(specfun._SERIES) == 1
+        assert specfun._SERIES[key][0] is sums and specfun._SERIES[key][1] is solve
+    assert _solve_tail_series(uppers, lowers, 30) == _tail_reference(uppers, lowers, 30)
+    assert (_partial_sum(uppers, lowers, 60, 100)
+            == series_reference.partial_sum(uppers, lowers, 60, 100))
+    specfun._SERIES.clear()
 
 
 def test_tail_solve_memo_under_threads():
-    # more threads than cores ask for shuffled orders of three series at a short switch
-    # interval; a lost update or a half-made entry would hand some thread other integers,
-    # and the memo must end with each series at its highest order
-    keys = _tail_keys(_TAIL_GRID[:3])
-    want = {(i, K): series_reference.solve_tail_series(*keys[i], K)
-            for i in range(len(keys)) for K in (4, 9, 17, 30)}
+    # more threads than cores ask for shuffled orders and partial sums of three series at
+    # a short switch interval; a lost update or a half-made entry would hand some thread
+    # other integers, and the memo must end with each series at its highest order and
+    # its longest sum
+    grid = _TAIL_GRID[:3]
+    want = {request: _want(grid, request)
+            for request in [("tail", i, K) for i in range(len(grid)) for K in (4, 9, 17, 30)]
+            + [("sum", i, terms, prec) for i in range(len(grid))
+               for terms in (3, 50, 90) for prec in (30, 150)]}
 
     def worker(seed):
         jobs = list(want) * 3
         random.Random(seed).shuffle(jobs)
-        return all(_solve_tail_series(*keys[i], K) == want[i, K] for i, K in jobs)
+        return all(_ask(grid, request) == want[request] for request in jobs)
 
-    specfun._TAIL_SOLVES.clear()
+    specfun._SERIES.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -824,8 +892,15 @@ def test_tail_solve_memo_under_threads():
             assert all(f.result(timeout=120) for f in futures)
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(len(factors) for _, factors in specfun._TAIL_SOLVES.values()) == [31] * 3
-    specfun._TAIL_SOLVES.clear()
+    assert sorted(len(solve[1]) for _, solve in specfun._SERIES.values()) == [31] * 3
+    assert sorted(len(sums[0]) for sums, _ in specfun._SERIES.values()) == [90] * 3
+    # a slower thread's shorter extension, stored last, leaves the longer halves
+    key = specfun._series_key(*grid[0])
+    record = specfun._SERIES[key]
+    for i in (0, 1):
+        specfun._store_half(key, i, tuple(part[:3] for part in record[i]))
+    assert specfun._SERIES[key] is record
+    specfun._SERIES.clear()
 
 
 @pytest.mark.parametrize("uppers, lowers", _TAIL_GRID)
@@ -833,7 +908,7 @@ def test_tail_solve_memo_under_threads():
 def test_defect_poly_has_list_length(uppers, lowers, K):
     # hd = L D^d M^(len(G) - K - 3) depends on the length, trailing zeros included
     P, Q = _tail_polys(uppers, lowers)
-    V, L = _solve_tail_series(P, Q, sum(lowers) - sum(uppers), K)
+    V, L = _solve_tail_series(uppers, lowers, K)
     G = _defect_poly(P, Q, V, L, K)
     assert len(G) == len(series_reference.defect_poly(P, Q, V, L, K))
     assert len(G) == max(2 * K + len(Q), len(P) + K + 1)
