@@ -74,12 +74,19 @@ loop from the stored end.
 Log-gamma rounds in the same fixed point.  Each Stirling term is one
 floor division of the exact Bernoulli numerator times D^{2j-1} by
 A^{2j-1} (under one ulp each), and the remainder bound is rounded up
-from exact integers.  Only ln A, ln D, ln R and ln(2 pi) (once per prec)
-come from mpmath; each is evaluated with guard bits and charged a stated
-``_LOG_ULPS``, and the error of ln y = ln A - ln D is multiplied by
-|y - 1/2|.  Guard bits for that total keep the rounding below one ulp of
-the nominal working precision, so the bound is the Stirling remainder
-plus less than 2^-(bits(digits) + 30).
+from exact integers.  ln A, ln D and ln R are exact floors of 2^prec ln n,
+computed on Python ints by ``_log_fixed``: n = 2^e m with m in
+[sqrt(1/2), sqrt(2)) gives ln n = 2 atanh(z) + e ln 2, z = (n - 2^e) /
+(n + 2^e) and |z| < 3 - 2 sqrt(2), with ln 2 = 18 atanh(1/26) -
+2 atanh(1/4801) + 8 atanh(1/8749) kept once per working precision.  Every
+floor of the atanh series and its truncated tail is counted, and guard bits
+are added (Ziv's method) until the counted interval fixes the floor.  Only
+ln(2 pi) (once per prec) comes from mpmath, at 8 guard bits.  Each of the
+four logs is charged a stated ``_LOG_ULPS``, above the under-one-ulp error
+of a floor, and the error of ln y = ln A - ln D is multiplied by |y - 1/2|.
+Guard bits for that total keep the rounding below one ulp of the nominal
+working precision, so the bound is the Stirling remainder plus less than
+2^-(bits(digits) + 30).
 
 A gamma quotient stays in the same fixed point.  The log-gammas are read
 exactly as integers over one power of two and summed with their net
@@ -110,6 +117,7 @@ numerator divided by its denominator.  ``agrees_with`` compares exactly.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -447,16 +455,96 @@ def _stirling_sum(A: int, D: int, J: int, prec: int) -> tuple[int, int, int]:
     return S, J, rem
 
 
-# ulps charged to each fixed-point log.  mpmath evaluates it (and pi) at lp bits,
-# 8 more than |value| needs at prec; even 16 ulps of error at lp is then 1/16 ulp
-# at prec, and the final floor adds less than one more
+# ulps charged to each fixed-point log.  _log_fixed returns the exact floor, off by
+# less than one ulp.  mpmath evaluates ln(2 pi) (and pi) at prec + 8 bits; even 16
+# ulps of error there is 1/16 ulp at prec, and the final floor adds less than one more
 _LOG_ULPS = 2
+
+# guard bits of _log_fixed's first attempt; each failed attempt doubles them
+_LOG_GUARD = 20
+# ratios p/q with q below this many bits step the atanh series by T p^2 // q^2; a
+# larger q (a rising factorial) steps by a fixed-point z^2
+_ATANH_RATIO_BITS = 32
+# ln 2 = 18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749), as (coefficient, q)
+_LN2_MACHIN = ((18, 26), (-2, 4801), (8, 8749))
+
+
+def _atanh_fixed(p: int, q: int, wp: int, cut: int = 0) -> tuple[int, int]:
+    """2^wp atanh(p/q) for 0 <= p/q <= 3 - 2 sqrt(2) as (value, err), with
+    |value - 2^wp atanh(p/q)| <= err.
+
+    atanh z = sum_k z^(2k+1) / (2k+1).  T_k, the k-th floor of 2^wp z^(2k+1), is
+    below its true value by delta_k < 2: delta_0 < 1, and a step by the exact ratio
+    p^2/q^2 gives delta_{k+1} < delta_k z^2 + 1, one by the fixed-point
+    Z2 = floor(floor(2^wp z)^2 / 2^wp), short of 2^wp z^2 by less than 2z + 1, gives
+    delta_{k+1} < delta_k z^2 + z (2z + 1) + 1.  So term k, floor(T_k / (2k+1)), is
+    short by less than 2 ulps (by delta_0 < 1 for k = 0).  After term 0 the sum
+    stops at the first T_K < 2^cut, and the tail sum_{k>=K} is at most
+    (T_K + 2) / ((2K+1)(1 - z^2)) with 1 / (1 - z^2) < 33/32.
+    """
+    T = (p << wp) // q
+    S, d, top = T, 1, 1 << cut          # d = 2k + 1; term 0 is T itself
+    if q.bit_length() < _ATANH_RATIO_BITS:
+        pp, qq = p * p, q * q
+        T = T * pp // qq
+        while T >= top:
+            d += 2
+            S += T // d
+            T = T * pp // qq
+    else:
+        z2 = T * T >> wp
+        T = T * z2 >> wp
+        while T >= top:
+            d += 2
+            S += T // d
+            T = T * z2 >> wp
+    return S, d + 1 - (-33 * (T + 2) // (32 * (d + 2)))
+
+
+@lru_cache(maxsize=256)
+def _ln2_fixed(wp: int) -> tuple[int, int]:
+    """2^wp ln 2 as (value, err), |value - 2^wp ln 2| <= err; one entry per working
+    precision.  The Machin-like sum runs at wp + 16 bits and is floored to wp, so
+    err is 2 while the sum's count stays below 2^16 ulps (up to about 14,000 bits)."""
+    v = err = 0
+    for c, q in _LN2_MACHIN:
+        s, e = _atanh_fixed(1, q, wp + 16)
+        v += c * s
+        err += abs(c) * e
+    return v >> 16, (err >> 16) + 2
+
+
+def _log_interval(n: int, wp: int, cut: int) -> tuple[int, int]:
+    """2^wp ln n for an integer n >= 1 as (value, err), |value - 2^wp ln n| <= err.
+
+    n = 2^e m with m in [sqrt(1/2), sqrt(2)), so ln n = 2 atanh(z) + e ln 2 with
+    z = (n - 2^e) / (n + 2^e) and |z| < 3 - 2 sqrt(2); ``cut`` is that of
+    ``_atanh_fixed``."""
+    e = n.bit_length()
+    if n * n < 1 << (2 * e - 1):
+        e -= 1
+    p = n - (1 << e)
+    S, err = _atanh_fixed(abs(p), n + (1 << e), wp, cut) if p else (0, 0)
+    L2, err2 = _ln2_fixed(wp)
+    return (2 * S if p > 0 else -2 * S) + e * L2, 2 * err + e * err2
 
 
 def _log_fixed(n: int, prec: int) -> int:
-    # floor(2^prec ln n) within _LOG_ULPS, since |ln n| < n.bit_length()
-    lp = prec + n.bit_length().bit_length() + 8
-    return to_fixed(mpf_log(from_int(n), lp, round_floor), prec)
+    """floor(2^prec ln n), exactly, for an integer n >= 1.
+
+    Ziv's method: ln n, counted to within err ulps at prec + g bits, fixes the
+    floor when both ends of the interval floor to the same integer; otherwise g
+    doubles.  Series terms below 2^-(prec + g/2) are bounded, not summed, so the
+    interval narrows as g grows, and since ln n is irrational for n > 1 some g
+    succeeds.
+    """
+    g = _LOG_GUARD
+    while True:
+        v, err = _log_interval(n, prec + g, g // 2)
+        low = (v - err) >> g
+        if low == (v + err) >> g:
+            return low
+        g *= 2
 
 
 @lru_cache(maxsize=256)
@@ -479,7 +567,11 @@ def _ln_gamma_fixed(q: Fraction, digits: int) -> tuple[int, int, int, int]:
     remainder bound and round_err * 2^-prec < 2^-(bits(digits) + 30).
     """
     a, D = q.numerator, q.denominator
-    xf = a / D
+    try:
+        xf = a / D
+    except OverflowError:
+        raise DomainError(f"ln_gamma argument near 2^{a.bit_length() - D.bit_length()} is "
+                          f"beyond the float range (about {sys.float_info.max:.1e})") from None
     m = max(0, int(math.ceil(max(10.0, 0.4 * digits + 6) - xf)))
     A = a + m * D
     J = _stirling_order(xf + m, digits)

@@ -3,12 +3,21 @@
 ``specfun`` evaluates the defect polynomial packed into one integer, trims
 the rows of the tail solve and precomputes the term ratios of the partial
 sum; these are the straightforward loops it replaced, kept as references
-that must return the same integers.
+that must return the same integers.  ``log_fixed`` is the mpmath formula that
+``specfun._log_fixed`` replaced.
 """
 
 import math
 
+from mpmath.libmp import from_int, mpf_log, round_floor, to_fixed
+
 from fermatvol.specfun import _poly_mul
+
+
+def log_fixed(n, prec):
+    """floor(2^prec ln n) by mpmath's floor-rounded log at 8 or more guard bits."""
+    lp = prec + n.bit_length().bit_length() + 8
+    return to_fixed(mpf_log(from_int(n), lp, round_floor), prec)
 
 
 def solve_tail_series(P, Q, s, K):

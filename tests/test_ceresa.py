@@ -83,6 +83,7 @@ def test_f_value_independent_of_k_order(monkeypatch):
     def sweep(ks):
         ceresa._h_term.cache_clear()
         specfun._ln_gamma_fixed.cache_clear()
+        specfun._ln2_fixed.cache_clear()
         specfun._SERIES.clear()
         resumed.clear()
         rows = {k: f_value(9, k) for k in ks}

@@ -302,17 +302,21 @@ def test_bernoulli_even_matches_recurrence(monkeypatch):
 
 
 def test_ln_gamma_core_independent_of_bernoulli_growth(monkeypatch):
-    # the same (value, round_err, rem, prec) from a row grown by these requests in
-    # either order; a cold row for each of them gives it too
+    # the same (value, round_err, rem, prec) from a row and ln 2 cache grown by these
+    # requests in either order; cold ones for each of them, and a warm rerun, give it too
     args = [(F(1, 3), 30), (F(97, 5), 120), (F(2, 7), 56), (F(11, 13), 250), (F(5, 4), 12)]
     runs = []
     for order in (args, args[::-1]):
         _fresh_bernoulli(monkeypatch)
+        specfun._ln2_fixed.cache_clear()
         runs.append({a: _ln_gamma_fixed.__wrapped__(*a) for a in order})
     assert runs[0] == runs[1]
     for a in args:
         _fresh_bernoulli(monkeypatch)
+        specfun._ln2_fixed.cache_clear()
         assert _ln_gamma_fixed.__wrapped__(*a) == runs[0][a]
+    for order in (args, args[::-1]):
+        assert {a: _ln_gamma_fixed.__wrapped__(*a) for a in order} == runs[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -344,6 +348,132 @@ def test_log_fixed_within_slop(n, prec):
     L = _log_fixed(n, prec)
     with mp.workprec(prec + n.bit_length().bit_length() + 40):
         assert abs(mp.mpf(L) - mpmath.ldexp(mpmath.log(n), prec)) <= _LOG_ULPS
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2 ** 2000), st.integers(4, 1200))
+@example(1, 4)
+@example(2 ** 2000, 1200)
+def test_log_fixed_is_the_mpmath_floor(n, prec):
+    # the integer routine returns the integers of the mpmath formula it replaced
+    assert _log_fixed(n, prec) == series_reference.log_fixed(n, prec)
+
+
+def _sqrt2_neighbours(bits):
+    # the last n with n / 2^(bits-1) < sqrt(2) and the first past it
+    below = math.isqrt(1 << (2 * bits - 1))
+    return below, below + 1
+
+
+def _log_edge_grid():
+    ns = {1, 2, 3}
+    for k in (2, 3, 5, 8, 13, 31, 32, 33, 63, 64, 65, 100, 263, 498, 1000, 2000):
+        ns.update((2 ** k - 1, 2 ** k, 2 ** k + 1))
+    for bits in (2, 3, 4, 5, 8, 12, 16, 31, 32, 33, 64, 300, 2000):
+        ns.update(_sqrt2_neighbours(bits))
+    return sorted(ns)
+
+
+def _twist_log_calls(monkeypatch):
+    # every (n, prec) that ln Gamma's logs take for the twist arguments 1 - h/N and
+    # 1 - 2h/N at table's ln_gamma digits (68) and deep's (68..138): ln A, ln D and the
+    # rising factorials prod(range(a, A, D))
+    calls = set()
+
+    def record(n, prec):
+        calls.add((n, prec))
+        return _log_fixed(n, prec)
+
+    monkeypatch.setattr(specfun, "_log_fixed", record)
+    for N in (4, 5, 7, 9, 13, 23, 97):
+        for h in range(1, (N - 1) // 2 + 1):
+            if math.gcd(h, N) == 1:
+                for digits in range(68, 139, 10):
+                    _ln_gamma_fixed.__wrapped__(1 - F(h, N), digits)
+                    _ln_gamma_fixed.__wrapped__(1 - F(2 * h, N), digits)
+    return sorted(calls)
+
+
+def test_log_fixed_edge_grid(monkeypatch):
+    for n in _log_edge_grid():
+        for prec in (4, 5, 53, 264, 498, 1200):
+            assert _log_fixed(n, prec) == series_reference.log_fixed(n, prec), (n, prec)
+    twist = _twist_log_calls(monkeypatch)
+    assert max(n.bit_length() for n, _ in twist) > 500
+    for n, prec in twist:
+        assert _log_fixed(n, prec) == series_reference.log_fixed(n, prec), (n, prec)
+
+
+def test_log_fixed_guard_retry(monkeypatch):
+    # from one guard bit every call needs the retry, and the floor is the same
+    attempts = []
+    interval = specfun._log_interval
+
+    def counted(n, wp, cut):
+        attempts.append(n)
+        return interval(n, wp, cut)
+
+    monkeypatch.setattr(specfun, "_LOG_GUARD", 1)
+    monkeypatch.setattr(specfun, "_log_interval", counted)
+    rng = random.Random(26)
+    cases = [(n, prec) for n in _log_edge_grid() for prec in (4, 264)]
+    cases += [(rng.getrandbits(rng.randrange(2, 2001)) | 1, rng.randrange(4, 1201))
+              for _ in range(60)]
+    for n, prec in cases:
+        attempts.clear()
+        assert _log_fixed(n, prec) == series_reference.log_fixed(n, prec), (n, prec)
+        assert len(attempts) > 1 or n == 1
+
+
+def _encloses(pair, f, wp):
+    # |value - 2^wp f| <= err, f evaluated by mpmath 64 bits beyond the value
+    v, err = pair
+    with mp.workprec(abs(v).bit_length() + 64):
+        return abs(v - mpmath.ldexp(f(), wp)) <= err
+
+
+def test_ln2_pair_encloses_ln2():
+    for wp in (1, 4, 17, 53, 264, 284, 518, 1000, 2048, 5000):
+        pair = specfun._ln2_fixed.__wrapped__(wp)
+        assert _encloses(pair, lambda: +mpmath.ln2, wp), wp
+        assert pair[1] == 2
+
+
+def _log_pair_cases():
+    rng = random.Random(2026)
+    ns = [n for bits in (2, 3, 4, 9, 13, 20, 40, 300, 2000) for n in _sqrt2_neighbours(bits)]
+    ns += [3, 5, 7, 12, 97, 1234, 2 ** 11 + 1, 2 ** 40 - 1]
+    ns += [rng.getrandbits(2000) | 1 << 1999 for _ in range(6)]
+    return ns
+
+
+@pytest.mark.parametrize("wp", [4, 9, 24, 60, 284, 1220])
+@pytest.mark.parametrize("cut", [0, 5, 10, 30])
+def test_log_pairs_enclose_ln(wp, cut):
+    # (value, err) of ln n, and of its atanh series, against mpmath: the worst ratio
+    # (n next to 2^e sqrt 2), 2,000-bit n, and cuts that leave a large tail
+    for n in _log_pair_cases():
+        assert _encloses(specfun._log_interval(n, wp, cut), lambda: mpmath.log(n), wp), n
+        e = n.bit_length() - (n * n < 1 << (2 * n.bit_length() - 1))
+        p, q = abs(n - (1 << e)), n + (1 << e)
+        if p:
+            pair = specfun._atanh_fixed(p, q, wp, cut)
+            assert _encloses(pair, lambda: mpmath.atanh(mp.mpf(p) / q), wp), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 2 ** 2000), st.integers(1, 1300), st.integers(0, 40))
+def test_log_pair_encloses_ln_everywhere(n, wp, cut):
+    assert _encloses(specfun._log_interval(n, wp, cut), lambda: mpmath.log(n), wp)
+
+
+def test_ln_gamma_rejects_arguments_beyond_floats():
+    with pytest.raises(DomainError, match="float range"):
+        ln_gamma(10 ** 400, 20)
+    with pytest.raises(DomainError, match="float range"):
+        gamma_quotient([10 ** 400], [1], 20)
+    # the largest floats still work
+    assert ln_gamma(10 ** 300, 20).value > 0
 
 
 @settings(max_examples=100, deadline=None)
