@@ -32,8 +32,7 @@ from typing import Callable, Iterable, Optional, Union
 import mpmath
 
 from .specfun import (BoundedReal, DomainError, PrecisionError, _bits, _certified,
-                      _exact_fixed, _fixed_mpf, _gamma_hyp, _round_product, gamma_quotient,
-                      hyp_unit_sum)
+                      _fixed_mpf, _gamma_hyp, _round_product, gamma_quotient, hyp_unit_sum)
 
 MARGIN_FACTOR = 10  # non-integrality requires distance > MARGIN_FACTOR * err
 
@@ -141,8 +140,7 @@ def _certify(n: int, k: int, prefactor: int, digits: int,
     """
     parts = terms(_inner_digits(prefactor, digits))
     total = sum(parts)
-    (v, e), prec = _exact_fixed(total.value, total.err)
-    v, e = v * prefactor, e * prefactor
+    v, e, prec = total.mid * prefactor, total.rad * prefactor, -total.exp
     value = _certified(v, e, prec, digits, "certified", relative=False)
     frac = v % (1 << prec)
     dist = min(frac, (1 << prec) - frac)
@@ -224,7 +222,8 @@ def multiples_scan(n: int, k: int, m_max: int, digits: int = 30) -> ScanResult:
     if m_max < 1:
         raise DomainError("m_max must be at least 1")
     base = f_value(n, k, digits)
-    (step, unit), prec = _exact_fixed(base.frac, base.err)
+    ball = BoundedReal(base.frac, base.err)     # frac and err as ints over 2^prec
+    step, unit, prec = ball.mid, ball.rad, -ball.exp
     if 10 * m_max * unit >= 1 << prec:
         raise PrecisionError(
             f"m_max * err = {mpmath.nstr(m_max * base.err, 3)} >= 0.1; raise digits")

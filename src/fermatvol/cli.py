@@ -226,12 +226,12 @@ def cmd_dixon_test(args, digits, out) -> int:
         quad = _random_quadruple(rng)
         members = specfun.dixon_family(*quad, digits=digits)
         live = [m.value for m in members if not m.skipped]
+        exp = min(b.exp for b in live)
+        balls = sorted(b._at(exp) for b in live)    # (mid, rad) over 2^exp, by mid
         # the intervals meet pairwise iff they all meet (Helly in one dimension), so
-        # iff the highest lower end is at most the lowest upper end; both are exact
-        ok = (max(mpmath.fsub(b.value, b.err, exact=True) for b in live)
-              <= min(mpmath.fadd(b.value, b.err, exact=True) for b in live))
-        # rounding is monotone, so this is the largest rounded pairwise gap
-        worst = max(worst, max(b.value for b in live) - min(b.value for b in live))
+        # iff the highest lower end is at most the lowest upper end, on exact integers
+        ok = max(m - r for m, r in balls) <= min(m + r for m, r in balls)
+        worst = max(worst, specfun._fixed_mpf(balls[-1][0] - balls[0][0], -exp))  # exactly
         print(f"trial {trial:3d} params={tuple(str(x) for x in quad)} "
               f"live={len(live)} skipped={len(members) - len(live)} "
               f"{'ok' if ok else 'DISAGREE'}", file=out)

@@ -183,8 +183,8 @@ def _kappa_rs_terms(curve: FermatCurve, idx1: FermatIndex, idx2: FermatIndex) ->
             (-p1, a, b), (p1, a, b + d), (p2, c, d), (-p2, c, b + d))
 
 
-# one entry per distinct closed form and digits, about 1.5 kB each: oracle-test --n 15,
-# the largest the CLI admits, asks for 10,647 distinct forms in its 33,124 pairs
+# one entry per distinct closed form and digits, a 1.1-1.3 kB key and a 0.2 kB ball: oracle-test
+# --n 15, the largest the CLI admits, asks for 10,647 distinct forms in its 33,124 pairs
 _CLOSED_FORMS_MAX = 16_384
 _closed_form_cached = lru_cache(maxsize=_CLOSED_FORMS_MAX)(_gamma_hyp)
 
@@ -291,8 +291,8 @@ def harmonic_volume_exact_parts(curve: FermatCurve, t: TripleConfig) -> DeltaLin
     return _sigma_exact_parts_cached(curve.n, i1.a, i1.b, i2.a, i2.b, i3.a, i3.b)
 
 
-# one entry per (triple, embedding, digits), about 3 kB each.  A loop over the
-# embeddings of one triple meets each conjugate pair within phi(N) calls, and this
+# one entry per (triple, embedding, digits), about 2.6 kB with a 0.34 kB ball.  A loop
+# over the embeddings of one triple meets each conjugate pair within phi(N) calls, and this
 # holds the 264 components of the volume benchmark's 24-triple pool three times over
 _SIGMA_MAX = 1024
 

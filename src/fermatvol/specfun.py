@@ -100,18 +100,15 @@ nearest, at 2^-(bits(digits) + 40); the exact residual joins the
 propagated bound |G| e_H + |H| e_G + e_G e_H, and that sum is rounded up
 to as many significant bits (``_round_product``).
 
-The ``BoundedReal`` and ``BoundedComplex`` arithmetic that combines
-these results has one rounding rule: an operation is exact on the binary
-fractions of value and bound, or it rounds once and adds the exact
-residual to the bound.  Sums, differences and products are exact (the
-complex ones part by part), so a sum of certified terms is certified by
-the sum of their bounds.  A real product's bound is (|a| + e_a)(|b| +
-e_b) - |a b|, exactly; a complex product's is |a| e_b + (|b| + e_b) e_a,
-rounded up from moduli rounded up at ``_BOUND_PREC`` bits.  A quotient
-rounds its value to nearest at the ambient mpmath precision, the one
-result that depends on it, and its bound (|a - v b| + e_a + |v| e_b) /
-(|b| - e_b) is one division rounded up; a ``Fraction`` operand is its
-numerator divided by its denominator.  ``agrees_with`` compares exactly.
+The ``BoundedReal`` and ``BoundedComplex`` balls that carry these results are
+Python ints, a midpoint and a radius over one power of two (as in Arb), and
+their arithmetic is exact or rounds once and adds the exact residual to the
+bound.  Sums, differences, products and ``agrees_with`` are exact (the
+complex ones part by part), so a sum of certified terms is certified by the
+sum of their bounds.  A real product's bound is (|a| + e_a)(|b| + e_b) - |a b|;
+a complex product's is |a| e_b + (|b| + e_b) e_a, rounded up from moduli
+rounded up at ``_BOUND_PREC`` bits.  mpf appears only in their read-only
+``value`` and ``err`` views, built for output.
 """
 
 from __future__ import annotations
@@ -119,7 +116,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -129,10 +126,8 @@ from typing import Optional, Sequence, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (fhalf, from_float, from_int, from_man_exp, fzero, mpf_abs, mpf_add,
-                          mpf_div, mpf_exp, mpf_le, mpf_log, mpf_mul, mpf_neg, mpf_pi, mpf_pos,
-                          mpf_shift, mpf_sign, mpf_sqrt, mpf_sub, round_ceiling, round_floor,
-                          round_nearest, to_fixed, to_int)
+from mpmath.libmp import (from_float, from_man_exp, mpf_exp, mpf_log, mpf_pi, mpf_shift,
+                          round_floor, to_fixed)
 
 Rational = Union[int, Fraction]
 
@@ -153,208 +148,209 @@ def _bits(digits: int) -> int:
     return int(digits * 3.3219281) + 1
 
 
-def _finite(raw: tuple) -> bool:
-    # of a raw mpf tuple: inf and nan are the only ones with mantissa 0 and a nonzero exponent
-    return bool(raw[1]) or not raw[2]
-
-
-def _exact_fixed(*xs: mpmath.mpf, prec: int = 0) -> tuple[list[int], int]:
-    """Finite mpfs read exactly as integers over one power of two:
-    x_i = n_i * 2^-p with p >= prec."""
-    pairs = []
-    for x in xs:
-        sign, man, exp, _ = raw = x._mpf_
-        if not _finite(raw):
-            raise ValueError(f"{x} is not a finite number")
-        pairs.append((-int(man) if sign else int(man), exp))
-    prec = max([prec] + [-exp for _, exp in pairs])
-    return [man << (prec + exp) for man, exp in pairs], prec
-
-
 def _fixed_mpf(x: int, prec: int) -> mpmath.mpf:
     # x * 2^-prec, exactly (the mantissa is not rounded to the ambient precision)
     return mp.make_mpf(from_man_exp(x, -prec))
 
 
-def _exact_mpf(x) -> tuple:
-    # the raw mpf of an mpf, int or float, exactly: never rounded to the ambient precision
-    if isinstance(x, mpmath.mpf):
-        return x._mpf_
+def _dyadic(x, what: str, nonneg: bool = False) -> tuple[int, int]:
+    """(man, exp) with x = man * 2^exp exactly, for a finite mpf, int or float
+    (and nonnegative when ``nonneg``)."""
     if isinstance(x, int):
-        return from_int(x)
-    if isinstance(x, float):
-        return from_float(x)
-    raise TypeError(f"expected an mpf, int or float, got {type(x).__name__}")
+        sign, man, exp = x < 0, abs(x), 0
+    elif isinstance(x, (float, mpmath.mpf)):
+        sign, man, exp, _ = from_float(x) if isinstance(x, float) else x._mpf_
+    else:
+        raise TypeError(f"expected an mpf, int or float, got {type(x).__name__}")
+    # inf and nan are the only raw mpfs with mantissa 0 and a nonzero exponent
+    if (not man and exp) or (nonneg and sign):
+        raise ValueError(f"invalid {what} {x!r}")
+    return (-int(man) if sign else int(man)), exp
 
 
-# significant bits of a rounded-up bound, whatever mp.prec is.  A bound that is a sum
-# is formed exactly and then rounded by mpf_pos: mpf_add's own rounding can miss the
-# ceiling when the larger operand has more bits than the target precision
+def _ceil_bits(x: int, bits: int) -> tuple[int, int]:
+    # (m, t): m 2^t is the nonnegative x rounded up to ``bits`` significant bits
+    t = max(0, x.bit_length() - bits)
+    return -(-x >> t), t
+
+
+# significant bits of a complex product's rounded-up moduli and bound
 _BOUND_PREC = 64
 
 
-class BoundedReal:
-    """A real value with a conservative absolute error bound.
+def _sqrt_up(n: int) -> tuple[int, int]:
+    # (m, k): m 2^k is sqrt(n) rounded up to _BOUND_PREC significant bits, n >= 0
+    k = math.isqrt(n).bit_length() - _BOUND_PREC
+    n <<= max(0, -2 * k)
+    r = math.isqrt(n)
+    r += r * r < n
+    return -(-r >> max(0, k)), k
 
-    Value and bound are binary fractions.  Sums, differences and products
-    are exact on them.  A quotient rounds its value to nearest at the
-    ambient mpmath precision and adds the exact residual to its bound,
-    which is rounded up once.  The constructor keeps an mpf, int or float
-    value or bound exactly and refuses any other type with ``TypeError``
-    (``_coerce`` reads a ``Fraction``).
+
+class BoundedReal:
+    """A real ball: the value mid * 2^exp within rad * 2^exp, three Python ints with
+    rad >= 0 and exp <= 0 (midpoint and radius, as in Arb).
+
+    Sums, differences and products are exact on the ints.  The constructor
+    reads an mpf, int or float value and bound exactly and refuses any other
+    type, a ``Fraction`` too, with ``TypeError``.  ``value`` and ``err`` are
+    exact mpf views, built on each access for output.
     """
 
-    __slots__ = ("value", "err")
+    __slots__ = ("mid", "rad", "exp")
 
     def __init__(self, value, err=0):
-        self.value = value if isinstance(value, mpmath.mpf) else mp.make_mpf(_exact_mpf(value))
-        self.err = err if isinstance(err, mpmath.mpf) else mp.make_mpf(_exact_mpf(err))
-        if not _finite(self.value._mpf_):
-            raise ValueError(f"invalid value {value!r}")
-        if self.err._mpf_[0] or not _finite(self.err._mpf_):  # the sign bit: err < 0
-            raise ValueError(f"invalid error bound {err!r}")
+        (m, e), (r, f) = _dyadic(value, "value"), _dyadic(err, "error bound", nonneg=True)
+        exp = min(e, f, 0)
+        self.mid, self.rad, self.exp = m << (e - exp), r << (f - exp), exp
+
+    @property
+    def value(self) -> mpmath.mpf:
+        return _fixed_mpf(self.mid, -self.exp)
+
+    @property
+    def err(self) -> mpmath.mpf:
+        return _fixed_mpf(self.rad, -self.exp)
+
+    def _at(self, exp: int) -> tuple[int, int]:
+        # mid and rad over 2^exp, exp <= self.exp
+        return self.mid << (self.exp - exp), self.rad << (self.exp - exp)
 
     def __add__(self, other):
-        other = _coerce(other)
-        return BoundedReal(mpmath.fadd(self.value, other.value, exact=True),
-                           mpmath.fadd(self.err, other.err, exact=True))
+        (a, ea), (b, eb), exp = _aligned(self, _coerce(other))
+        return _ball(a + b, ea + eb, exp)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return BoundedReal(mpmath.fsub(self.value, other.value, exact=True),
-                           mpmath.fadd(self.err, other.err, exact=True))
+        (a, ea), (b, eb), exp = _aligned(self, _coerce(other))
+        return _ball(a - b, ea + eb, exp)
 
     def __rsub__(self, other):
         return _coerce(other).__sub__(self)
 
     def __mul__(self, other):
         other = _coerce(other)
-        a, ea, b, eb = self.value._mpf_, self.err._mpf_, other.value._mpf_, other.err._mpf_
+        a, ea, b, eb = self.mid, self.rad, other.mid, other.rad
         # (|a| + e_a)(|b| + e_b) - |a b|
-        return _real(mpf_mul(a, b),
-                     mpf_add(mpf_mul(mpf_abs(a), eb), mpf_mul(mpf_add(mpf_abs(b), eb), ea)))
+        return _ball(a * b, abs(a) * eb + (abs(b) + eb) * ea, self.exp + other.exp)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return _real(mpf_neg(self.value._mpf_), self.err._mpf_)
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        a, ea, b, eb = self.value._mpf_, self.err._mpf_, other.value._mpf_, other.err._mpf_
-        lo = mpf_sub(mpf_abs(b), eb)
-        if mpf_sign(lo) <= 0:
-            raise ZeroDivisionError("divisor interval contains zero")
-        v = mpf_div(a, b, mp.prec, round_nearest)
-        # |(a + da)/(b + db) - v| <= (|a - v b| + e_a + |v| e_b) / (|b| - e_b)
-        num = mpf_add(mpf_add(mpf_abs(mpf_sub(a, mpf_mul(v, b))), ea), mpf_mul(mpf_abs(v), eb))
-        return _real(v, mpf_div(num, lo, _BOUND_PREC, round_ceiling))
+        return _ball(-self.mid, self.rad, self.exp)
 
     def agrees_with(self, other: "BoundedReal") -> bool:
-        other = _coerce(other)
-        gap = mpf_abs(mpf_sub(self.value._mpf_, other.value._mpf_))
-        return mpf_le(gap, mpf_add(self.err._mpf_, other.err._mpf_))
+        (a, ea), (b, eb), exp = _aligned(self, _coerce(other))
+        return abs(a - b) <= ea + eb
 
     def __repr__(self):
         return f"BoundedReal({mpmath.nstr(self.value, 20)}, err<={mpmath.nstr(self.err, 3)})"
 
 
-def _real(value: tuple, err: tuple) -> BoundedReal:
-    # from raw mpfs, kept exactly
-    return BoundedReal(mp.make_mpf(value), mp.make_mpf(err))
+def _aligned(x, y) -> tuple[tuple, tuple, int]:
+    # the ints of two balls of one kind over their common exponent, and that exponent
+    exp = min(x.exp, y.exp)
+    return x._at(exp), y._at(exp), exp
+
+
+def _ball(mid: int, rad: int, exp: int) -> BoundedReal:
+    # from its ints, unchecked: rad >= 0 and exp <= 0
+    x = object.__new__(BoundedReal)
+    x.mid, x.rad, x.exp = mid, rad, exp
+    return x
 
 
 def _coerce(x) -> BoundedReal:
-    if isinstance(x, BoundedReal):
-        return x
-    if isinstance(x, Fraction):
-        return _coerce(x.numerator) / x.denominator
-    return BoundedReal(x)
+    return x if isinstance(x, BoundedReal) else BoundedReal(x)
 
 
 class BoundedComplex:
-    """Complex value with an absolute (radius) error bound.
+    """A complex ball: the value (re + i im) 2^exp within the radius rad * 2^exp,
+    four Python ints with rad >= 0 and exp <= 0.
 
-    The parts and the bound are binary fractions.  Sums, differences,
-    products and conjugates keep the parts exact; a product's bound is
-    rounded up once from moduli rounded up at ``_BOUND_PREC`` bits.  The
-    constructor keeps an mpc value exactly, and an mpf, int or float one
-    as (x, 0); any other type raises ``TypeError``.
+    Sums, differences, negations and conjugates are exact.  A product's parts
+    are exact, and its bound is rounded up once from moduli rounded up at
+    ``_BOUND_PREC`` bits.  The constructor reads an mpc value exactly, and an
+    mpf, int or float one as (x, 0); any other type raises ``TypeError``.
+    ``value`` and ``err`` are exact mpc and mpf views.
     """
 
-    __slots__ = ("value", "err")
+    __slots__ = ("re", "im", "rad", "exp")
 
     def __init__(self, value, err=0):
-        self.value = (value if isinstance(value, mpmath.mpc)
-                      else mp.make_mpc((_exact_mpf(value), fzero)))
-        self.err = err if isinstance(err, mpmath.mpf) else mp.make_mpf(_exact_mpf(err))
-        if not all(map(_finite, self.value._mpc_)):
-            raise ValueError(f"invalid value {value!r}")
-        if self.err._mpf_[0] or not _finite(self.err._mpf_):  # the sign bit: err < 0
-            raise ValueError(f"invalid error bound {err!r}")
+        parts = (value.real, value.imag) if isinstance(value, mpmath.mpc) else (value, 0)
+        (a, e), (b, f) = (_dyadic(x, "value") for x in parts)
+        r, g = _dyadic(err, "error bound", nonneg=True)
+        exp = min(e, f, g, 0)
+        self.re, self.im, self.rad, self.exp = a << (e - exp), b << (f - exp), r << (g - exp), exp
+
+    @property
+    def value(self) -> mpmath.mpc:
+        return mp.make_mpc((from_man_exp(self.re, self.exp), from_man_exp(self.im, self.exp)))
+
+    @property
+    def err(self) -> mpmath.mpf:
+        return _fixed_mpf(self.rad, -self.exp)
+
+    def _at(self, exp: int) -> tuple[int, int, int]:
+        # re, im and rad over 2^exp, exp <= self.exp
+        d = self.exp - exp
+        return self.re << d, self.im << d, self.rad << d
 
     def __add__(self, other):
-        other = _coerce_c(other)
-        (ar, ai), (br, bi) = self.value._mpc_, other.value._mpc_
-        return _complex(mpf_add(ar, br), mpf_add(ai, bi), mpf_add(self.err._mpf_, other.err._mpf_))
+        (ar, ai, ea), (br, bi, eb), exp = _aligned(self, _coerce_c(other))
+        return _cball(ar + br, ai + bi, ea + eb, exp)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce_c(other)
-        (ar, ai), (br, bi) = self.value._mpc_, other.value._mpc_
-        return _complex(mpf_sub(ar, br), mpf_sub(ai, bi), mpf_add(self.err._mpf_, other.err._mpf_))
+        (ar, ai, ea), (br, bi, eb), exp = _aligned(self, _coerce_c(other))
+        return _cball(ar - br, ai - bi, ea + eb, exp)
 
     def __mul__(self, other):
         other = _coerce_c(other)
-        (ar, ai), (br, bi) = self.value._mpc_, other.value._mpc_
-        ea, eb = self.err._mpf_, other.err._mpf_
-        # |a| e_b + (|b| + e_b) e_a, exact from the moduli and then rounded up
-        err = mpf_add(mpf_mul(_modulus_up(ar, ai), eb),
-                      mpf_mul(mpf_add(_modulus_up(br, bi), eb), ea))
-        return _complex(mpf_sub(mpf_mul(ar, br), mpf_mul(ai, bi)),
-                        mpf_add(mpf_mul(ar, bi), mpf_mul(ai, br)),
-                        mpf_pos(err, _BOUND_PREC, round_ceiling))
+        ar, ai, ea, br, bi, eb = self.re, self.im, self.rad, other.re, other.im, other.rad
+        # |a| e_b + (|b| + e_b) e_a over 2^(exp + k), from the moduli m 2^k, then
+        # rounded up to 2^(exp + k + t)
+        (ma, ka), (mb, kb) = _sqrt_up(ar * ar + ai * ai), _sqrt_up(br * br + bi * bi)
+        k = min(ka, kb, 0)
+        err, t = _ceil_bits((ma << (ka - k)) * eb + ((mb << (kb - k)) + (eb << -k)) * ea,
+                            _BOUND_PREC)
+        k += t
+        d = max(0, -k)
+        return _cball((ar * br - ai * bi) << d, (ar * bi + ai * br) << d, err << max(0, k),
+                      self.exp + other.exp - d)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        re, im = self.value._mpc_
-        return _complex(mpf_neg(re), mpf_neg(im), self.err._mpf_)
+        return _cball(-self.re, -self.im, self.rad, self.exp)
 
     def conjugate(self) -> "BoundedComplex":
-        re, im = self.value._mpc_
-        return _complex(re, mpf_neg(im), self.err._mpf_)
+        return _cball(self.re, -self.im, self.rad, self.exp)
 
     def agrees_with(self, other: "BoundedComplex") -> bool:
-        other = _coerce_c(other)
-        (ar, ai), (br, bi) = self.value._mpc_, other.value._mpc_
-        dr, di = mpf_sub(ar, br), mpf_sub(ai, bi)
-        e = mpf_add(self.err._mpf_, other.err._mpf_)
-        return mpf_le(mpf_add(mpf_mul(dr, dr), mpf_mul(di, di)), mpf_mul(e, e))
+        (ar, ai, ea), (br, bi, eb), exp = _aligned(self, _coerce_c(other))
+        dr, di, e = ar - br, ai - bi, ea + eb
+        return dr * dr + di * di <= e * e
 
     def __repr__(self):
         return f"BoundedComplex({mpmath.nstr(self.value, 20)}, err<={mpmath.nstr(self.err, 3)})"
 
 
-def _modulus_up(re: tuple, im: tuple) -> tuple:
-    # sqrt of the exact re^2 + im^2, correctly rounded up (mpf_hypot rounds the sum first)
-    return mpf_sqrt(mpf_add(mpf_mul(re, re), mpf_mul(im, im)), _BOUND_PREC, round_ceiling)
-
-
-def _complex(re: tuple, im: tuple, err: tuple) -> BoundedComplex:
-    # from raw mpfs, kept exactly
-    return BoundedComplex(mp.make_mpc((re, im)), mp.make_mpf(err))
+def _cball(re: int, im: int, rad: int, exp: int) -> BoundedComplex:
+    # from its ints, unchecked: rad >= 0 and exp <= 0
+    z = object.__new__(BoundedComplex)
+    z.re, z.im, z.rad, z.exp = re, im, rad, exp
+    return z
 
 
 def _coerce_c(x) -> BoundedComplex:
     if isinstance(x, BoundedComplex):
         return x
-    if isinstance(x, (BoundedReal, int, Fraction)):
-        r = _coerce(x)
-        return _complex(r.value._mpf_, fzero, r.err._mpf_)
+    if isinstance(x, BoundedReal):
+        return _cball(x.mid, 0, x.rad, x.exp)
     return BoundedComplex(x, 0)
 
 
@@ -366,7 +362,7 @@ def _certified(value: int, err: int, prec: int, digits: int, what: str,
     if err * 10 ** digits > (1 << prec) + (abs(value) if relative else 0):
         raise PrecisionError(f"{what} bound {mpmath.nstr(_fixed_mpf(err, prec), 3)} above "
                              f"10^-{digits}" + (" (1 + |value|)" if relative else ""))
-    return BoundedReal(_fixed_mpf(value, prec), _fixed_mpf(err, prec))
+    return _ball(value, err, -prec)
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +612,9 @@ def ln_gamma(x: Rational, digits: int = 30) -> BoundedReal:
 # integer part and prec need, so even 256 ulps there are 1 ulp at prec; the floor to
 # prec adds less than one more
 _EXP_ULPS = 2
+# integer bits of the largest e^x that gamma_quotient exponentiates: mpf_exp works at
+# prec + ib bits, and Gamma(5000) (ib about 56,000) took 0.2-0.35 s, Gamma(20000) 5.7 s
+_EXP_INT_BITS_MAX = 1 << 16
 
 
 def gamma_quotient(numerators: Sequence[Rational], denominators: Sequence[Rational],
@@ -626,29 +625,27 @@ def gamma_quotient(numerators: Sequence[Rational], denominators: Sequence[Ration
     multiplicities w into x = sum w v and eps = sum |w| e, and exponentiated
     once in fixed point at 2^-prec, prec = bits(digits) + 40: the value is
     floor(2^prec e^x) within ``_EXP_ULPS``, and |e^L - e^x| <= e^x eps (1 + eps)
-    for |L - x| <= eps < 1, rounded up.  Raises PrecisionError unless
-    eps < 1 and err <= 10^-digits (1 + |value|)."""
+    for |L - x| <= eps < 1, rounded up.  Raises PrecisionError unless eps < 1,
+    e^x needs at most ``_EXP_INT_BITS_MAX`` integer bits and err <= 10^-digits (1 + |value|)."""
     nums = [Fraction(a) for a in numerators]
     dens = [Fraction(b) for b in denominators]
     for a in nums + dens:
         if a <= 0:
             raise DomainError(f"gamma_quotient argument {a} <= 0")
     # each distinct argument is evaluated once, with its net multiplicity
-    weights: dict[Fraction, int] = {}
-    for a in nums:
-        weights[a] = weights.get(a, 0) + 1
-    for b in dens:
-        weights[b] = weights.get(b, 0) - 1
-    weights = {a: w for a, w in weights.items() if w}
-    logs = [ln_gamma(a, digits + 12) for a in weights]
-    ns, p = _exact_fixed(*[y for r in logs for y in (r.value, r.err)])
-    S = sum(w * v for w, v in zip(weights.values(), ns[0::2]))
-    E = sum(abs(w) * e for w, e in zip(weights.values(), ns[1::2]))
+    weights = Counter(nums)
+    weights.subtract(dens)
+    # x = sum w v within eps = sum |w| e, exactly: S and E over 2^p
+    x = sum((w * ln_gamma(a, digits + 12) for a, w in weights.items() if w), BoundedReal(0))
+    S, E, p = x.mid, x.rad, -x.exp
     if E >> p:
-        raise PrecisionError(f"gamma quotient log bound {mpmath.nstr(_fixed_mpf(E, p), 3)} >= 1")
+        raise PrecisionError(f"gamma quotient log bound {mpmath.nstr(x.err, 3)} >= 1")
     prec = _bits(digits) + 40
     # e^x < 2^ib, since log2(e) < 3/2
     ib = max(1, (3 * ((S >> p) + 1) + 1) // 2)
+    if ib > _EXP_INT_BITS_MAX:
+        raise PrecisionError(f"gamma quotient needs up to {ib} integer bits, above "
+                             f"{_EXP_INT_BITS_MAX}")
     value = to_fixed(mpf_exp(from_man_exp(S, -p), prec + ib + 8, round_floor), prec)
     err = -(-(value + _EXP_ULPS) * E * ((1 << p) + E) >> 2 * p) + _EXP_ULPS
     return _certified(value, err, prec, digits, "gamma quotient")
@@ -1023,9 +1020,11 @@ def _round_product(factors: Sequence[BoundedReal], prec: int) -> BoundedReal:
     rounded up to prec significant bits, so no other rounding is charged.
     """
     p = math.prod(factors)
-    r = from_man_exp(to_int(mpf_add(mpf_shift(p.value._mpf_, prec), fhalf), round_floor), -prec)
-    err = mpf_add(p.err._mpf_, mpf_abs(mpf_sub(p.value._mpf_, r)))
-    return _real(r, mpf_pos(err, prec, round_ceiling))
+    s = max(0, -p.exp - prec)        # bits of the product below 2^-prec
+    r = (p.mid + (1 << s >> 1)) >> s
+    err, t = _ceil_bits(p.rad + abs(p.mid - (r << s)), prec)
+    low = min(s, t)
+    return _ball(r << (s - low), err << (t - low), p.exp + low)
 
 
 def _gamma_hyp(gnum, gden, uppers, lowers, digits: int) -> BoundedReal:

@@ -9,7 +9,9 @@ value and bound, bit for bit.
 from mpmath import mp
 from mpmath.libmp import from_man_exp, round_ceiling
 
-from fermatvol.specfun import BoundedReal, _exact_fixed, _fixed_mpf
+from fermatvol.specfun import BoundedReal, _fixed_mpf
+
+from _ball_reference import _exact_fixed
 
 
 def round_product(factors, prec):

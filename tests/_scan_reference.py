@@ -8,7 +8,8 @@ must return the same first failing m.
 """
 
 from fermatvol.ceresa import MARGIN_FACTOR
-from fermatvol.specfun import _exact_fixed
+
+from _ball_reference import _exact_fixed
 
 
 def first_inconclusive(frac, err, m_max):

@@ -50,7 +50,11 @@ def test_package_is_the_certifier():
         ceresa: ["klein_trace_route"],
         specfun: ["appell_f3_unit",
                   # one digits contract (_certified), one fixed-point summation loop
-                  "_hyp_unit_attempt", "_certified_sum", "_fixed_prec"],
+                  "_hyp_unit_attempt", "_certified_sum", "_fixed_prec",
+                  # the balls hold ints: no mpf read-back or mpf-built ball
+                  "_exact_fixed", "_exact_mpf", "_real", "_complex", "_modulus_up"],
+        # the quotient, the one bounded operation that read the ambient mp.prec
+        specfun.BoundedReal: ["__truediv__"],
         cyclotomic.CycloElem: ["galois", "is_rational", "rational_value", "__pow__",
                                "__truediv__", "__rsub__", "abs_coeff_sum"],
         # second copies of a rule that the package states once

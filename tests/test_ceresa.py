@@ -230,13 +230,17 @@ def test_exact_fixed_reads_binary_fractions():
     rng = random.Random(11)
     xs = [_dyadic(rng.randint(-2 ** 200, 2 ** 200), rng.randint(-400, 40)) for _ in range(50)]
     xs += [mp.mpf(0), mp.mpf(3) * 2 ** 70]
-    for i in range(0, len(xs), 2):
-        ns, prec = specfun._exact_fixed(*xs[i:i + 2])
+    # a ball's ints: value mid 2^exp and bound rad 2^exp, over 2^-prec with prec >= 0
+    for value, err in zip(xs, reversed(xs)):
+        err = _dyadic(*err._mpf_[1:3])   # |err|, exactly
+        ball = BoundedReal(value, err)
+        prec = -ball.exp
         assert prec >= 0
-        assert [Fraction(m, 2 ** prec) for m in ns] == [_exact(x) for x in xs[i:i + 2]]
+        assert (Fraction(ball.mid, 2 ** prec), Fraction(ball.rad, 2 ** prec)) == \
+            (_exact(value), _exact(err))
     for bad in (mpmath.inf, -mpmath.inf, mpmath.nan):
         with pytest.raises(ValueError):
-            specfun._exact_fixed(mp.mpf(1), bad)
+            BoundedReal(mp.mpf(1), bad)
 
 
 def _from_dyadic_fraction(q):
