@@ -39,11 +39,14 @@ f(N,k), on exact integers.  Bound propagation is conservative:
   with the exponent pushed down by K: M = 4 * digits and K = 0.46 *
   digits + 8, fitted by timing; a failed attempt doubles M and raises K
   by half, with no cap, so the engine sets no digit ceiling of its own.
-  The defect numerator, a polynomial G with integer coefficients (see
-  ``_defect_poly``), is evaluated exactly at x = 2^b by shifts and by
-  products of one big integer with the small coefficients of P and Q;
-  its coefficients are read back from b-bit slots, b a multiple of 8
-  with |G_i| <= 2^{K+1} (|Q|_1 (|V|_1 + L) + |P|_1 |V|_1) < 2^(b-1).
+  P, Q and the margin are built once per call and handed to the tail
+  solve.  The defect numerator, a polynomial G with integer coefficients
+  (see ``_defect_poly``), is evaluated exactly at x = 2^b by shifts and by
+  products of one big integer with the small coefficients of P and Q, b a
+  multiple of 8 with |G_i| <= 2^{K+1} (|Q|_1 (|V|_1 + L) + |P|_1 |V|_1) <
+  2^(b-1).  So G_0 .. G_{K+1}, which a solved V makes vanish, vanish
+  exactly when one mask finds the low b (K+2) bits of G zero, and only the
+  b-bit slots above, which the majorant reads, are decoded.
   The exact solve for V is the same at every order up to K: step m
   rescales the common denominator and the earlier coefficients by an
   integer f_m and appends v_m, reading one anti-diagonal of the system and
@@ -75,9 +78,10 @@ Log-gamma rounds in the same fixed point.  Each Stirling term is one
 floor division of the exact Bernoulli numerator times D^{2j-1} by
 A^{2j-1} (under one ulp each), and the remainder bound is rounded up
 from exact integers.  ln A, ln D and ln R are exact floors of 2^prec ln n,
-computed on Python ints by ``_log_fixed``: n = 2^e m with m in
-[sqrt(1/2), sqrt(2)) gives ln n = 2 atanh(z) + e ln 2, z = (n - 2^e) /
-(n + 2^e) and |z| < 3 - 2 sqrt(2), with ln 2 = 18 atanh(1/26) -
+computed on Python ints by ``_log_fixed`` and memoised on (n, prec), since
+both twist arguments of a degree N ask for ln N at one precision:
+n = 2^e m with m in [sqrt(1/2), sqrt(2)) gives ln n = 2 atanh(z) + e ln 2,
+z = (n - 2^e) / (n + 2^e) and |z| < 3 - 2 sqrt(2), with ln 2 = 18 atanh(1/26) -
 2 atanh(1/4801) + 8 atanh(1/8749) kept once per working precision.  Every
 floor of the atanh series and its truncated tail is counted, and guard bits
 are added (Ziv's method) until the counted interval fixes the floor.  Only
@@ -89,12 +93,12 @@ working precision, so the bound is the Stirling remainder plus less than
 2^-(bits(digits) + 30).
 
 A gamma quotient stays in the same fixed point.  The log-gammas are read
-exactly as integers over one power of two and summed with their net
-multiplicities into x and its bound eps; x is exponentiated once, by
-mpmath at 8 guard bits beyond its integer part and charged a stated
-``_EXP_ULPS``, then floored to 2^-prec, prec = bits(digits) + 40.  The
-propagated error e^x eps (1 + eps) (eps < 1) is rounded up from exact
-integers.  The closed form Gamma quotient times 3F2 multiplies the two
+exactly as integers, put over the largest of their powers of two and
+summed with their net multiplicities into x and its bound eps; x is
+exponentiated once, by mpmath at 8 guard bits beyond its integer part and
+charged a stated ``_EXP_ULPS``, then floored to 2^-prec with
+prec = bits(digits) + 40.  The propagated error e^x eps (1 + eps) (eps < 1)
+is rounded up from exact integers.  The closed form Gamma quotient times 3F2 multiplies the two
 certified binary fractions exactly and rounds the value once, to
 nearest, at 2^-(bits(digits) + 40); the exact residual joins the
 propagated bound |G| e_H + |H| e_G + e_G e_H, and that sum is rounded up
@@ -105,8 +109,10 @@ Python ints, a midpoint and a radius over one power of two (as in Arb), and
 their arithmetic is exact or rounds once and adds the exact residual to the
 bound.  Sums, differences, products and ``agrees_with`` are exact (the
 complex ones part by part), so a sum of certified terms is certified by the
-sum of their bounds.  A real product's bound is (|a| + e_a)(|b| + e_b) - |a b|;
-a complex product's is |a| e_b + (|b| + e_b) e_a, rounded up from moduli
+sum of their bounds; a real ball meets a complex one in the complex ball's
+methods, so either operand order gives the same ints.  A real product's
+bound is (|a| + e_a)(|b| + e_b) - |a b|; a complex product's is
+|a| e_b + (|b| + e_b) e_a, rounded up from moduli
 rounded up at ``_BOUND_PREC`` bits.  mpf appears only in their read-only
 ``value`` and ``err`` views, built for output.
 """
@@ -122,7 +128,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, mul
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import mpmath
 from mpmath import mp
@@ -146,6 +152,11 @@ class PrecisionError(RuntimeError):
 
 def _bits(digits: int) -> int:
     return int(digits * 3.3219281) + 1
+
+
+def _rational(x: Rational) -> Fraction:
+    # an argument as a Fraction, without re-wrapping one that already is
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _fixed_mpf(x: int, prec: int) -> mpmath.mpf:
@@ -191,10 +202,11 @@ class BoundedReal:
     """A real ball: the value mid * 2^exp within rad * 2^exp, three Python ints with
     rad >= 0 and exp <= 0 (midpoint and radius, as in Arb).
 
-    Sums, differences and products are exact on the ints.  The constructor
-    reads an mpf, int or float value and bound exactly and refuses any other
-    type, a ``Fraction`` too, with ``TypeError``.  ``value`` and ``err`` are
-    exact mpf views, built on each access for output.
+    Sums, differences and products are exact on the ints; one with a
+    ``BoundedComplex`` is left to the complex ball's methods, so either order gives
+    the same ints.  The constructor reads an mpf, int or float value and bound
+    exactly and refuses any other type, a ``Fraction`` too, with ``TypeError``.
+    ``value`` and ``err`` are exact mpf views, built on each access for output.
     """
 
     __slots__ = ("mid", "rad", "exp")
@@ -217,12 +229,16 @@ class BoundedReal:
         return self.mid << (self.exp - exp), self.rad << (self.exp - exp)
 
     def __add__(self, other):
+        if isinstance(other, BoundedComplex):
+            return NotImplemented
         (a, ea), (b, eb), exp = _aligned(self, _coerce(other))
         return _ball(a + b, ea + eb, exp)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, BoundedComplex):
+            return NotImplemented
         (a, ea), (b, eb), exp = _aligned(self, _coerce(other))
         return _ball(a - b, ea + eb, exp)
 
@@ -230,6 +246,8 @@ class BoundedReal:
         return _coerce(other).__sub__(self)
 
     def __mul__(self, other):
+        if isinstance(other, BoundedComplex):
+            return NotImplemented
         other = _coerce(other)
         a, ea, b, eb = self.mid, self.rad, other.mid, other.rad
         # (|a| + e_a)(|b| + e_b) - |a b|
@@ -308,6 +326,9 @@ class BoundedComplex:
         (ar, ai, ea), (br, bi, eb), exp = _aligned(self, _coerce_c(other))
         return _cball(ar - br, ai - bi, ea + eb, exp)
 
+    def __rsub__(self, other):
+        return _coerce_c(other).__sub__(self)
+
     def __mul__(self, other):
         other = _coerce_c(other)
         ar, ai, ea, br, bi, eb = self.re, self.im, self.rad, other.re, other.im, other.rad
@@ -354,12 +375,15 @@ def _coerce_c(x) -> BoundedComplex:
     return BoundedComplex(x, 0)
 
 
-def _certified(value: int, err: int, prec: int, digits: int, what: str,
+def _certified(value: int, err: int, prec: int, digits: int, what: Union[str, Callable[[], str]],
                relative: bool = True) -> BoundedReal:
     """value within err, both in ulps of 2^-prec, once the ``digits`` contract holds on
     the exact integers: err <= 10^-digits (1 + |value|), or 10^-digits when not
-    ``relative``; PrecisionError otherwise.  The one exit; see the module docstring."""
+    ``relative``; PrecisionError otherwise, naming ``what`` (called first when it is a
+    function, so a costly name is formatted only then).  The one exit; see the module
+    docstring."""
     if err * 10 ** digits > (1 << prec) + (abs(value) if relative else 0):
+        what = what() if callable(what) else what
         raise PrecisionError(f"{what} bound {mpmath.nstr(_fixed_mpf(err, prec), 3)} above "
                              f"10^-{digits}" + (" (1 + |value|)" if relative else ""))
     return _ball(value, err, -prec)
@@ -525,6 +549,13 @@ def _log_interval(n: int, wp: int, cut: int) -> tuple[int, int]:
     return (2 * S if p > 0 else -2 * S) + e * L2, 2 * err + e * err2
 
 
+# one entry per (n, prec), about 0.3 kB.  A repeat is mostly ln N, asked by both twist
+# arguments of a degree at one precision, so it comes soon: the cold 96-row table makes
+# 2,392 repeats of 6,753 calls, and 2,333 of them hit at this size
+_LOG_FIXED_MAX = 256
+
+
+@lru_cache(maxsize=_LOG_FIXED_MAX)
 def _log_fixed(n: int, prec: int) -> int:
     """floor(2^prec ln n), exactly, for an integer n >= 1.
 
@@ -601,7 +632,7 @@ def ln_gamma(x: Rational, digits: int = 30) -> BoundedReal:
     all real positive arguments.  Raises PrecisionError when the bound
     exceeds 10^-digits.
     """
-    q = Fraction(x)
+    q = _rational(x)
     if q <= 0:
         raise DomainError(f"ln_gamma requires a positive argument, got {q}")
     value, round_err, rem, prec = _ln_gamma_fixed(q, digits)
@@ -627,19 +658,22 @@ def gamma_quotient(numerators: Sequence[Rational], denominators: Sequence[Ration
     floor(2^prec e^x) within ``_EXP_ULPS``, and |e^L - e^x| <= e^x eps (1 + eps)
     for |L - x| <= eps < 1, rounded up.  Raises PrecisionError unless eps < 1,
     e^x needs at most ``_EXP_INT_BITS_MAX`` integer bits and err <= 10^-digits (1 + |value|)."""
-    nums = [Fraction(a) for a in numerators]
-    dens = [Fraction(b) for b in denominators]
+    nums = [_rational(a) for a in numerators]
+    dens = [_rational(b) for b in denominators]
     for a in nums + dens:
         if a <= 0:
             raise DomainError(f"gamma_quotient argument {a} <= 0")
     # each distinct argument is evaluated once, with its net multiplicity
     weights = Counter(nums)
     weights.subtract(dens)
-    # x = sum w v within eps = sum |w| e, exactly: S and E over 2^p
-    x = sum((w * ln_gamma(a, digits + 12) for a, w in weights.items() if w), BoundedReal(0))
-    S, E, p = x.mid, x.rad, -x.exp
+    # x = sum w v within eps = sum |w| e, exactly: S and E over 2^p, p the largest
+    # precision of the log-gammas (each a ball mid 2^exp within rad 2^exp)
+    logs = [(w, ln_gamma(a, digits + 12)) for a, w in weights.items() if w]
+    p = max([-v.exp for _, v in logs], default=0)
+    S = sum([w * v.mid << (p + v.exp) for w, v in logs])
+    E = sum([abs(w) * v.rad << (p + v.exp) for w, v in logs])
     if E >> p:
-        raise PrecisionError(f"gamma quotient log bound {mpmath.nstr(x.err, 3)} >= 1")
+        raise PrecisionError(f"gamma quotient log bound {mpmath.nstr(_fixed_mpf(E, p), 3)} >= 1")
     prec = _bits(digits) + 40
     # e^x < 2^ib, since log2(e) < 3/2
     ib = max(1, (3 * ((S >> p) + 1) + 1) // 2)
@@ -745,7 +779,7 @@ def _store_half(key, i: int, half: tuple) -> None:
             _SERIES.popitem(last=False)
 
 
-def _solve_tail_series(uppers, lowers, K):
+def _solve_tail_series(uppers, lowers, K, polys=None):
     """Coefficients v_k = V[k] / L of W(n) = n V(1/n) for the tail recurrence.
 
     Writing the functional equation q V = x q + p (1+x) V(x/(1+x)) order
@@ -758,13 +792,14 @@ def _solve_tail_series(uppers, lowers, K):
     The solve at order K is an exact prefix of every higher one (see the
     module docstring): the series' record divides it out of the highest
     solve or continues that one, so (V, L) is the same integers whatever was
-    asked before.
+    asked before.  ``polys`` is (P, Q, s) when the caller has built them already.
     """
     key = _series_key(uppers, lowers)
     solve = _series_half(key, 1)
     if solve is None or len(solve[0]) <= K:
-        P, Q = _series_polys(uppers, lowers)
-        solve = _tail_solve_steps(P, Q, sum(lowers) - sum(uppers), K, *(solve or ((), (), ())))
+        if polys is None:
+            polys = (*_series_polys(uppers, lowers), sum(lowers) - sum(uppers))
+        solve = _tail_solve_steps(*polys, K, *(solve or ((), (), ())))
         _store_half(key, 1, solve)
     Valt, factors, _ = solve
     if len(factors) > K + 1:
@@ -818,9 +853,11 @@ def _defect_poly(P, Q, V, L, K):
 
     V having K + 1 >= 2 coefficients; as many as the product's length
     max(2K + len(Q), len(P) + K + 1).  G is evaluated exactly at x = 2^b by
-    shifts and small-by-large products and decoded slot by slot:
-    |G_i| <= 2^{K+1} (|Q|_1 (|V|_1 + L) + |P|_1 |V|_1), so slots of b bits
-    hold every G_i once 2^(b-1) is added to each.
+    shifts and small-by-large products:
+    |G_i| <= 2^{K+1} (|Q|_1 (|V|_1 + L) + |P|_1 |V|_1) < 2^(b-1).  So G_0 .. G_{K+1}
+    all vanish exactly when the low b (K+2) bits of G do, which a solved V must
+    give (AssertionError otherwise); the slots above are decoded one by one once
+    2^(b-1) is added to each.
     """
     n = max(2 * K + len(Q), len(P) + K + 1)
     l1V = sum(map(abs, V))
@@ -846,8 +883,13 @@ def _defect_poly(P, Q, V, L, K):
     for i, c in enumerate(P):
         if c:
             G -= c * X << (b * i)
-    raw = (G + int.from_bytes(slot_bias * n, "little")).to_bytes(n * nb, "little")
-    return [int.from_bytes(raw[i:i + nb], "little") - half for i in range(0, n * nb, nb)]
+    low = b * (K + 2)
+    if G & ((1 << low) - 1):
+        raise AssertionError("tail series solve lost cancellation")
+    n -= K + 2
+    raw = ((G >> low) + int.from_bytes(slot_bias * n, "little")).to_bytes(n * nb, "little")
+    return [0] * (K + 2) + [int.from_bytes(raw[i:i + nb], "little") - half
+                            for i in range(0, n * nb, nb)]
 
 
 def _tail_defect_majorant(P, Q, V, L, K, M):
@@ -855,8 +897,6 @@ def _tail_defect_majorant(P, Q, V, L, K, M):
     |d(n)| <= H(M) n^{-K-1} for n >= M.  The defect polynomial is built
     scaled by L D^d, which clears the denominators of v, p and q."""
     G = _defect_poly(P, Q, V, L, K)
-    if any(G[:K + 2]):
-        raise AssertionError("tail series solve lost cancellation")
     # sum_j |h_j| M^-j over H = G[K+2:], over the common denominator M^J
     hn = 0
     for h in G[K + 2:]:
@@ -888,8 +928,8 @@ def hyp_unit_sum(uppers: Sequence[Rational], lowers: Sequence[Rational],
     parameter is a non-positive integer (terminating series, summed
     exactly).  Raises PrecisionError unless err <= 10^-digits (1 + |value|).
     """
-    uppers = [Fraction(u) for u in uppers]
-    lowers = [Fraction(l) for l in lowers]
+    uppers = [_rational(u) for u in uppers]
+    lowers = [_rational(l) for l in lowers]
     for low in lowers:
         if low <= 0 and low.denominator == 1:
             raise DomainError(f"lower parameter {low} is a non-positive integer")
@@ -901,25 +941,26 @@ def hyp_unit_sum(uppers: Sequence[Rational], lowers: Sequence[Rational],
         raise DivergenceError(
             f"unit-argument series diverges: margin {margin} <= 0 for {uppers}; {lowers}")
     # the fastest measured (M, K) whose bounds are no wider than those of M = 24 digits
-    return _hyp_unit_series(uppers, lowers, digits, 4 * digits, int(digits * 0.46) + 8)
+    return _hyp_unit_series(uppers, lowers, margin, digits, 4 * digits, int(digits * 0.46) + 8)
 
 
-def _hyp_unit_series(uppers: list[Fraction], lowers: list[Fraction], digits: int, M: int,
-                     K: int) -> BoundedReal:
-    """``hyp_unit_sum`` of a non-terminating series from M terms and a tail of order K;
-    each failed attempt doubles M and raises K by half, continuing the tail solve."""
+def _hyp_unit_series(uppers: list[Fraction], lowers: list[Fraction], margin: Fraction,
+                     digits: int, M: int, K: int) -> BoundedReal:
+    """``hyp_unit_sum`` of a non-terminating series of convergence margin
+    sum(lowers) - sum(uppers) from M terms and a tail of order K; each failed attempt
+    doubles M and raises K by half, continuing the tail solve."""
     # all linear factors must be positive (and comfortably so for the
     # negative-parameter Q-majorization) from index M on
     floor_shift = max([0] + [int(math.floor(-2 * float(x))) + 1
-                             for x in list(uppers) + list(lowers) if x < 0])
+                             for x in uppers + lowers if x < 0])
     M = max(M, floor_shift + 2)
     P, Q = _series_polys(uppers, lowers)
     for _attempt in range(5):
         if _ratio_eventually_below_one(P, Q, M):
-            V, L = _solve_tail_series(uppers, lowers, K)
+            V, L = _solve_tail_series(uppers, lowers, K, (P, Q, margin))
             hn, hd = _tail_defect_majorant(P, Q, V, L, K, M)
             # Q(n) >= n^deg * qscale for n >= M (negative lowers shrink the product)
-            qscale = math.prod([1 + b / M for b in lowers if b < 0], start=Fraction(1))
+            qscale = math.prod([1 + b / M for b in lowers if b < 0])
             # the exact W(M) = M V(1/M) = Wn / Wd, and E = |t_M| H(M) (M^{-K-1} + M^{-K}/K)
             Wn = 0
             for Vk in V:
@@ -975,11 +1016,12 @@ def _partial_sum(uppers, lowers, terms, prec):
     Es = list(Es)
     push_E = Es.append
     E, S_err = Es[-1], sum(Es[:-1])
-    for num, den in zip(more_nums, more_dens):
+    for num, den, abs_num, abs_den in zip(more_nums, more_dens, map(abs, more_nums),
+                                          map(abs, more_dens)):
         S += T
         S_err += E
         T = T * num // den
-        E = -(-E * abs(num) // abs(den)) + 1
+        E = -(-E * abs_num // abs_den) + 1
         push_E(E)
     _store_half(key, 0, (nums + tuple(more_nums), dens + tuple(more_dens), tuple(Es)))
     return S, S_err, T, E
@@ -1004,7 +1046,7 @@ def _fixed_point_sum(uppers, lowers, terms: int, digits: int,
                 return None
         rounding = err * 10 ** digits
         try:
-            return _certified(S, err + E, prec, digits, f"series {uppers}; {lowers}")
+            return _certified(S, err + E, prec, digits, lambda: f"series {uppers}; {lowers}")
         except PrecisionError:
             if prec > rounding.bit_length():
                 raise

@@ -85,7 +85,10 @@ def install() -> None:
                     f"{cls.__name__}.{attr}", vars(cls)[attr],
                     lambda self, *args, attr=attr: getattr(_to_ref(self), attr)(
                         *map(_to_ref, args))))
-    replays = {"_certified": ref._certified,
+    replays = {"_certified": lambda value, err, prec, digits, what, *args, **kwargs: (
+                   # a series is named by a function, called only for a message
+                   ref._certified(value, err, prec, digits, what() if callable(what) else what,
+                                  *args, **kwargs)),
                "_round_product": lambda factors, prec: ref._round_product(
                    [_to_ref(f) for f in factors], prec)}
     for attr, replay in replays.items():

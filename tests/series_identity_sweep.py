@@ -1,0 +1,126 @@
+"""Compare the series engine's exact-integer kernels with the list loops they
+replaced (``tests/_series_reference.py``) on every series that the benchmark's
+reference inputs sum.
+
+Runs every input of the four perfbench workloads in one process (perfbench's
+modules are imported, not changed) and records each attempt of
+``specfun._hyp_unit_series``: its parameters, M and K with the defect majorant
+it computed, and every ``_partial_sum`` call (terminating series included) with
+its terms, prec and result.  Then, for every distinct attempt, the reference
+re-does ``_solve_tail_series``, ``_defect_poly`` and ``_tail_defect_majorant``,
+and for every distinct partial sum ``_partial_sum``; each must give the same
+integers, and the majorant and the partial sum also those of the run:
+
+    PYTHONPATH=src:tests python3 tests/series_identity_sweep.py
+
+Prints the distinct attempts and partial sums and every mismatch; exits 1 on
+any mismatch, on any workload item that reports a problem or differs from
+perfbench's reference line, or when nothing was replayed.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
+from fermatvol import specfun  # noqa: E402
+
+import _series_reference as ref  # noqa: E402
+
+# (uppers, lowers, K, M) -> the run's (hn, hd); (uppers, lowers, terms, prec) -> the
+# run's (S, S_err, T, T_err)
+attempts: dict = {}
+sums: dict = {}
+mismatches: list[str] = []
+
+
+def _series(uppers, lowers) -> tuple:
+    return tuple(uppers), tuple(lowers)
+
+
+def _note(table: dict, key, got) -> None:
+    # the same call must give the same integers every time the run makes it
+    if table.setdefault(key, got) != got:
+        mismatches.append(f"impure: {key} gave two results in the run")
+
+
+def install() -> None:
+    solve, majorant, partial = (specfun._solve_tail_series, specfun._tail_defect_majorant,
+                                specfun._partial_sum)
+    current = []
+
+    def solving(uppers, lowers, K, *args):
+        # an attempt solves its tail before it bounds the defect
+        current[:] = [_series(uppers, lowers)]
+        return solve(uppers, lowers, K, *args)
+
+    def bounding(P, Q, V, L, K, M):
+        out = majorant(P, Q, V, L, K, M)
+        _note(attempts, (*current[0], K, M), out)
+        return out
+
+    def summing(uppers, lowers, terms, prec):
+        out = partial(uppers, lowers, terms, prec)
+        _note(sums, (*_series(uppers, lowers), terms, prec), out)
+        return out
+
+    specfun._solve_tail_series = solving
+    specfun._tail_defect_majorant = bounding
+    specfun._partial_sum = summing
+    return solve, majorant, partial
+
+
+def replay(solve, majorant, partial) -> None:
+    for (uppers, lowers, K, M), run in attempts.items():
+        uppers, lowers = list(uppers), list(lowers)
+        P, Q = specfun._series_polys(uppers, lowers)
+        want_V, want_L = ref.solve_tail_series(P, Q, sum(lowers) - sum(uppers), K)
+        V, L = solve(uppers, lowers, K)
+        checks = [("_solve_tail_series", (V, L), (want_V, want_L)),
+                  ("_defect_poly", specfun._defect_poly(P, Q, V, L, K),
+                   ref.defect_poly(P, Q, want_V, want_L, K)),
+                  ("_tail_defect_majorant", majorant(P, Q, V, L, K, M),
+                   ref.tail_defect_majorant(P, Q, want_V, want_L, K, M)),
+                  ("_tail_defect_majorant in the run", run,
+                   ref.tail_defect_majorant(P, Q, want_V, want_L, K, M))]
+        mismatches.extend(f"{name}: {uppers}; {lowers} K={K} M={M}"
+                          for name, got, want in checks if got != want)
+    for (*series, terms, prec), run in sums.items():
+        uppers, lowers = list(series[0]), list(series[1])
+        want = ref.partial_sum(uppers, lowers, terms, prec)
+        for name, got in [("_partial_sum", partial(uppers, lowers, terms, prec)),
+                          ("_partial_sum in the run", run)]:
+            if got != want:
+                mismatches.append(f"{name}: {uppers}; {lowers} terms={terms} prec={prec}")
+
+
+def main() -> int:
+    kernels = install()
+    reference = json.loads(Path(workloads.__file__).with_name("reference.json").read_text())
+    failed = []
+    for name, wl in workloads.WORKLOADS.items():
+        items = wl.render(wl.execute(workloads.reference_inputs(name, reference)))
+        failed += [f"{name} {item.key}: {item.problem or item.line}" for item in items
+                   if item.problem or item.line != reference[name].get(item.key)]
+        print(f"{name}: {len(attempts)} distinct attempts, {len(sums)} distinct partial sums "
+              f"so far", flush=True)
+    replay(*kernels)
+    for line in mismatches[:50]:
+        print(f"mismatch: {line}")
+    for line in failed[:50]:
+        print(f"failed: {line}")
+    series = {key[:2] for key in attempts} | {key[:2] for key in sums}
+    print(f"{len(attempts)} attempts and {len(sums)} partial sums of {len(series)} series "
+          f"replayed (K up to {max((k[2] for k in attempts), default=0)}, M up to "
+          f"{max((k[3] for k in attempts), default=0)}, prec up to "
+          f"{max((k[3] for k in sums), default=0)}), {len(mismatches)} mismatches, "
+          f"{len(failed)} failed items")
+    return 1 if mismatches or failed or not attempts or not sums else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

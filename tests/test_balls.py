@@ -43,10 +43,11 @@ def _same(new, old) -> bool:
     return (new.value._mpf_, new.err._mpf_) == (old.value._mpf_, old.err._mpf_)
 
 
-def _check(op, new, old):
-    """op on the new operands gives the reference's ball, bool or exception type."""
+def _check(op, new, old, ref_op=None):
+    """op on the new operands gives the reference's ball, bool or exception type, from
+    ``ref_op`` (op when None) on the reference's operands."""
     try:
-        want = op(*old)
+        want = (ref_op or op)(*old)
     except (TypeError, ValueError) as exc:
         with pytest.raises(type(exc)):
             op(*new)
@@ -62,6 +63,9 @@ def _pair(cls, refcls, x):
 _OPS = [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
         lambda a, b: b + a, lambda a, b: b - a, lambda a, b: b * a,
         lambda a, b: -a, lambda a, b: a.agrees_with(b)]
+# the reference refuses b + a, b - a and b * a for a real ball b and a complex a, and
+# b - a for a plain number b: those orders must give the ints of the order it supports
+_COMPLEX_FIRST = {_OPS[3]: _OPS[0], _OPS[4]: lambda a, b: -(a - b), _OPS[5]: _OPS[2]}
 
 
 @settings(max_examples=300, deadline=None)
@@ -103,7 +107,29 @@ def test_complex_ball_operations_match_reference(a, b, prec):
         w, rw = b, b
     with mp.workprec(prec):
         for op in _OPS + [lambda a, b: a.conjugate()]:
-            _check(op, (z, w), (rz, rw))
+            _check(op, (z, w), (rz, rw),
+                   None if isinstance(w, BoundedComplex) else _COMPLEX_FIRST.get(op))
+
+
+def _ints(z):
+    return z.re, z.im, z.rad, z.exp
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CBALL, _BALL)
+@example((mp.mpc(3, -4), 1), (3, 0))
+@example((mp.mpc(3, -4), 1), (1.5, 0))
+def test_mixed_balls_give_the_ints_of_either_order(a, b):
+    # a real ball or plain number w against a complex ball z: w + z, w - z and w * z
+    # (w - z also for a plain number) are the ints of z + w, -(z - w) and z * w
+    z = BoundedComplex(*a)
+    for w in (BoundedReal(*b), b[0]):
+        assert _ints(w + z) == _ints(z + w)
+        assert _ints(w - z) == _ints(-(z - w))
+        assert _ints(w * z) == _ints(z * w)
+    w = BoundedReal(*b)
+    for op in (w.__add__, w.__sub__, w.__mul__):
+        assert op(z) is NotImplemented
 
 
 @settings(max_examples=100, deadline=None)
@@ -169,7 +195,7 @@ def test_round_product_matches_reference(factors, prec, ambient):
 
 def _clear_caches():
     for cache in (ceresa._h_term, fermat.harmonic_volume_sigma, fermat._sigma_exact_parts_cached,
-                  fermat._closed_form_cached, specfun._ln_gamma_fixed):
+                  fermat._closed_form_cached, specfun._ln_gamma_fixed, specfun._log_fixed):
         cache.cache_clear()
     specfun._SERIES.clear()
 

@@ -6,6 +6,7 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -35,6 +36,31 @@ def test_f41_matches_published_fraction():
     assert abs(r.frac - mp.mpf("0.262996")) < 1e-5
     assert r.verdict == "non-integral"
     assert r.h_terms == 1
+
+
+def test_cold_table_computes_each_log_once(monkeypatch):
+    # ln N recurs across a degree's twist arguments at one precision: each distinct
+    # (n, prec) is computed once, its first attempt being at prec + _LOG_GUARD bits
+    asked, computed = [], Counter()
+    log_fixed, interval = specfun._log_fixed, specfun._log_interval
+
+    def asking(n, prec):
+        asked.append((n, prec))
+        return log_fixed(n, prec)
+
+    def computing(n, wp, cut):
+        if cut == specfun._LOG_GUARD // 2:
+            computed[n, wp - specfun._LOG_GUARD] += 1
+        return interval(n, wp, cut)
+
+    monkeypatch.setattr(specfun, "_log_fixed", asking)
+    monkeypatch.setattr(specfun, "_log_interval", computing)
+    for cache in (ceresa._h_term, specfun._ln_gamma_fixed, log_fixed):
+        cache.cache_clear()
+    specfun._SERIES.clear()
+    table1([9, 15], 1, 30)
+    assert len(asked) > len(set(asked))
+    assert computed == Counter(set(asked))
 
 
 def test_f71_and_f99_match_published_fraction():
@@ -83,6 +109,7 @@ def test_f_value_independent_of_k_order(monkeypatch):
     def sweep(ks):
         ceresa._h_term.cache_clear()
         specfun._ln_gamma_fixed.cache_clear()
+        specfun._log_fixed.cache_clear()
         specfun._ln2_fixed.cache_clear()
         specfun._SERIES.clear()
         resumed.clear()

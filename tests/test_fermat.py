@@ -451,7 +451,7 @@ def test_harmonic_volume_sigma_evaluates_each_conjugate_pair_once(monkeypatch):
 
 def _clear_caches():
     for cache in (harmonic_volume_sigma, specfun._ln_gamma_fixed, _sigma_exact_parts_cached,
-                  fermat._closed_form_cached):
+                  fermat._closed_form_cached, specfun._log_fixed):
         cache.cache_clear()
     specfun._SERIES.clear()
 

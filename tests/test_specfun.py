@@ -301,11 +301,13 @@ def test_ln_gamma_core_independent_of_bernoulli_growth(monkeypatch):
     for order in (args, args[::-1]):
         _fresh_bernoulli(monkeypatch)
         specfun._ln2_fixed.cache_clear()
+        _log_fixed.cache_clear()
         runs.append({a: _ln_gamma_fixed.__wrapped__(*a) for a in order})
     assert runs[0] == runs[1]
     for a in args:
         _fresh_bernoulli(monkeypatch)
         specfun._ln2_fixed.cache_clear()
+        _log_fixed.cache_clear()
         assert _ln_gamma_fixed.__wrapped__(*a) == runs[0][a]
     for order in (args, args[::-1]):
         assert {a: _ln_gamma_fixed.__wrapped__(*a) for a in order} == runs[0]
@@ -413,7 +415,8 @@ def test_log_fixed_guard_retry(monkeypatch):
               for _ in range(60)]
     for n, prec in cases:
         attempts.clear()
-        assert _log_fixed(n, prec) == series_reference.log_fixed(n, prec), (n, prec)
+        # past the memo, which may hold (n, prec) from an earlier test
+        assert _log_fixed.__wrapped__(n, prec) == series_reference.log_fixed(n, prec), (n, prec)
         assert len(attempts) > 1 or n == 1
 
 
@@ -714,9 +717,10 @@ def test_tail_bound_soundness(seed):
     c = F(rng.randint(1, 9), 10)
     d = F(rng.randint(10, 19), 10)
     e = 1 + a + b + c - d + F(rng.randint(5, 15), 10)  # margin in [0.5, 1.5]
-    assert d + e - a - b - c > 0
-    near = _hyp_unit_series([a, b, c], [d, e], 25, 500, 14)
-    far = _hyp_unit_series([a, b, c], [d, e], 25, 5000, 14)
+    margin = d + e - a - b - c
+    assert margin > 0
+    near = _hyp_unit_series([a, b, c], [d, e], margin, 25, 500, 14)
+    far = _hyp_unit_series([a, b, c], [d, e], margin, 25, 5000, 14)
     assert abs(near.value - far.value) <= near.err + far.err
     # and the truncated raw sum sits below the value for positive terms,
     # approaching it from underneath
@@ -754,7 +758,8 @@ def test_hyp_unit_sum_encloses_double_precision_reference(series, digits, short)
     # attempt's bound is mostly the truncation term rather than rounding
     uppers, lowers = series
     if short:
-        r = _hyp_unit_series(uppers, lowers, digits, digits, digits // 8 + 4)
+        r = _hyp_unit_series(uppers, lowers, sum(lowers) - sum(uppers), digits, digits,
+                             digits // 8 + 4)
     else:
         r = hyp_unit_sum(uppers, lowers, digits)
     ref = hyp_unit_sum(uppers, lowers, 2 * digits)
@@ -778,7 +783,7 @@ def test_default_schedule_bound_no_wider_than_fixed_schedule(name, digits):
     uppers, lowers = _SCHEDULE_CASES[name]
     new = hyp_unit_sum(uppers, lowers, digits)
     # the former fixed schedule: M = 24 d terms, K = 0.42 d + 6 capped at 48
-    old = _hyp_unit_series(uppers, lowers, digits,
+    old = _hyp_unit_series(uppers, lowers, sum(lowers) - sum(uppers), digits,
                            max(400, 24 * digits), min(48, max(12, int(0.42 * digits) + 6)))
     assert _exact(new.err) <= _exact(old.err)
     assert abs(_exact(new.value) - _exact(old.value)) <= _exact(new.err) + _exact(old.err)
@@ -897,6 +902,40 @@ def test_tail_defect_majorant_detects_wrong_solution(index, step):
         _tail_defect_majorant(P, Q, V, L, 33, 224)
     with pytest.raises(AssertionError, match="tail series solve lost cancellation"):
         series_reference.tail_defect_majorant(P, Q, V, L, 33, 224)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tail_series(), st.integers(1, 40), st.integers(0, 40), st.sampled_from([-1, 1]))
+@example(([F(23, 97), F(23, 97), F(51, 97)], [F(1), F(1)], F(1)), 33, 33, -1)
+@example(([F(-7, 3), F(1, 2)], [F(3, 2)], F(10, 3)), 1, 1, 1)
+def test_tail_defect_majorant_detects_wrong_solution_on_drawn_series(series, K, index, step):
+    # changing v_k by one changes G_{k+1} by D^d (s + k), s the margin: index K breaks
+    # only G[K+1], the top slot of the vanishing half, and every index above K maps to it
+    uppers, lowers, _ = series
+    index = min(index, K)
+    P, Q = _tail_polys(uppers, lowers)
+    V, L = _solve_tail_series(uppers, lowers, K)
+    V[index] += step
+    with pytest.raises(AssertionError, match="tail series solve lost cancellation"):
+        _tail_defect_majorant(P, Q, V, L, K, 4 * K)
+    with pytest.raises(AssertionError, match="tail series solve lost cancellation"):
+        series_reference.tail_defect_majorant(P, Q, V, L, K, 4 * K)
+
+
+def test_cold_hyp_unit_sum_builds_its_polynomials_once(monkeypatch):
+    # hyp_unit_sum hands P, Q and the margin down to the tail solve
+    calls = []
+    build = specfun._series_polys
+
+    def counted(uppers, lowers):
+        calls.append(1)
+        return build(uppers, lowers)
+
+    monkeypatch.setattr(specfun, "_series_polys", counted)
+    specfun._SERIES.clear()
+    hyp_unit_sum([F(23, 97), F(23, 97), F(51, 97)], [1, 1], 56)
+    assert len(calls) == 1
+    specfun._SERIES.clear()
 
 
 _TAIL_GRID = [
