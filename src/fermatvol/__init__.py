@@ -6,6 +6,22 @@ series engine (``specfun``), exact cyclotomic arithmetic
 invariant values and verdicts (``ceresa``), and a CLI (``cli``).
 """
 
+import functools
+
+# every memo of the package, for specfun.clear_caches: here, ahead of the modules that
+# declare theirs as they load, since the quadrature oracle imports nothing from specfun
+_MEMOS: list = []
+
+
+def _memo(maxsize):
+    """``functools.lru_cache(maxsize)``, registered for ``specfun.clear_caches``; the
+    cached function is lru_cache's own wrapper, with ``cache_info`` and ``__wrapped__``."""
+    def register(fn):
+        _MEMOS.append(functools.lru_cache(maxsize=maxsize)(fn))
+        return _MEMOS[-1]
+    return register
+
+
 from .ceresa import (CeresaResult, ScanResult, f_value, klein_value,
                      multiples_scan, table1)
 from .cyclotomic import CycloElem, EmbeddingIndex, cyclo_from_power, embed, trace_to_rationals

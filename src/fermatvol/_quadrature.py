@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
+
+from . import _memo
 
 _ORDER0 = 24        # the first order of every sub-integral
 _TOL = 1e-12        # stop doubling once two consecutive orders agree this well
@@ -77,7 +78,7 @@ def _gauss_jacobi(n: int, a: float, b: float):
     return x, w * (mu0 / w.sum())
 
 
-@lru_cache(maxsize=_RULES_MAX)
+@_memo(_RULES_MAX)
 def _jacobi_01(n: int, left_exp: float, right_exp: float):
     """Nodes/weights on [0,1] for weight x^left_exp * (1-x)^right_exp.
 
@@ -110,7 +111,7 @@ def _converge(eval_at):
     return prev, err
 
 
-@lru_cache(maxsize=_RULES_MAX)
+@_memo(_RULES_MAX)
 def _region_c(fa2: float, fb2: float) -> tuple[float, float]:
     """The second beta factor restricted to [1/2, 1], converged.
 
@@ -124,7 +125,7 @@ def _region_c(fa2: float, fb2: float) -> tuple[float, float]:
     return _converge(at)
 
 
-@lru_cache(maxsize=_RULES_MAX)
+@_memo(_RULES_MAX)
 def _region(fa1: float, fb1: float, fa2: float, fb2: float) -> tuple[float, float]:
     """Region A, 0 <= v <= 1/2 with u = v w, converged; region D is this at (b1, a1, b2, a2).
 

@@ -26,11 +26,11 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Optional, Union
 
 import mpmath
 
+from . import _memo
 from .specfun import (BoundedReal, DomainError, PrecisionError, _bits, _certified,
                       _fixed_mpf, _gamma_hyp, _round_product, gamma_quotient, hyp_unit_sum)
 
@@ -122,7 +122,7 @@ def _inner_digits(prefactor: int, digits: int) -> int:
     return _bucket(max(digits, 8) + _decimal_len(prefactor) + 10)
 
 
-@lru_cache(maxsize=4096)
+@_memo(4096)
 def _h_term(n: int, h: int, digits: int) -> BoundedReal:
     hn = Fraction(h, n)
     return _gamma_hyp([1 - hn] * 4, [1 - 2 * hn] * 2, [hn, hn, 1 - 2 * hn], [1, 1], digits)

@@ -20,7 +20,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence, Union
 
 import mpmath
@@ -28,15 +27,14 @@ from mpmath import mp
 from mpmath.libmp import (fone, from_float, from_int, fzero, mpc_add, mpc_mul_mpf, mpf_add,
                           mpf_div, mpf_mul_int, mpf_shift, round_nearest)
 
+from . import _memo
 from .specfun import BoundedComplex, _bits, _poly_mul, _poly_sub, _trim
 
 Rational = Union[int, Fraction]
 
 
-@lru_cache(maxsize=None)
 def _prime_factors(n: int) -> tuple[int, ...]:
-    """The prime factors of n, ascending, with multiplicity, by trial division; cached,
-    since trace_to_rationals asks for the same divisors of N once per coefficient."""
+    """The prime factors of n, ascending, with multiplicity, by trial division."""
     out, p = [], 2
     while p * p <= n:
         while n % p == 0:
@@ -56,7 +54,7 @@ def mobius(n: int) -> int:
     return 0 if len(set(factors)) < len(factors) else (-1) ** len(factors)
 
 
-@lru_cache(maxsize=None)
+@_memo(None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, ascending: x^n - 1 divided exactly by
     Phi_d for each proper divisor d, all monic integer polynomials."""
@@ -306,7 +304,7 @@ def one_minus_power(n: int, j: int) -> CycloElem:
 _ROOTS_MAX = 1024
 
 
-@lru_cache(maxsize=_ROOTS_MAX)
+@_memo(_ROOTS_MAX)
 def _root(n: int, r: int, wp: int) -> tuple:
     # exp(2 pi i r / n) at wp bits, as a raw mpc
     with mp.workprec(wp):

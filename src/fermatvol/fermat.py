@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
+from . import _memo
 from .cyclotomic import (CycloElem, EmbeddingIndex, cyclo_from_power, embed,
                          one_minus_power)
 from .specfun import BoundedComplex, BoundedReal, DomainError, _gamma_hyp
@@ -186,7 +186,7 @@ def _kappa_rs_terms(curve: FermatCurve, idx1: FermatIndex, idx2: FermatIndex) ->
 # one entry per distinct closed form and digits, a 1.1-1.3 kB key and a 0.2 kB ball: oracle-test
 # --n 15, the largest the CLI admits, asks for 10,647 distinct forms in its 33,124 pairs
 _CLOSED_FORMS_MAX = 16_384
-_closed_form_cached = lru_cache(maxsize=_CLOSED_FORMS_MAX)(_gamma_hyp)
+_closed_form_cached = _memo(_CLOSED_FORMS_MAX)(_gamma_hyp)
 
 
 def delta_iterated_integral(curve: FermatCurve, idx1: FermatIndex, idx2: FermatIndex,
@@ -269,7 +269,7 @@ def _require_supported(curve: FermatCurve, t: TripleConfig) -> None:
         raise EtaNotZeroError("triple must sum to zero with parallel holomorphy")
 
 
-@lru_cache(maxsize=512)
+@_memo(512)
 def _sigma_exact_parts_cached(n: int, a1: int, b1: int, a2: int, b2: int,
                               a3: int, b3: int) -> DeltaLinear:
     terms = _kappa_rs_terms(FermatCurve(n), FermatIndex(n, a1, b1), FermatIndex(n, a2, b2))
@@ -297,7 +297,7 @@ def harmonic_volume_exact_parts(curve: FermatCurve, t: TripleConfig) -> DeltaLin
 _SIGMA_MAX = 1024
 
 
-@lru_cache(maxsize=_SIGMA_MAX)
+@_memo(_SIGMA_MAX)
 def harmonic_volume_sigma(curve: FermatCurve, t: TripleConfig,
                           sigma: EmbeddingIndex, digits: int = 30) -> BoundedComplex:
     """The sigma-component of the volume at the form triple.

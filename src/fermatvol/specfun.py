@@ -125,7 +125,6 @@ import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from operator import add, mul
 from typing import Callable, Optional, Sequence, Union
@@ -134,6 +133,8 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import (from_float, from_man_exp, mpf_exp, mpf_log, mpf_pi, mpf_shift,
                           round_floor, to_fixed)
+
+from . import _MEMOS, _memo
 
 Rational = Union[int, Fraction]
 
@@ -148,6 +149,19 @@ class DivergenceError(ValueError):
 
 class PrecisionError(RuntimeError):
     """Requested accuracy cannot be certified with the given budget."""
+
+
+def clear_caches() -> None:
+    """Empty every process-local memo: those declared through ``_memo``, the series
+    records and the Stirling row, so the next call computes from cold.  Not safe while
+    another thread computes."""
+    for memo in _MEMOS:
+        memo.cache_clear()
+    with _SERIES_LOCK:
+        _SERIES.clear()
+    with _BERNOULLI_LOCK:
+        del _STIRLING_COEFFS[1:]
+        _SEIDEL_ROW[:] = [1]
 
 
 def _bits(digits: int) -> int:
@@ -202,8 +216,8 @@ class BoundedReal:
     """A real ball: the value mid * 2^exp within rad * 2^exp, three Python ints with
     rad >= 0 and exp <= 0 (midpoint and radius, as in Arb).
 
-    Sums, differences and products are exact on the ints; one with a
-    ``BoundedComplex`` is left to the complex ball's methods, so either order gives
+    Sums, differences, products and ``agrees_with`` are exact on the ints; one with
+    a ``BoundedComplex`` is left to the complex ball's methods, so either order gives
     the same ints.  The constructor reads an mpf, int or float value and bound
     exactly and refuses any other type, a ``Fraction`` too, with ``TypeError``.
     ``value`` and ``err`` are exact mpf views, built on each access for output.
@@ -258,7 +272,9 @@ class BoundedReal:
     def __neg__(self):
         return _ball(-self.mid, self.rad, self.exp)
 
-    def agrees_with(self, other: "BoundedReal") -> bool:
+    def agrees_with(self, other) -> bool:
+        if isinstance(other, BoundedComplex):
+            return other.agrees_with(self)
         (a, ea), (b, eb), exp = _aligned(self, _coerce(other))
         return abs(a - b) <= ea + eb
 
@@ -393,24 +409,23 @@ def _certified(value: int, err: int, prec: int, digits: int, what: Union[str, Ca
 # log-gamma with proved Stirling remainder
 # ---------------------------------------------------------------------------
 
-_BERNOULLI_EVEN: list[Fraction] = [Fraction(1)]
-# beside the row: (numerator, denominator (2n)(2n-1)) of B_2n / ((2n)(2n-1)), the
-# Stirling coefficients, and the last row of the Seidel-Entringer-Arnold triangle
+# (numerator, denominator (2n)(2n-1)) of B_2n / ((2n)(2n-1)), the Stirling coefficients
+# for n >= 1, and the last row of the Seidel-Entringer-Arnold triangle they come from
 _STIRLING_COEFFS: list[Optional[tuple[int, int]]] = [None]
 _SEIDEL_ROW: list[int] = [1]
 _BERNOULLI_LOCK = threading.Lock()
 
 
-def _bernoulli_even(J: int) -> list[Fraction]:
-    """The shared row [B_0, B_2, ..., B_2n], n >= J, of exact Bernoulli numbers.
+def _stirling_coeffs(J: int) -> list[Optional[tuple[int, int]]]:
+    """The shared row [None, c_1, ..., c_n], n >= J, of exact Stirling coefficients.
 
     Built from the tangent numbers T_n = A_{2n-1}, the zigzag numbers A_k
     ending the rows of the Seidel-Entringer-Arnold triangle (one prefix sum
     per row; Brent and Harvey), as B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)).
-    A row that is too short grows in place to exactly J + 1 entries, the
-    Stirling coefficients first, so a reader of either never finds it short.
+    A row that is too short grows in place to exactly J + 1 entries, so a
+    reader never finds it short.
     """
-    row = _BERNOULLI_EVEN
+    row = _STIRLING_COEFFS
     if len(row) <= J:
         with _BERNOULLI_LOCK:
             seidel = _SEIDEL_ROW
@@ -421,8 +436,7 @@ def _bernoulli_even(J: int) -> list[Fraction]:
                 T = seidel[-1]
                 seidel[:] = [0, *accumulate(reversed(seidel))]
                 b = Fraction((-1) ** (n - 1) * 2 * n * T, 4 ** n * (4 ** n - 1))
-                _STIRLING_COEFFS.append((b.numerator, b.denominator * (2 * n) * (2 * n - 1)))
-                row.append(b)
+                row.append((b.numerator, b.denominator * (2 * n) * (2 * n - 1)))
     return row
 
 
@@ -460,8 +474,7 @@ def _stirling_sum(A: int, D: int, J: int, prec: int) -> tuple[int, int, int]:
     rem is the first omitted term |B_{2J+2}| / ((2J+2)(2J+1) y^{2J+1}) in
     ulps, rounded up, which bounds the remainder for every real y > 0.
     """
-    _bernoulli_even(J + 1)
-    coeffs = _STIRLING_COEFFS
+    coeffs = _stirling_coeffs(J + 1)
     num, den = D << prec, A          # 2^prec D^{2j-1} and A^{2j-1}
     D2, A2 = D * D, A * A
     S = 0
@@ -521,7 +534,7 @@ def _atanh_fixed(p: int, q: int, wp: int, cut: int = 0) -> tuple[int, int]:
     return S, d + 1 - (-33 * (T + 2) // (32 * (d + 2)))
 
 
-@lru_cache(maxsize=256)
+@_memo(256)
 def _ln2_fixed(wp: int) -> tuple[int, int]:
     """2^wp ln 2 as (value, err), |value - 2^wp ln 2| <= err; one entry per working
     precision.  The Machin-like sum runs at wp + 16 bits and is floored to wp, so
@@ -555,7 +568,7 @@ def _log_interval(n: int, wp: int, cut: int) -> tuple[int, int]:
 _LOG_FIXED_MAX = 256
 
 
-@lru_cache(maxsize=_LOG_FIXED_MAX)
+@_memo(_LOG_FIXED_MAX)
 def _log_fixed(n: int, prec: int) -> int:
     """floor(2^prec ln n), exactly, for an integer n >= 1.
 
@@ -574,7 +587,7 @@ def _log_fixed(n: int, prec: int) -> int:
         g *= 2
 
 
-@lru_cache(maxsize=256)
+@_memo(256)
 def _half_ln_2pi(prec: int) -> int:
     # floor(2^prec ln(2 pi) / 2) within _LOG_ULPS; one entry per working precision, of
     # which the default 96-row table meets one
@@ -586,7 +599,7 @@ def _half_ln_2pi(prec: int) -> int:
 _LN_GAMMA_MAX = 4096
 
 
-@lru_cache(maxsize=_LN_GAMMA_MAX)
+@_memo(_LN_GAMMA_MAX)
 def _ln_gamma_fixed(q: Fraction, digits: int) -> tuple[int, int, int, int]:
     """ln Gamma(q) for rational q > 0 in units of 2^-prec: (value, round_err, rem, prec).
 

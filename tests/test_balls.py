@@ -119,15 +119,18 @@ def _ints(z):
 @given(_CBALL, _BALL)
 @example((mp.mpc(3, -4), 1), (3, 0))
 @example((mp.mpc(3, -4), 1), (1.5, 0))
+@example((mp.mpc(3, -4), 1), (3, 3))    # the discs touch
 def test_mixed_balls_give_the_ints_of_either_order(a, b):
     # a real ball or plain number w against a complex ball z: w + z, w - z and w * z
-    # (w - z also for a plain number) are the ints of z + w, -(z - w) and z * w
+    # (w - z also for a plain number) are the ints of z + w, -(z - w) and z * w, and a
+    # real ball agrees with z exactly when z agrees with it
     z = BoundedComplex(*a)
     for w in (BoundedReal(*b), b[0]):
         assert _ints(w + z) == _ints(z + w)
         assert _ints(w - z) == _ints(-(z - w))
         assert _ints(w * z) == _ints(z * w)
     w = BoundedReal(*b)
+    assert w.agrees_with(z) == z.agrees_with(w) == (z - w).agrees_with(0)
     for op in (w.__add__, w.__sub__, w.__mul__):
         assert op(z) is NotImplemented
 
@@ -193,13 +196,6 @@ def test_round_product_matches_reference(factors, prec, ambient):
         assert _same(specfun._round_product(new, prec), ref._round_product(old, prec))
 
 
-def _clear_caches():
-    for cache in (ceresa._h_term, fermat.harmonic_volume_sigma, fermat._sigma_exact_parts_cached,
-                  fermat._closed_form_cached, specfun._ln_gamma_fixed, specfun._log_fixed):
-        cache.cache_clear()
-    specfun._SERIES.clear()
-
-
 def test_results_identical_at_any_ambient_precision(capsys):
     # no certified number and no dixon-test byte reads mp.prec
     curve = fermat.FermatCurve(11)
@@ -207,7 +203,7 @@ def test_results_identical_at_any_ambient_precision(capsys):
                                 fermat.FermatIndex(11, 2, 4), fermat.FermatIndex(11, 5, 2))
     seen = []
     for prec in (20, 2000):
-        _clear_caches()
+        specfun.clear_caches()
         with mp.workprec(prec):
             f = ceresa.f_value(7, 3).value
             z = fermat.harmonic_volume_sigma(curve, t, EmbeddingIndex(1, 11), 30)

@@ -26,7 +26,7 @@ from fermatvol.ceresa import (CeresaResult, RowFailure, _decimal_len, f_value,
                               genus, klein_value, multiples_scan, table1,
                               verdict_for)
 from fermatvol.fermat import FermatCurve, harmonic_volume_trace
-from fermatvol.specfun import BoundedReal, DomainError, PrecisionError
+from fermatvol.specfun import BoundedReal, DomainError, PrecisionError, clear_caches
 
 F = Fraction
 
@@ -55,9 +55,7 @@ def test_cold_table_computes_each_log_once(monkeypatch):
 
     monkeypatch.setattr(specfun, "_log_fixed", asking)
     monkeypatch.setattr(specfun, "_log_interval", computing)
-    for cache in (ceresa._h_term, specfun._ln_gamma_fixed, log_fixed):
-        cache.cache_clear()
-    specfun._SERIES.clear()
+    clear_caches()
     table1([9, 15], 1, 30)
     assert len(asked) > len(set(asked))
     assert computed == Counter(set(asked))
@@ -107,11 +105,7 @@ def test_f_value_independent_of_k_order(monkeypatch):
     monkeypatch.setattr(specfun, "_term_ratios", counted_ratios)
 
     def sweep(ks):
-        ceresa._h_term.cache_clear()
-        specfun._ln_gamma_fixed.cache_clear()
-        specfun._log_fixed.cache_clear()
-        specfun._ln2_fixed.cache_clear()
-        specfun._SERIES.clear()
+        clear_caches()
         resumed.clear()
         rows = {k: f_value(9, k) for k in ks}
         return {k: (r.value.value._mpf_, r.err._mpf_, r.frac._mpf_, r.verdict)
@@ -197,12 +191,12 @@ def test_gamma_precision_error_is_row_failure(monkeypatch):
     # a gamma quotient whose bound misses its digits fails the row, explicitly
     def wide(x, digits=30):
         return BoundedReal(mp.mpf(1), mp.mpf(10) ** -3)
-    ceresa._h_term.cache_clear()
+    clear_caches()
     monkeypatch.setattr(specfun, "ln_gamma", wide)
     try:
         rows = table1([5, 7], 1, 30)
     finally:
-        ceresa._h_term.cache_clear()
+        clear_caches()
     assert all(isinstance(r, RowFailure) and r.message.startswith("PrecisionError")
                for r in rows)
 

@@ -7,7 +7,7 @@ import pytest
 from fermatvol import ceresa, specfun
 from fermatvol.cli import (DIXON_TRIALS_MAX, INNER_DIGITS_MAX, TWIST_TERMS_MAX, _check_budget,
                            _needed_inner_digits, _twist_terms_bound, build_parser, main)
-from fermatvol.specfun import BoundedReal
+from fermatvol.specfun import BoundedReal, clear_caches
 
 
 def run(capsys, argv):
@@ -186,9 +186,8 @@ def test_oracle_test_reference_line(capsys):
 def test_oracle_test_reruns_byte_identical(capsys):
     # the second run in one process reads every closed form and quadrature factor
     # from the memos and must print the same bytes as the first
-    from fermatvol import _quadrature, fermat
-    fermat._closed_form_cached.cache_clear()
-    _quadrature._region.cache_clear()
+    from fermatvol import fermat
+    clear_caches()
     first = run(capsys, ["oracle-test", "--n", "5"])
     assert fermat._closed_form_cached.cache_info().currsize == 72
     assert run(capsys, ["oracle-test", "--n", "5"]) == first
@@ -198,7 +197,7 @@ def test_oracle_test_evaluates_each_region_once(capsys):
     # the 144 pairs ask for 288 regions: A at (a1, b1, a2, b2) and, as region D, A at
     # the swapped pair (b1, a1, b2, a2), which is another of the 144
     from fermatvol import _quadrature
-    _quadrature._region.cache_clear()
+    clear_caches()
     code, out, _ = run(capsys, ["oracle-test", "--n", "5"])
     assert code == 0 and out == "144 pairs at N=5: worst |closed - quadrature| = 6.65e-10\n"
     info = _quadrature._region.cache_info()

@@ -15,7 +15,7 @@ from fermatvol.fermat import (DeltaLinear, EtaNotZeroError, FermatCurve,
                               harmonic_volume_sigma, harmonic_volume_trace,
                               harmonic_volume_trace_exact_defect, index_set,
                               kappa_exact, _sigma_exact_parts_cached)
-from fermatvol.specfun import BoundedComplex
+from fermatvol.specfun import BoundedComplex, clear_caches
 
 from _fermat_reference import (LoopIndex, delta_path_data, example_triple,
                                kappa_iterated_integral, kappa_path_data,
@@ -218,7 +218,7 @@ def test_delta_memo_equals_unsorted_closed_form(n):
     # every ordered pair, the first or a repeated evaluation of its form, has the value
     # and bound of _gamma_hyp on the unsorted lists, bit for bit
     curve = FermatCurve(n)
-    fermat._closed_form_cached.cache_clear()
+    clear_caches()
     for i1 in index_set(n):
         for i2 in index_set(n):
             got = delta_iterated_integral(curve, i1, i2, 20)
@@ -230,7 +230,7 @@ def test_delta_memo_keys_on_digits():
     # a 30-digit and a 40-digit request are two entries, each at its own digits
     curve = FermatCurve(5)
     i1, i2 = FermatIndex(5, 1, 2), FermatIndex(5, 3, 1)
-    fermat._closed_form_cached.cache_clear()
+    clear_caches()
     lo = delta_iterated_integral(curve, i1, i2, 30)
     hi = delta_iterated_integral(curve, i1, i2, 40)
     assert fermat._closed_form_cached.cache_info().currsize == 2
@@ -247,7 +247,7 @@ def test_delta_memo_keys_on_every_multiset(which):
              _closed_form_lists(FermatIndex(7, 2, 3), FermatIndex(7, 3, 5))]
     moved = list(lists)
     moved[which] = (lists[which][0] + F(1, 2),) + lists[which][1:]
-    fermat._closed_form_cached.cache_clear()
+    clear_caches()
     fermat._closed_form_cached(*lists, 25)
     got = fermat._closed_form_cached(*moved, 25)
     assert fermat._closed_form_cached.cache_info().currsize == 2
@@ -260,7 +260,7 @@ def test_oracle_test_evaluates_each_form_once(n, forms, capsys):
     # (a1, b1, a2, b2) and (b2, a2, b1, a1) share one closed form; a run from a cleared
     # memo evaluates each distinct form once, and the memo holds all of N = 15's 10,647
     from fermatvol import cli
-    fermat._closed_form_cached.cache_clear()
+    clear_caches()
     cli.main(["oracle-test", "--n", str(n)])
     capsys.readouterr()
     info = fermat._closed_form_cached.cache_info()
@@ -440,7 +440,7 @@ def test_harmonic_volume_sigma_evaluates_each_conjugate_pair_once(monkeypatch):
         return delta_iterated_integral(*args)
 
     monkeypatch.setattr(fermat, "delta_iterated_integral", counted)
-    harmonic_volume_sigma.cache_clear()
+    clear_caches()
     values = {h: harmonic_volume_sigma(curve, t, EmbeddingIndex(h, 11), 30)
               for h in range(1, 11)}
     assert len(calls) == len(t.holo_twists) == 5
@@ -449,24 +449,17 @@ def test_harmonic_volume_sigma_evaluates_each_conjugate_pair_once(monkeypatch):
         assert _bits_of(values[11 - h]) == (re, mpf_neg(im), err)
 
 
-def _clear_caches():
-    for cache in (harmonic_volume_sigma, specfun._ln_gamma_fixed, _sigma_exact_parts_cached,
-                  fermat._closed_form_cached, specfun._log_fixed):
-        cache.cache_clear()
-    specfun._SERIES.clear()
-
-
 def test_harmonic_volume_sigma_independent_of_call_history():
     # a warm cache never answers a 20-digit request with a 30-digit entry; the tail
     # solves and partial sums of the 30-digit series answer the 20-digit ones by their
     # exact prefix
     curve, t = _n11_triple()
     sigmas = [EmbeddingIndex(h, 11) for h in range(1, 11)]
-    _clear_caches()
+    clear_caches()
     for sig in sigmas:
         harmonic_volume_sigma(curve, t, sig, 30)
     warm = [_bits_of(harmonic_volume_sigma(curve, t, sig, 20)) for sig in sigmas]
-    _clear_caches()
+    clear_caches()
     cold = [_bits_of(harmonic_volume_sigma(curve, t, sig, 20)) for sig in sigmas]
     assert warm == cold
     assert cold != [_bits_of(harmonic_volume_sigma(curve, t, sig, 30)) for sig in sigmas]
@@ -478,7 +471,7 @@ def test_harmonic_volume_sigma_independent_of_ambient_precision():
     sigmas = [EmbeddingIndex(h, 11) for h in range(1, 11)]
     runs = []
     for prec in (20, 400):
-        _clear_caches()
+        clear_caches()
         with mp.workprec(prec):
             runs.append([_bits_of(harmonic_volume_sigma(curve, t, sig, 30)) for sig in sigmas])
     assert runs[0] == runs[1]

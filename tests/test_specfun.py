@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import random
@@ -7,6 +8,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -19,13 +21,13 @@ from mpmath.libmp import from_float, from_man_exp, fzero, to_rational
 import fermatvol
 from fermatvol import _quadrature, specfun
 from fermatvol.specfun import (_LOG_ULPS, BoundedComplex, BoundedReal, DivergenceError,
-                               DomainError, PrecisionError, _bernoulli_even, _bits,
-                               _certified, _defect_poly, _hyp_unit_series,
-                               _ln_gamma_fixed, _log_fixed, _partial_sum,
-                               _poly_from_factors, _round_product, _solve_tail_series,
+                               DomainError, PrecisionError, _bits, _certified,
+                               _defect_poly, _hyp_unit_series, _ln_gamma_fixed,
+                               _log_fixed, _partial_sum, _poly_from_factors,
+                               _round_product, _solve_tail_series, _stirling_coeffs,
                                _stirling_order, _stirling_sum, _tail_defect_majorant,
-                               dixon_family, euler_double_integral, gamma_quotient,
-                               hyp_unit_sum, ln_gamma)
+                               clear_caches, dixon_family, euler_double_integral,
+                               gamma_quotient, hyp_unit_sum, ln_gamma)
 
 import _product_reference as product_reference
 from _appell_reference import appell_f3_partial_sum, appell_f3_unit
@@ -267,47 +269,33 @@ def _bernoulli_reference(n):
 _BERNOULLI = _bernoulli_reference(2 * 41 + 2)
 
 
-def _fresh_bernoulli(monkeypatch):
-    # the row as at import: B_0 alone
-    monkeypatch.setattr(specfun, "_BERNOULLI_EVEN", [F(1)])
-    monkeypatch.setattr(specfun, "_STIRLING_COEFFS", [None])
-    monkeypatch.setattr(specfun, "_SEIDEL_ROW", [1])
-
-
-def test_bernoulli_even_matches_recurrence(monkeypatch):
-    ref = _bernoulli_reference(400)[::2]
-    for J in (0, 1, 3, 10, 200, 57):  # grows, then a shorter request reuses the row
-        row = _bernoulli_even(J)
-        assert len(row) > J
-        assert row[:201] == ref[:len(row)]
-    # from B_0 alone the row grows in place to exactly J + 1 entries, the Stirling
-    # coefficients beside it
-    _fresh_bernoulli(monkeypatch)
+def test_bernoulli_even_matches_recurrence():
+    # the Stirling coefficients B_2n / ((2n)(2n-1)) against the defining recurrence: from
+    # the row at import the row grows in place to exactly J + 1 entries, and a shorter
+    # request reuses it
+    ref = [None] + [(b.numerator, b.denominator * (2 * n) * (2 * n - 1))
+                    for n, b in enumerate(_bernoulli_reference(400)[::2]) if n]
+    clear_caches()
     longest = 0
-    for J in (44, 45, 95, 30, 200):
-        row = _bernoulli_even(J)
+    for J in (0, 1, 3, 44, 45, 95, 30, 200, 57):
+        row = _stirling_coeffs(J)
         longest = max(longest, J)
-        assert row is specfun._BERNOULLI_EVEN and len(row) == longest + 1
+        assert row is specfun._STIRLING_COEFFS and len(row) == longest + 1
         assert row == ref[:longest + 1]
-        assert specfun._STIRLING_COEFFS[1:] == [
-            (b.numerator, b.denominator * (2 * n) * (2 * n - 1)) for n, b in enumerate(row)][1:]
 
 
-def test_ln_gamma_core_independent_of_bernoulli_growth(monkeypatch):
-    # the same (value, round_err, rem, prec) from a row and ln 2 cache grown by these
-    # requests in either order; cold ones for each of them, and a warm rerun, give it too
+def test_ln_gamma_core_independent_of_bernoulli_growth():
+    # the same (value, round_err, rem, prec) from a Stirling row and ln 2 cache grown by
+    # these requests in either order; cold ones for each of them, and a warm rerun, give
+    # it too
     args = [(F(1, 3), 30), (F(97, 5), 120), (F(2, 7), 56), (F(11, 13), 250), (F(5, 4), 12)]
     runs = []
     for order in (args, args[::-1]):
-        _fresh_bernoulli(monkeypatch)
-        specfun._ln2_fixed.cache_clear()
-        _log_fixed.cache_clear()
+        clear_caches()
         runs.append({a: _ln_gamma_fixed.__wrapped__(*a) for a in order})
     assert runs[0] == runs[1]
     for a in args:
-        _fresh_bernoulli(monkeypatch)
-        specfun._ln2_fixed.cache_clear()
-        _log_fixed.cache_clear()
+        clear_caches()
         assert _ln_gamma_fixed.__wrapped__(*a) == runs[0][a]
     for order in (args, args[::-1]):
         assert {a: _ln_gamma_fixed.__wrapped__(*a) for a in order} == runs[0]
@@ -484,7 +472,7 @@ def test_ln_gamma_rounding_below_nominal_ulp(p, q, digits):
 
 
 def test_ln_gamma_core_computed_once_per_argument_and_digits():
-    _ln_gamma_fixed.cache_clear()
+    clear_caches()
     first = ln_gamma(F(1, 3), 30)
     again = ln_gamma(F(1, 3), 30)
     ln_gamma(F(1, 3), 40)
@@ -932,10 +920,9 @@ def test_cold_hyp_unit_sum_builds_its_polynomials_once(monkeypatch):
         return build(uppers, lowers)
 
     monkeypatch.setattr(specfun, "_series_polys", counted)
-    specfun._SERIES.clear()
+    clear_caches()
     hyp_unit_sum([F(23, 97), F(23, 97), F(51, 97)], [1, 1], 56)
     assert len(calls) == 1
-    specfun._SERIES.clear()
 
 
 _TAIL_GRID = [
@@ -972,7 +959,7 @@ def test_tail_solve_memo_is_order_independent(monkeypatch, maxsize, seed):
     # the stored one reads it, one above continues it, and every answer is the cold
     # reference's integers; at maxsize 1 the series evict each other
     monkeypatch.setattr(specfun, "_SERIES_MAX", maxsize)
-    specfun._SERIES.clear()
+    clear_caches()
     grid = _TAIL_GRID
     requests = ([("tail", i, K) for i in range(len(grid)) for K in (1, 2, 3, 8, 17, 33, 34, 49)]
                 + [("sum", i, terms, prec) for i in range(len(grid))
@@ -987,12 +974,11 @@ def test_tail_solve_memo_is_order_independent(monkeypatch, maxsize, seed):
     if maxsize >= len(grid):
         for sums, solve in specfun._SERIES.values():
             assert (len(sums[0]), len(solve[0])) == (130, 50)
-    specfun._SERIES.clear()
 
 
 def test_tail_solve_memo_evicts_least_recently_used(monkeypatch):
     monkeypatch.setattr(specfun, "_SERIES_MAX", 2)
-    specfun._SERIES.clear()
+    clear_caches()
     a, b, c = _TAIL_GRID[:3]
     _solve_tail_series(*a, 8)
     _solve_tail_series(*b, 8)
@@ -1003,7 +989,6 @@ def test_tail_solve_memo_evicts_least_recently_used(monkeypatch):
     _partial_sum(*c, 5, 60)         # so does a read of the partial-sum half
     _partial_sum(*b, 10, 60)
     assert list(specfun._SERIES) == [specfun._series_key(*c), specfun._series_key(*b)]
-    specfun._SERIES.clear()
 
 
 def test_interrupted_tail_solve_keeps_the_stored_entry(monkeypatch):
@@ -1011,7 +996,7 @@ def test_interrupted_tail_solve_keeps_the_stored_entry(monkeypatch):
     # whichever half it extends
     uppers, lowers = _TAIL_GRID[0]
     key = specfun._series_key(uppers, lowers)
-    specfun._SERIES.clear()
+    clear_caches()
     _solve_tail_series(uppers, lowers, 20)
     _partial_sum(uppers, lowers, 20, 100)
     sums, solve = specfun._SERIES[key]
@@ -1037,7 +1022,6 @@ def test_interrupted_tail_solve_keeps_the_stored_entry(monkeypatch):
     assert _solve_tail_series(uppers, lowers, 30) == _tail_reference(uppers, lowers, 30)
     assert (_partial_sum(uppers, lowers, 60, 100)
             == series_reference.partial_sum(uppers, lowers, 60, 100))
-    specfun._SERIES.clear()
 
 
 def test_tail_solve_memo_under_threads():
@@ -1056,7 +1040,7 @@ def test_tail_solve_memo_under_threads():
         random.Random(seed).shuffle(jobs)
         return all(_ask(grid, request) == want[request] for request in jobs)
 
-    specfun._SERIES.clear()
+    clear_caches()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1073,7 +1057,6 @@ def test_tail_solve_memo_under_threads():
     for i in (0, 1):
         specfun._store_half(key, i, tuple(part[:3] for part in record[i]))
     assert specfun._SERIES[key] is record
-    specfun._SERIES.clear()
 
 
 @pytest.mark.parametrize("uppers, lowers", _TAIL_GRID)
@@ -1179,7 +1162,7 @@ def test_quadrature_rejects_bad_exponent():
         euler_double_integral(F(3, 2), 1, 1, 1)
 
 
-def test_jacobi_rules_are_cached_read_only_and_exact():
+def test_jacobi_rules_are_cached_read_only_and_exact(monkeypatch):
     for n, left, right in ((24, -0.5, 0.0), (48, -0.8, -0.6), (96, 0.4, 0.0), (24, 0.0, 0.0)):
         nodes, weights = _quadrature._jacobi_01(n, left, right)
         # a fresh rule, mapped from [-1, 1] to [0, 1]
@@ -1191,11 +1174,11 @@ def test_jacobi_rules_are_cached_read_only_and_exact():
             with pytest.raises(ValueError):
                 arr[0] = 0.5
     # the same integral twice: identical value and bound, and the rules come from the cache;
-    # the converged regions are cached too, so they are cleared for the second to rebuild
+    # the converged regions are cached too, so the second bypasses them to rebuild
     args = (F(2, 7), F(3, 7), F(1, 7), F(5, 7))
     first = euler_double_integral(*args)
-    _quadrature._region.cache_clear()
-    _quadrature._region_c.cache_clear()
+    for name in ("_region", "_region_c"):
+        monkeypatch.setattr(_quadrature, name, getattr(_quadrature, name).__wrapped__)
     hits = _quadrature._jacobi_01.cache_info().hits
     second = euler_double_integral(*args)
     assert (second.value, second.err) == (first.value, first.err)
@@ -1205,7 +1188,7 @@ def test_jacobi_rules_are_cached_read_only_and_exact():
 def test_two_exponent_factors_converge_once_per_pair():
     # region C reads (a2, b2) only: a second integral sharing them reads it from its
     # cache, which holds the floats of a fresh convergence
-    _quadrature._region_c.cache_clear()
+    clear_caches()
     euler_double_integral(F(2, 7), F(3, 7), F(1, 7), F(5, 7))
     euler_double_integral(F(2, 7), F(3, 7), F(4, 7), F(5, 7))
     euler_double_integral(F(1, 7), F(1, 7), F(1, 7), F(5, 7))
@@ -1351,3 +1334,70 @@ def test_dixon_tenth_always_margin_one():
         members = dixon_family(*quad, digits=15)
         assert members[9].margin == 1
         assert not members[9].skipped
+
+
+# ------------------------------------------------------------ memo registry
+
+def _memo_calls():
+    # calls through every registered memo, each returning a ball: ln Gamma at digits
+    # 12-250 (its logs, ln 2 and the Stirling row); f(5, 1) at two precisions (the twist
+    # terms and series records); volume components at two precisions and a conjugate
+    # (closed forms, exact parts, roots, Phi_5); a quadrature integral (rules, regions)
+    from _fermat_reference import example_triple
+    curve, sigma = fermatvol.FermatCurve(5), fermatvol.harmonic_volume_sigma
+    t = example_triple(curve)
+    return ([lambda a=a: ln_gamma(*a) for a in
+             [(F(1, 3), 30), (F(97, 5), 120), (F(2, 7), 56), (F(11, 13), 250), (F(5, 4), 12)]]
+            + [lambda d=d: fermatvol.f_value(5, 1, d).value for d in (30, 20)]
+            + [lambda h=h, d=d: sigma(curve, t, fermatvol.EmbeddingIndex(h, 5), d)
+               for h, d in ((1, 30), (1, 20), (4, 20))]
+            + [lambda: euler_double_integral(F(2, 7), F(3, 7), F(1, 7), F(5, 7))])
+
+
+def _run(calls, order):
+    # each call's ball as its ints, keyed by the call's place in the list
+    balls = {i: calls[i]() for i in order}
+    return {i: tuple(getattr(x, slot) for slot in type(x).__slots__) for i, x in balls.items()}
+
+
+def test_memos_give_the_ints_of_a_cold_run():
+    # cold; warm in shuffled orders; cold again in reverse order at ambient precision
+    # 20 and shuffled at 2000.  A memo that answered one request with another's entry
+    # (a 20-digit one with a 30-digit one, say), that depended on the order the Stirling
+    # row or a series record grew in, or that read mp.prec would change some int
+    calls = _memo_calls()
+    order = list(range(len(calls)))
+    clear_caches()
+    cold = _run(calls, order)
+    for seed in (0, 1):
+        assert _run(calls, random.Random(seed).sample(order, len(order))) == cold
+    for prec, again in ((20, order[::-1]), (2000, random.Random(2).sample(order, len(order)))):
+        clear_caches()
+        with mp.workprec(prec):
+            assert _run(calls, again) == cold
+
+
+def test_memo_calls_miss_every_registered_memo():
+    # a memo that the purity test's calls never fill would escape it
+    calls = _memo_calls()
+    clear_caches()
+    _run(calls, range(len(calls)))
+    assert [memo.__qualname__ for memo in fermatvol._MEMOS if not memo.cache_info().misses] == []
+
+
+def test_every_lru_cache_is_a_registered_memo():
+    # lru_cache appears in the package only inside fermatvol._memo, and each _memo
+    # declaration is registered once its module is imported
+    stray, declared = [], 0
+    for path in sorted(Path(fermatvol.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        memo = [fn for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_memo"]
+        inside = {id(node) for fn in memo for node in ast.walk(fn)}
+        for node in ast.walk(tree):     # a name, an attribute or an imported alias
+            if ("lru_cache" in (getattr(node, key, None) for key in ("id", "attr", "name"))
+                    and id(node) not in inside):
+                stray.append(f"{path.name}:{node.lineno}")
+            declared += isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_memo"
+    assert stray == []
+    assert declared == len(fermatvol._MEMOS)
