@@ -124,8 +124,9 @@ def _inner_digits(prefactor: int, digits: int) -> int:
 
 @_memo(4096)
 def _h_term(n: int, h: int, digits: int) -> BoundedReal:
-    hn = Fraction(h, n)
-    return _gamma_hyp([1 - hn] * 4, [1 - 2 * hn] * 2, [hn, hn, 1 - 2 * hn], [1, 1], digits)
+    # h/N, 1 - h/N and 1 - 2h/N, each built once from its ints
+    hn, a, b = Fraction(h, n), Fraction(n - h, n), Fraction(n - 2 * h, n)
+    return _gamma_hyp([a] * 4, [b] * 2, [hn, hn, b], [1, 1], digits)
 
 
 def _certify(n: int, k: int, prefactor: int, digits: int,

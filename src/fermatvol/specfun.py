@@ -38,9 +38,16 @@ f(N,k), on exact integers.  Bound propagation is conservative:
   over one common denominator).  This is the comparison-series bound,
   with the exponent pushed down by K: M = 4 * digits and K = 0.46 *
   digits + 8, fitted by timing; a failed attempt doubles M and raises K
-  by half, with no cap, so the engine sets no digit ceiling of its own.
-  P, Q and the margin are built once per call and handed to the tail
-  solve.  The defect numerator, a polynomial G with integer coefficients
+  by half.  M is capped only at ``_SERIES_TERMS_MAX`` = 2^16 terms, which a
+  large negative parameter's floor shift can ask for and the default
+  schedule reaches past 16,000 digits.  Parameters enter as ints or
+  Fractions and are read as integer pairs (numerator, denominator): the sign
+  checks, the stops of a terminating series, the floor shift, qscale, the
+  series record's key and the term ratios use those ints alone, so no
+  Fraction arithmetic runs between a caller and the kernels.  P and Q are
+  built once per call, and the margin comes from them, as
+  (Q_1 - Q_0 - P_1) / Q_0 in lowest terms, and is handed with them to the
+  tail solve.  The defect numerator, a polynomial G with integer coefficients
   (see ``_defect_poly``), is evaluated exactly at x = 2^b by shifts and by
   products of one big integer with the small coefficients of P and Q, b a
   multiple of 8 with |G_i| <= 2^{K+1} (|Q|_1 (|V|_1 + L) + |P|_1 |V|_1) <
@@ -92,8 +99,9 @@ Guard bits for that total keep the rounding below one ulp of the nominal
 working precision, so the bound is the Stirling remainder plus less than
 2^-(bits(digits) + 30).
 
-A gamma quotient stays in the same fixed point.  The log-gammas are read
-exactly as integers, put over the largest of their powers of two and
+A gamma quotient stays in the same fixed point.  Its arguments' net
+multiplicities are counted on their (numerator, denominator) pairs, and the
+log-gammas are read exactly as integers, put over the largest of their powers of two and
 summed with their net multiplicities into x and its bound eps; x is
 exponentiated once, by mpmath at 8 guard bits beyond its integer part and
 charged a stated ``_EXP_ULPS``, then floored to 2^-prec with
@@ -125,7 +133,7 @@ import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add, mul
 from typing import Callable, Optional, Sequence, Union
 
@@ -168,9 +176,15 @@ def _bits(digits: int) -> int:
     return int(digits * 3.3219281) + 1
 
 
-def _rational(x: Rational) -> Fraction:
-    # an argument as a Fraction, without re-wrapping one that already is
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _param(x: Rational) -> Rational:
+    # an argument as an int or a Fraction, both of which expose their numerator and
+    # denominator; any other type (a float) becomes a Fraction once
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def _fractions(params) -> list[Fraction]:
+    # the parameters as Fractions, for the text of an exception
+    return [Fraction(x) for x in params]
 
 
 def _fixed_mpf(x: int, prec: int) -> mpmath.mpf:
@@ -279,7 +293,7 @@ class BoundedReal:
         return abs(a - b) <= ea + eb
 
     def __repr__(self):
-        return f"BoundedReal({mpmath.nstr(self.value, 20)}, err<={mpmath.nstr(self.err, 3)})"
+        return f"BoundedReal({_nstr(self.mid, self.exp, 20)}, err<={_nstr(self.rad, self.exp, 3)})"
 
 
 def _aligned(x, y) -> tuple[tuple, tuple, int]:
@@ -373,7 +387,8 @@ class BoundedComplex:
         return dr * dr + di * di <= e * e
 
     def __repr__(self):
-        return f"BoundedComplex({mpmath.nstr(self.value, 20)}, err<={mpmath.nstr(self.err, 3)})"
+        z = mp.make_mpc((_shown(self.re, self.exp, 20), _shown(self.im, self.exp, 20)))
+        return f"BoundedComplex({mpmath.nstr(z, 20)}, err<={_nstr(self.rad, self.exp, 3)})"
 
 
 def _cball(re: int, im: int, rad: int, exp: int) -> BoundedComplex:
@@ -391,6 +406,20 @@ def _coerce_c(x) -> BoundedComplex:
     return BoundedComplex(x, 0)
 
 
+def _shown(x: int, exp: int, n: int) -> tuple:
+    """x 2^exp as a raw mpf for ``mpmath.nstr`` to n digits, |x| rounded up to
+    max(_BOUND_PREC, 5 n) significant bits.  For |x 2^exp| between 2^-3500 and 2^3500
+    nstr reads only the top int(3.32 (n + 3)) + 10 bits, so the text is that of the
+    exact value unless the rounding carries into them; above 10^4300 an exact mantissa
+    would meet Python's int-to-str limit inside mpmath (ValueError)."""
+    m, t = _ceil_bits(abs(x), max(_BOUND_PREC, 5 * n))
+    return from_man_exp(-m if x < 0 else m, exp + t)
+
+
+def _nstr(x: int, exp: int, n: int) -> str:
+    return mpmath.nstr(mp.make_mpf(_shown(x, exp, n)), n)
+
+
 def _certified(value: int, err: int, prec: int, digits: int, what: Union[str, Callable[[], str]],
                relative: bool = True) -> BoundedReal:
     """value within err, both in ulps of 2^-prec, once the ``digits`` contract holds on
@@ -400,7 +429,7 @@ def _certified(value: int, err: int, prec: int, digits: int, what: Union[str, Ca
     docstring."""
     if err * 10 ** digits > (1 << prec) + (abs(value) if relative else 0):
         what = what() if callable(what) else what
-        raise PrecisionError(f"{what} bound {mpmath.nstr(_fixed_mpf(err, prec), 3)} above "
+        raise PrecisionError(f"{what} bound {_nstr(err, -prec, 3)} above "
                              f"10^-{digits}" + (" (1 + |value|)" if relative else ""))
     return _ball(value, err, -prec)
 
@@ -435,8 +464,10 @@ def _stirling_coeffs(J: int) -> list[Optional[tuple[int, int]]]:
                 seidel[:] = [0, *accumulate(reversed(seidel))]
                 T = seidel[-1]
                 seidel[:] = [0, *accumulate(reversed(seidel))]
-                b = Fraction((-1) ** (n - 1) * 2 * n * T, 4 ** n * (4 ** n - 1))
-                row.append((b.numerator, b.denominator * (2 * n) * (2 * n - 1)))
+                # B_2n in lowest terms, its denominator positive
+                bn, bd = (-1) ** (n - 1) * 2 * n * T, 4 ** n * (4 ** n - 1)
+                g = math.gcd(bn, bd)
+                row.append((bn // g, bd // g * (2 * n) * (2 * n - 1)))
     return row
 
 
@@ -456,10 +487,26 @@ _STIRLING_LOG_TERMS = _stirling_log_terms()
 
 
 def _stirling_order(y: float, digits: int) -> Optional[int]:
-    # smallest J with |B_{2J+2}|/((2J+2)(2J+1) y^{2J+1}) <= 10^{-digits-4}
+    """Smallest J with |B_{2J+2}|/((2J+2)(2J+1) y^{2J+1}) <= 10^{-digits-4}, as the
+    scan of the tabulated log terms t_J = c - e ln y from J = 1 finds it.
+
+    t_{J+1} - t_J = ln(n (n-1)) - 2 ln(2 pi y), n = 2J + 2, so t falls at least up to
+    J = floor(pi y) - 1.  There, a J whose t_J clears the target by far more than
+    float error is passed by the scan with every J below it; the scan starts after the
+    last such J that bisection finds."""
     target = -(digits + 4) * math.log(10)
     logy = math.log(y)
-    for J, (e, c) in enumerate(_STIRLING_LOG_TERMS, start=1):
+    terms = _STIRLING_LOG_TERMS
+    lo, hi = 0, min(len(terms), int(math.pi * y) - 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        e, c = terms[mid - 1]
+        if c - e * logy > target + 1e-6:
+            lo = mid
+        else:
+            hi = mid - 1
+    for J in range(lo + 1, len(terms) + 1):
+        e, c = terms[J - 1]
         if c - e * logy <= target:
             return J
     return None
@@ -645,9 +692,9 @@ def ln_gamma(x: Rational, digits: int = 30) -> BoundedReal:
     all real positive arguments.  Raises PrecisionError when the bound
     exceeds 10^-digits.
     """
-    q = _rational(x)
-    if q <= 0:
-        raise DomainError(f"ln_gamma requires a positive argument, got {q}")
+    q = _param(x)
+    if q.numerator <= 0:
+        raise DomainError(f"ln_gamma requires a positive argument, got {Fraction(q)}")
     value, round_err, rem, prec = _ln_gamma_fixed(q, digits)
     return _certified(value, round_err + rem, prec, digits, "ln_gamma", relative=False)
 
@@ -671,22 +718,25 @@ def gamma_quotient(numerators: Sequence[Rational], denominators: Sequence[Ration
     floor(2^prec e^x) within ``_EXP_ULPS``, and |e^L - e^x| <= e^x eps (1 + eps)
     for |L - x| <= eps < 1, rounded up.  Raises PrecisionError unless eps < 1,
     e^x needs at most ``_EXP_INT_BITS_MAX`` integer bits and err <= 10^-digits (1 + |value|)."""
-    nums = [_rational(a) for a in numerators]
-    dens = [_rational(b) for b in denominators]
-    for a in nums + dens:
-        if a <= 0:
-            raise DomainError(f"gamma_quotient argument {a} <= 0")
-    # each distinct argument is evaluated once, with its net multiplicity
-    weights = Counter(nums)
-    weights.subtract(dens)
+    nums = [_param(a) for a in numerators]
+    args = nums + [_param(b) for b in denominators]
+    keys = [(a.numerator, a.denominator) for a in args]
+    for (an, _), a in zip(keys, args):
+        if an <= 0:
+            raise DomainError(f"gamma_quotient argument {Fraction(a)} <= 0")
+    # each distinct argument, keyed on its int pair, is evaluated once with its net
+    # multiplicity
+    weights = Counter(keys[:len(nums)])
+    weights.subtract(keys[len(nums):])
+    arg = dict(zip(keys, args))
     # x = sum w v within eps = sum |w| e, exactly: S and E over 2^p, p the largest
     # precision of the log-gammas (each a ball mid 2^exp within rad 2^exp)
-    logs = [(w, ln_gamma(a, digits + 12)) for a, w in weights.items() if w]
+    logs = [(w, ln_gamma(arg[key], digits + 12)) for key, w in weights.items() if w]
     p = max([-v.exp for _, v in logs], default=0)
     S = sum([w * v.mid << (p + v.exp) for w, v in logs])
     E = sum([abs(w) * v.rad << (p + v.exp) for w, v in logs])
     if E >> p:
-        raise PrecisionError(f"gamma quotient log bound {mpmath.nstr(_fixed_mpf(E, p), 3)} >= 1")
+        raise PrecisionError(f"gamma quotient log bound {_nstr(E, -p, 3)} >= 1")
     prec = _bits(digits) + 40
     # e^x < 2^ib, since log2(e) < 3/2
     ib = max(1, (3 * ((S >> p) + 1) + 1) // 2)
@@ -749,7 +799,15 @@ def _series_polys(uppers, lowers):
     # clearing every denominator: integer coefficients, Q[0] = D^d
     D = math.lcm(*(x.denominator for x in uppers + lowers))
     d = max(len(uppers), len(lowers) + 1)
-    return _poly_from_factors(uppers, D, d), _poly_from_factors(lowers + [Fraction(1)], D, d)
+    return _poly_from_factors(uppers, D, d), _poly_from_factors(lowers + [1], D, d)
+
+
+def _margin(P, Q) -> tuple[int, int]:
+    # sum(lowers) - sum(uppers) = (Q_1 - Q_0 - P_1) / Q_0 in lowest terms, Q_0 = D^d > 0
+    # (P_1 is 0 without uppers)
+    n = Q[1] - Q[0] - (P[1] if len(P) > 1 else 0)
+    g = math.gcd(n, Q[0])
+    return n // g, Q[0] // g
 
 
 # one record per series, keyed on its exact (uppers, lowers): its partial-sum half and
@@ -805,13 +863,15 @@ def _solve_tail_series(uppers, lowers, K, polys=None):
     The solve at order K is an exact prefix of every higher one (see the
     module docstring): the series' record divides it out of the highest
     solve or continues that one, so (V, L) is the same integers whatever was
-    asked before.  ``polys`` is (P, Q, s) when the caller has built them already.
+    asked before.  ``polys`` is (P, Q, s) when the caller has built them already, s
+    the margin as ``_margin``'s (numerator, denominator).
     """
     key = _series_key(uppers, lowers)
     solve = _series_half(key, 1)
     if solve is None or len(solve[0]) <= K:
         if polys is None:
-            polys = (*_series_polys(uppers, lowers), sum(lowers) - sum(uppers))
+            P, Q = _series_polys(uppers, lowers)
+            polys = P, Q, _margin(P, Q)
         solve = _tail_solve_steps(*polys, K, *(solve or ((), (), ())))
         _store_half(key, 1, solve)
     Valt, factors, _ = solve
@@ -835,7 +895,7 @@ def _tail_solve_steps(P, Q, s, K, Valt, factors, diag):
     Qalt = _alternate(Q)
     row = _alternate(_poly_mul(P, [1, 1]))     # a_0 = [P (1+x)]_j (-1)^j
     row += [0] * (K + 3 - len(row))
-    sn, sd = s.numerator, s.denominator
+    sn, sd = s
     Valt, factors = list(Valt), list(factors)
     diag = list(diag) or [row[1], row[0]]
     L = math.prod(factors)
@@ -939,69 +999,76 @@ def hyp_unit_sum(uppers: Sequence[Rational], lowers: Sequence[Rational],
     The q lower parameters exclude the implicit (1,n); the convergence
     margin sum(lowers) - sum(uppers) must be positive unless some upper
     parameter is a non-positive integer (terminating series, summed
-    exactly).  Raises PrecisionError unless err <= 10^-digits (1 + |value|).
+    exactly).  Parameters are ints or Fractions (any other rational, a float,
+    is read as a Fraction).  Raises PrecisionError unless
+    err <= 10^-digits (1 + |value|).
     """
-    uppers = [_rational(u) for u in uppers]
-    lowers = [_rational(l) for l in lowers]
+    uppers = [_param(u) for u in uppers]
+    lowers = [_param(b) for b in lowers]
     for low in lowers:
-        if low <= 0 and low.denominator == 1:
-            raise DomainError(f"lower parameter {low} is a non-positive integer")
-    stops = [-int(u) for u in uppers if u <= 0 and u.denominator == 1]
+        if low.denominator == 1 and low.numerator <= 0:
+            raise DomainError(f"lower parameter {Fraction(low)} is a non-positive integer")
+    stops = [-a.numerator for a in uppers if a.denominator == 1 and a.numerator <= 0]
     if stops:
         return _fixed_point_sum(uppers, lowers, min(stops) + 1, digits)
-    margin = sum(lowers) - sum(uppers)
-    if margin <= 0:
-        raise DivergenceError(
-            f"unit-argument series diverges: margin {margin} <= 0 for {uppers}; {lowers}")
     # the fastest measured (M, K) whose bounds are no wider than those of M = 24 digits
-    return _hyp_unit_series(uppers, lowers, margin, digits, 4 * digits, int(digits * 0.46) + 8)
+    return _hyp_unit_series(uppers, lowers, digits, 4 * digits, int(digits * 0.46) + 8)
 
 
-def _hyp_unit_series(uppers: list[Fraction], lowers: list[Fraction], margin: Fraction,
-                     digits: int, M: int, K: int) -> BoundedReal:
-    """``hyp_unit_sum`` of a non-terminating series of convergence margin
-    sum(lowers) - sum(uppers) from M terms and a tail of order K; each failed attempt
-    doubles M and raises K by half, continuing the tail solve."""
-    # all linear factors must be positive (and comfortably so for the
-    # negative-parameter Q-majorization) from index M on
-    floor_shift = max([0] + [int(math.floor(-2 * float(x))) + 1
-                             for x in uppers + lowers if x < 0])
-    M = max(M, floor_shift + 2)
+def _hyp_unit_series(uppers: list[Rational], lowers: list[Rational], digits: int, M: int,
+                     K: int) -> BoundedReal:
+    """``hyp_unit_sum`` of a non-terminating series from M terms and a tail of order K;
+    each failed attempt doubles M and raises K by half, continuing the tail solve.
+    Raises DivergenceError unless the margin sum(lowers) - sum(uppers), read from P and
+    Q, is positive."""
     P, Q = _series_polys(uppers, lowers)
+    margin = _margin(P, Q)
+    if margin[0] <= 0:
+        raise DivergenceError(
+            f"unit-argument series diverges: margin {Fraction(*margin)} <= 0 for "
+            f"{_fractions(uppers)}; {_fractions(lowers)}")
+    # all linear factors must be positive (and comfortably so for the
+    # negative-parameter Q-majorization) from index M on; floor(-2x) = (-2 an) // ad
+    floor_shift = max([0] + [(-2 * x.numerator) // x.denominator + 1
+                             for x in uppers + lowers if x.numerator < 0])
+    M = max(M, floor_shift + 2)
+    negative_lowers = [(b.numerator, b.denominator) for b in lowers if b.numerator < 0]
     for _attempt in range(5):
         if _ratio_eventually_below_one(P, Q, M):
             V, L = _solve_tail_series(uppers, lowers, K, (P, Q, margin))
             hn, hd = _tail_defect_majorant(P, Q, V, L, K, M)
-            # Q(n) >= n^deg * qscale for n >= M (negative lowers shrink the product)
-            qscale = math.prod([1 + b / M for b in lowers if b < 0])
+            # Q(n) >= n^deg * qn / qd for n >= M, qn / qd = prod (1 + b / M) over the
+            # negative lowers in lowest terms (they shrink the product)
+            qn = math.prod([M * bd + bn for bn, bd in negative_lowers])
+            qd = math.prod([M * bd for _, bd in negative_lowers])
+            g = math.gcd(qn, qd)
             # the exact W(M) = M V(1/M) = Wn / Wd, and E = |t_M| H(M) (M^{-K-1} + M^{-K}/K)
             Wn = 0
             for Vk in V:
                 Wn = Wn * M + Vk
             result = _fixed_point_sum(uppers, lowers, M, digits,
-                                      (Wn, L * M ** (K - 1), hn * qscale.denominator * (K + M),
-                                       hd * qscale.numerator * K * M ** (K + 1)))
+                                      (Wn, L * M ** (K - 1), hn * (qd // g) * (K + M),
+                                       hd * (qn // g) * K * M ** (K + 1)))
             if result is not None:
                 return result
         M *= 2
         K += K // 2
     raise PrecisionError(f"series tail bound did not reach 10^-{digits} "
-                         f"for {uppers}; {lowers}")
+                         f"for {_fractions(uppers)}; {_fractions(lowers)}")
 
 
-def _term_ratios(uppers, lowers, start, stop):
+def _term_ratios(ups, lows, start, stop):
     # num(n) = prod bd * prod (n ad + an) and den(n) = (n+1) prod ad * prod (n bd + bn)
-    # for start <= n < stop
-    nums = [math.prod(b.denominator for b in lowers)] * (stop - start)
-    for a in uppers:
-        an, ad = a.numerator, a.denominator
-        nums = list(map(mul, nums, range(an + start * ad, an + stop * ad, ad)))
-    den0 = math.prod(a.denominator for a in uppers)
+    # for start <= n < stop, from the (numerator, denominator) pairs of the uppers and
+    # lowers, each a chain of maps over one range per factor
+    nums = repeat(math.prod([bd for _, bd in lows]), stop - start)
+    for an, ad in ups:
+        nums = map(mul, nums, range(an + start * ad, an + stop * ad, ad))
+    den0 = math.prod([ad for _, ad in ups])
     dens = range((start + 1) * den0, (stop + 1) * den0, den0)
-    for b in lowers:
-        bn, bd = b.numerator, b.denominator
-        dens = list(map(mul, dens, range(bn + start * bd, bn + stop * bd, bd)))
-    return nums, dens
+    for bn, bd in lows:
+        dens = map(mul, dens, range(bn + start * bd, bn + stop * bd, bd))
+    return list(nums), list(dens)
 
 
 def _partial_sum(uppers, lowers, terms, prec):
@@ -1010,11 +1077,12 @@ def _partial_sum(uppers, lowers, terms, prec):
     Returns (S, S_err, T, T_err): |S - 2^prec sum t_n| <= S_err and
     |T - 2^prec t_terms| <= T_err.  Each step is T = T * num // den with
     the integer term ratio num/den; floor division is off by less than
-    one ulp, so the error E of T obeys E' = ceil(E |num| / |den|) + 1.
+    one ulp, so the error E of T obeys E' = ceil(E |num| / |den|) + 1, computed as
+    (E |num| - 1) // |den| + 2.
 
     Neither the ratios nor E read prec, so the series' record keeps them for the
-    most terms asked so far: fewer terms run only the T loop and sum the stored E for
-    S_err, and more continue one loop over T, S, E and S_err from the stored end.
+    most terms asked so far: fewer terms run only the T loop, more continue one loop
+    over T, S and E from the stored end; S_err is the sum of the stored E below terms.
     """
     key = _series_key(uppers, lowers)
     nums, dens, Es = _series_half(key, 0) or ((), (), (0,))
@@ -1025,26 +1093,42 @@ def _partial_sum(uppers, lowers, terms, prec):
         T = T * num // den
     if terms <= len(nums):
         return S, sum(Es[:terms]), T, Es[terms]
-    more_nums, more_dens = _term_ratios(uppers, lowers, len(nums), terms)
+    more_nums, more_dens = _term_ratios(*key, len(nums), terms)
+    for num, den in zip(more_nums, more_dens):
+        S += T
+        T = T * num // den
+    # the E chain needs |num| and |den|, which are num and den unless a parameter is
+    # negative
     Es = list(Es)
     push_E = Es.append
-    E, S_err = Es[-1], sum(Es[:-1])
-    for num, den, abs_num, abs_den in zip(more_nums, more_dens, map(abs, more_nums),
-                                          map(abs, more_dens)):
-        S += T
-        S_err += E
-        T = T * num // den
-        E = -(-E * abs_num // abs_den) + 1
+    E = Es[-1]
+    mags = more_nums, more_dens
+    if any(x < 0 for x, _ in key[0] + key[1]):
+        mags = map(abs, more_nums), map(abs, more_dens)
+    for num, den in zip(*mags):
+        E = (E * num - 1) // den + 2
         push_E(E)
     _store_half(key, 0, (nums + tuple(more_nums), dens + tuple(more_dens), tuple(Es)))
-    return S, S_err, T, E
+    return S, sum(Es[:terms]), T, E
+
+
+# terms of the longest partial sum.  hyp_unit_sum([-(k + 1/2), 1/3], [1/2], 10), whose
+# floor shift asks for 2k + 3 terms, certified in 0.13 s at k = 10^4, 0.39 s at 16,000
+# and 2.2 s at 32,765 (65,533 terms) on a shared 2-vCPU box; uncapped, k = 10^5 took 12 s
+# to fail and k = 10^6 ran out of a 2 GB address space after 20 s.  The default schedule
+# (M = 4 digits) reaches the cap only past 16,000 digits
+_SERIES_TERMS_MAX = 1 << 16
 
 
 def _fixed_point_sum(uppers, lowers, terms: int, digits: int,
                      tail: Optional[tuple[int, int, int, int]] = None) -> Optional[BoundedReal]:
     """The first ``terms`` terms in fixed point, plus for a non-terminating series its
     tail t_terms Wn / Wd within E = |t_terms| En / Ed, ``tail = (Wn, Wd, En, Ed)``;
-    None when 2 E misses 10^-digits.  One rerun, as the module docstring says."""
+    None when 2 E misses 10^-digits.  One rerun, as the module docstring says.  Raises
+    PrecisionError, before any term is formed, when terms is above _SERIES_TERMS_MAX."""
+    if terms > _SERIES_TERMS_MAX:
+        raise PrecisionError(f"series needs {_nstr(terms, 0, 3)} terms, above "
+                             f"{_SERIES_TERMS_MAX}")
     # guard bits for the ~terms^2 ulps that floor division may accumulate
     prec = _bits(digits) + 46 + terms.bit_length()
     while True:
@@ -1059,7 +1143,8 @@ def _fixed_point_sum(uppers, lowers, terms: int, digits: int,
                 return None
         rounding = err * 10 ** digits
         try:
-            return _certified(S, err + E, prec, digits, lambda: f"series {uppers}; {lowers}")
+            return _certified(S, err + E, prec, digits,
+                              lambda: f"series {_fractions(uppers)}; {_fractions(lowers)}")
         except PrecisionError:
             if prec > rounding.bit_length():
                 raise

@@ -9,11 +9,16 @@ it computed, and every ``_partial_sum`` call (terminating series included) with
 its terms, prec and result.  Then, for every distinct attempt, the reference
 re-does ``_solve_tail_series``, ``_defect_poly`` and ``_tail_defect_majorant``,
 and for every distinct partial sum ``_partial_sum``; each must give the same
-integers, and the majorant and the partial sum also those of the run:
+integers, and the majorant and the partial sum also those of the run.  It also
+records every call of ``hyp_unit_sum``, ``gamma_quotient`` and ``ceresa._h_term``
+with its ball (mid, rad, exp) or its exception, and replays each distinct call from
+cold caches through the Fraction set-up of ``_series_reference`` (``hyp_unit_sum``,
+``gamma_quotient``, ``h_term``), which must give the same ints or the same
+exception type and text:
 
     PYTHONPATH=src:tests python3 tests/series_identity_sweep.py
 
-Prints the distinct attempts and partial sums and every mismatch; exits 1 on
+Prints the distinct attempts, partial sums and calls and every mismatch; exits 1 on
 any mismatch, on any workload item that reports a problem or differs from
 perfbench's reference line, or when nothing was replayed.
 """
@@ -22,12 +27,13 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402
-from fermatvol import specfun  # noqa: E402
+from fermatvol import ceresa, specfun  # noqa: E402
 
 import _series_reference as ref  # noqa: E402
 
@@ -35,6 +41,8 @@ import _series_reference as ref  # noqa: E402
 # run's (S, S_err, T, T_err)
 attempts: dict = {}
 sums: dict = {}
+# (function name, args) -> ("ball", (mid, rad, exp)) or ("raise", type name, text)
+calls: dict = {}
 mismatches: list[str] = []
 
 
@@ -71,7 +79,31 @@ def install() -> None:
     specfun._solve_tail_series = solving
     specfun._tail_defect_majorant = bounding
     specfun._partial_sum = summing
+    for module, name in [(specfun, "hyp_unit_sum"), (specfun, "gamma_quotient"),
+                         (ceresa, "hyp_unit_sum"), (ceresa, "gamma_quotient"),
+                         (ceresa, "_h_term")]:
+        setattr(module, name, _recording(name, getattr(module, name)))
     return solve, majorant, partial
+
+
+def _outcome(fn, args):
+    try:
+        r = fn(*args)
+    except (ArithmeticError, ValueError, RuntimeError) as e:
+        return ("raise", type(e).__name__, str(e)), e
+    return ("ball", (r.mid, r.rad, r.exp)), r
+
+
+def _recording(name, fn):
+    def recorded(*args):
+        # lists become tuples of the caller's own ints and Fractions, for the key
+        key = (name, tuple(tuple(a) if isinstance(a, list) else a for a in args))
+        got, out = _outcome(fn, args)
+        _note(calls, key, got)
+        if got[0] == "raise":
+            raise out
+        return out
+    return recorded
 
 
 def replay(solve, majorant, partial) -> None:
@@ -96,6 +128,15 @@ def replay(solve, majorant, partial) -> None:
                           ("_partial_sum in the run", run)]:
             if got != want:
                 mismatches.append(f"{name}: {uppers}; {lowers} terms={terms} prec={prec}")
+    # the Fraction set-up from cold caches, on the arguments exactly as the run got them
+    specfun.clear_caches()
+    reference = {"hyp_unit_sum": ref.hyp_unit_sum, "gamma_quotient": ref.gamma_quotient,
+                 "_h_term": ref.h_term}
+    for (name, args), run in calls.items():
+        want, _ = _outcome(reference[name], [list(a) if isinstance(a, tuple) else a
+                                             for a in args])
+        if run != want:
+            mismatches.append(f"{name}{args}: {run} in the run, {want} from the reference")
 
 
 def main() -> int:
@@ -114,12 +155,17 @@ def main() -> int:
     for line in failed[:50]:
         print(f"failed: {line}")
     series = {key[:2] for key in attempts} | {key[:2] for key in sums}
+    counts = Counter(name for name, _ in calls)
+    raised = sum(1 for got in calls.values() if got[0] == "raise")
     print(f"{len(attempts)} attempts and {len(sums)} partial sums of {len(series)} series "
           f"replayed (K up to {max((k[2] for k in attempts), default=0)}, M up to "
           f"{max((k[3] for k in attempts), default=0)}, prec up to "
-          f"{max((k[3] for k in sums), default=0)}), {len(mismatches)} mismatches, "
-          f"{len(failed)} failed items")
-    return 1 if mismatches or failed or not attempts or not sums else 0
+          f"{max((k[3] for k in sums), default=0)}); {counts['hyp_unit_sum']} hyp_unit_sum, "
+          f"{counts['gamma_quotient']} gamma_quotient and {counts['_h_term']} _h_term calls "
+          f"({raised} raising) replayed; {len(mismatches)} mismatches, {len(failed)} failed "
+          f"items")
+    return 1 if mismatches or failed or not attempts or not sums or not all(
+        counts[name] for name in ("hyp_unit_sum", "gamma_quotient", "_h_term")) else 0
 
 
 if __name__ == "__main__":

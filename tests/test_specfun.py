@@ -324,6 +324,19 @@ def test_stirling_order_matches_per_call_loop():
             assert _stirling_order(y, digits) == series_reference.stirling_order(y, digits)
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.floats(0.05, 2000), st.integers(1, 400).map(float),
+                 st.integers(2, 800).map(lambda k: k / 2)),
+       st.integers(0, 1500))
+@example(0.3, 0)                   # no falling stretch to bisect
+@example(10 ** 12, 3)              # one term suffices
+@example(81.9, 1400)               # the answer near the falling stretch's end
+def test_stirling_order_bisected_start_matches_scan(y, digits):
+    # the scan starts after a bisected J that it would have passed, so J is identical,
+    # None included where no tabulated J reaches the target
+    assert _stirling_order(y, digits) == series_reference.stirling_order(y, digits)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 2 ** 2000), st.integers(4, 1200))
 def test_log_fixed_within_slop(n, prec):
@@ -707,8 +720,8 @@ def test_tail_bound_soundness(seed):
     e = 1 + a + b + c - d + F(rng.randint(5, 15), 10)  # margin in [0.5, 1.5]
     margin = d + e - a - b - c
     assert margin > 0
-    near = _hyp_unit_series([a, b, c], [d, e], margin, 25, 500, 14)
-    far = _hyp_unit_series([a, b, c], [d, e], margin, 25, 5000, 14)
+    near = _hyp_unit_series([a, b, c], [d, e], 25, 500, 14)
+    far = _hyp_unit_series([a, b, c], [d, e], 25, 5000, 14)
     assert abs(near.value - far.value) <= near.err + far.err
     # and the truncated raw sum sits below the value for positive terms,
     # approaching it from underneath
@@ -746,8 +759,7 @@ def test_hyp_unit_sum_encloses_double_precision_reference(series, digits, short)
     # attempt's bound is mostly the truncation term rather than rounding
     uppers, lowers = series
     if short:
-        r = _hyp_unit_series(uppers, lowers, sum(lowers) - sum(uppers), digits, digits,
-                             digits // 8 + 4)
+        r = _hyp_unit_series(uppers, lowers, digits, digits, digits // 8 + 4)
     else:
         r = hyp_unit_sum(uppers, lowers, digits)
     ref = hyp_unit_sum(uppers, lowers, 2 * digits)
@@ -771,8 +783,8 @@ def test_default_schedule_bound_no_wider_than_fixed_schedule(name, digits):
     uppers, lowers = _SCHEDULE_CASES[name]
     new = hyp_unit_sum(uppers, lowers, digits)
     # the former fixed schedule: M = 24 d terms, K = 0.42 d + 6 capped at 48
-    old = _hyp_unit_series(uppers, lowers, sum(lowers) - sum(uppers), digits,
-                           max(400, 24 * digits), min(48, max(12, int(0.42 * digits) + 6)))
+    old = _hyp_unit_series(uppers, lowers, digits, max(400, 24 * digits),
+                           min(48, max(12, int(0.42 * digits) + 6)))
     assert _exact(new.err) <= _exact(old.err)
     assert abs(_exact(new.value) - _exact(old.value)) <= _exact(new.err) + _exact(old.err)
 
@@ -925,6 +937,113 @@ def test_cold_hyp_unit_sum_builds_its_polynomials_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_cold_hyp_unit_sum_forms_its_term_ratios_once(monkeypatch):
+    # one call for the M = 224 terms, on the parameters' int pairs as the series record
+    # keys them (ints and Fractions alike); the prec rerun and the tail read the record
+    calls = []
+    ratios = specfun._term_ratios
+
+    def counted(ups, lows, start, stop):
+        calls.append((ups, lows, start, stop))
+        return ratios(ups, lows, start, stop)
+
+    monkeypatch.setattr(specfun, "_term_ratios", counted)
+    clear_caches()
+    hyp_unit_sum([F(23, 97), F(23, 97), F(51, 97)], [1, F(1)], 56)
+    assert calls == [(((23, 97), (23, 97), (51, 97)), ((1, 1), (1, 1)), 0, 224)]
+    # the ratios themselves: num(n) = prod bd prod (n ad + an), den(n) = (n+1) prod ad
+    # prod (n bd + bn)
+    nums, dens = ratios(((-7, 3), (1, 2)), ((3, 2),), 2, 9)
+    assert nums == [2 * (3 * n - 7) * (2 * n + 1) for n in range(2, 9)]
+    assert dens == [(n + 1) * 6 * (2 * n + 3) for n in range(2, 9)]
+
+
+# an int parameter and the same value as a Fraction; the second form of an int-valued
+# Fraction is an int, so each draw may take either
+_FORM = st.fractions(min_value=-3, max_value=3, max_denominator=6).flatmap(
+    lambda x: st.sampled_from([x, int(x)] if x.denominator == 1 else [x]))
+
+
+def _outcome(fn, *args):
+    try:
+        r = fn(*args)
+    except (ArithmeticError, ValueError, RuntimeError) as e:
+        return type(e).__name__, str(e)
+    return r.mid, r.rad, r.exp
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_FORM, min_size=1, max_size=3), st.lists(_FORM, max_size=2),
+       st.integers(5, 25))
+@example([F(-2), F(1, 3)], [F(1, 2)], 10)                 # terminating at n = 2
+@example([F(-3, 2), F(5, 4)], [F(-3, 20)], 12)            # negative, convergent
+@example([F(1, 2), F(3, 4), F(1)], [F(5, 4), F(1, 2)], 9)  # divergent, margin -1/2
+@example([F(1, 3)], [F(-2)], 9)                           # non-positive integer lower
+@example([F(-61, 2), F(1, 3)], [F(1, 2)], 5)              # the floor shift sets M = 64
+@example([F(1, 3), F(1, 4)], [F(-41, 3), 16], 6)          # ... and a negative lower qscale
+@example([F(-45, 4), 2], [F(-7, 2), 3], 5)
+def test_parameters_as_ints_or_fractions_give_the_same_ints(uppers, lowers, digits):
+    # hyp_unit_sum, gamma_quotient and ln_gamma read ints and Fractions through their
+    # numerators and denominators: the same ball, or the same exception and text, for
+    # either form, and those of the Fraction set-up they replaced
+    as_fractions = [F(x) for x in uppers], [F(x) for x in lowers]
+    forms = [list(as_fractions), [uppers, lowers]]
+    for fn, reference in [(hyp_unit_sum, series_reference.hyp_unit_sum),
+                          (gamma_quotient, series_reference.gamma_quotient)]:
+        clear_caches()
+        want = _outcome(reference, *as_fractions, digits)
+        for ups, lows in forms:
+            clear_caches()
+            assert _outcome(fn, ups, lows, digits) == want
+    for x in uppers:
+        want = _outcome(series_reference.ln_gamma, F(x), digits)
+        assert _outcome(ln_gamma, x, digits) == _outcome(ln_gamma, F(x), digits) == want
+
+
+@pytest.mark.parametrize("x", [-(10 ** 400 + F(1, 2)), -(10 ** 6 + F(1, 2))],
+                         ids=["1e400", "1e6"])
+def test_large_negative_parameter_refused_before_its_terms(x):
+    # the floor shift asks for 2|x| + 3 terms: refused, naming them, before any list is
+    # built (10^400 raised OverflowError from float(x); 10^6 ran out of memory)
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError, match=r"series needs 2\.0e\+\d+ terms, above 65536"):
+        hyp_unit_sum([x, F(1, 3)], [F(1, 2)], 10)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(PrecisionError, match="series needs 1.0e\\+6 terms"):
+        hyp_unit_sum([-10 ** 6 + 1, F(1, 3)], [F(1, 2)], 10)   # terminating, as long
+
+
+def test_message_bounds_above_int_to_str_limit():
+    # a bound of 15,000 bits at prec 98 made mpmath.nstr of its exact view meet Python's
+    # 4,300-digit int-to-str limit (ValueError); from 64 bits rounded up it is text
+    with pytest.raises(PrecisionError, match=r"^x bound 8\.89e\+4485 above 10\^-5 "):
+        _certified(0, 2 ** 15000 - 1, 98, 5, "x")
+    with pytest.raises(PrecisionError, match=r"^x bound 8\.3e\+4184 above"):
+        _certified(0, 2 ** 14000 - 1, 98, 5, "x")
+    # ordinary bounds keep their text
+    texts = []
+    for value, err, prec, digits, relative in [(0, 12345, 20, 5, True),
+                                               (3, 2 ** 70 - 1, 60, 10, True),
+                                               (0, 2 ** 63 + 2 ** 62 + 1, 64, 3, False),
+                                               (10 ** 30, 10 ** 40, 100, 20, True)]:
+        with pytest.raises(PrecisionError) as info:
+            _certified(value, err, prec, digits, "x", relative)
+        texts.append(str(info.value))
+    assert texts == ["x bound 0.0118 above 10^-5 (1 + |value|)",
+                     "x bound 1.02e+3 above 10^-10 (1 + |value|)",
+                     "x bound 0.75 above 10^-3",
+                     "x bound 7.89e+9 above 10^-20 (1 + |value|)"]
+    # and a ball above 10^4300 has a repr, its ordinary ones the same text
+    assert repr(gamma_quotient([3000], [1], 20)).startswith("BoundedReal(1.38311986781261802")
+    assert (repr(gamma_quotient([F(1, 3)], [1], 20))
+            == "BoundedReal(2.6789385347077476337, err<=1.85e-32)")
+    z = BoundedComplex(mpmath.mpc("1.2345678901234567890123", "-3.25"), mp.mpf("1e-30"))
+    assert repr(z * z) == ("BoundedComplex((-9.0383421246761165684 - 8.0246912858024684878j), "
+                           "err<=6.95e-30)")
+    assert repr(specfun._cball(2 ** 15000 + 1, 3, 2 ** 14990, -20)).startswith(
+        "BoundedComplex((2.6874169155420280813e+4509 + 2.86102294921875e-6j), err<=2.")
+
+
 _TAIL_GRID = [
     ([F(23, 97), F(23, 97), F(51, 97)], [F(1), F(1)]),
     ([F(-7, 3), F(1, 2)], [F(3, 2)]),
@@ -993,8 +1112,9 @@ def test_tail_solve_memo_evicts_least_recently_used(monkeypatch):
 
 def test_interrupted_tail_solve_keeps_the_stored_entry(monkeypatch):
     # an exception part-way through an extension leaves the stored half as it was,
-    # whichever half it extends
-    uppers, lowers = _TAIL_GRID[0]
+    # whichever half it extends; a series with a negative parameter, whose error chain
+    # reads abs (all-positive ratios are their own magnitudes)
+    uppers, lowers = _TAIL_GRID[1]
     key = specfun._series_key(uppers, lowers)
     clear_caches()
     _solve_tail_series(uppers, lowers, 20)
