@@ -18,17 +18,16 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-import mpmath
-from mpmath import mp
-from mpmath.libmp import (fone, from_float, from_int, fzero, mpc_add, mpc_mul_mpf, mpf_add,
-                          mpf_div, mpf_mul_int, mpf_shift, round_nearest)
+from mpmath.libmp import (fone, from_float, from_int, fzero, mpf_add, mpf_cos_sin, mpf_div,
+                          mpf_mul, mpf_mul_int, mpf_pi, mpf_shift, round_nearest)
 
 from . import _memo
-from .specfun import BoundedComplex, _bits, _poly_mul, _poly_sub, _trim
+from .specfun import BoundedComplex, DomainError, _bits, _cball, _poly_mul, _poly_sub, _trim
 
 Rational = Union[int, Fraction]
 
@@ -294,7 +293,10 @@ def cyclo_from_power(n: int, j: int) -> CycloElem:
 
 def one_minus_power(n: int, j: int) -> CycloElem:
     """Convenience: 1 - xi^j, the ubiquitous period-lattice factor."""
-    return CycloElem.one(n) - cyclo_from_power(n, j)
+    j %= n
+    num = [1] + [0] * j
+    num[j] -= 1
+    return _elem(n, num, 1)
 
 
 # one entry per (n, residue, working precision), about 0.7 kB at 140 bits.  The working
@@ -306,10 +308,18 @@ _ROOTS_MAX = 1024
 
 @_memo(_ROOTS_MAX)
 def _root(n: int, r: int, wp: int) -> tuple:
-    # exp(2 pi i r / n) at wp bits, as a raw mpc
-    with mp.workprec(wp):
-        ang = 2 * mp.pi * r / n
-        return mp.mpc(mpmath.cos(ang), mpmath.sin(ang))._mpc_
+    """exp(2 pi i r / n) at wp bits as a raw (cos, sin) pair: mpmath's 2 * pi * r / n and
+    its cos and sin under workprec(wp), each step rounded to nearest at wp, with one
+    cos-sin evaluation for both parts."""
+    ang = mpf_div(mpf_mul_int(mpf_shift(mpf_pi(wp, round_nearest), 1), r, wp, round_nearest),
+                  from_int(n), wp, round_nearest)
+    return mpf_cos_sin(ang, wp, round_nearest)
+
+
+def _man_exp(x: tuple) -> tuple[int, int]:
+    # a finite raw mpf as (signed mantissa, exponent)
+    sign, man, exp, _ = x
+    return (-man if sign else man), exp
 
 
 def embed(a: CycloElem, sigma: EmbeddingIndex, digits: int = 30) -> BoundedComplex:
@@ -320,21 +330,34 @@ def embed(a: CycloElem, sigma: EmbeddingIndex, digits: int = 30) -> BoundedCompl
         raise ValueError("digits >= 10 required")
     n, h, den = a.n, sigma.h, a.den
     # the float of the exact sum of |coefficients|, correctly rounded
-    size = sum(map(abs, a.num)) / den + 1
+    total = sum(map(abs, a.num))
+    try:
+        size = total / den + 1
+    except OverflowError:
+        raise DomainError(f"embed: coefficient sum near 2^{total.bit_length() - den.bit_length()} "
+                          f"is beyond the float range (about {sys.float_info.max:.1e})") from None
     wp = _bits(digits) + int(math.log2(size + 1)) + 24
     # the raw form of summing mpf(p) / q * root into mpc(0) under workprec(wp): the same
-    # roundings to nearest, so the same bits
-    total = (fzero, fzero)
+    # roundings to nearest, so the same bits.  An integer coefficient c has |c| < size
+    # < 2^(wp - 24), so from_int(c) is exact and mpf_mul_int rounds the product once, as
+    # mpf_mul by from_int(c) would
+    rnd = round_nearest
+    re = im = fzero
     for j, c in enumerate(a.num):
         if c:
+            cos, sin = _root(n, h * j % n, wp)
             g = math.gcd(c, den)
-            x = mpf_div(from_int(c // g, wp, round_nearest), from_int(den // g), wp, round_nearest)
-            total = mpc_add(total, mpc_mul_mpf(_root(n, h * j % n, wp), x, wp, round_nearest),
-                            wp, round_nearest)
+            if g == den:
+                cx, sx = mpf_mul_int(cos, c // g, wp, rnd), mpf_mul_int(sin, c // g, wp, rnd)
+            else:
+                x = mpf_div(from_int(c // g, wp, rnd), from_int(den // g), wp, rnd)
+                cx, sx = mpf_mul(cos, x, wp, rnd), mpf_mul(sin, x, wp, rnd)
+            re, im = mpf_add(re, cx, wp, rnd), mpf_add(im, sx, wp, rnd)
     # (size + 1) (phi(n) + 8) 2^(4 - wp)
-    err = mpf_mul_int(mpf_add(from_float(size), fone, wp, round_nearest), len(a.num) + 8,
-                      wp, round_nearest)
-    return BoundedComplex(mp.make_mpc(total), mp.make_mpf(mpf_shift(err, 4 - wp)))
+    err = mpf_mul_int(mpf_add(from_float(size), fone, wp, rnd), len(a.num) + 8, wp, rnd)
+    (x, e), (y, f), (r, g) = _man_exp(re), _man_exp(im), _man_exp(mpf_shift(err, 4 - wp))
+    exp = min(e, f, g, 0)
+    return _cball(x << (e - exp), y << (f - exp), r << (g - exp), exp)
 
 
 def trace_to_rationals(a: CycloElem) -> Fraction:

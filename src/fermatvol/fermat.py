@@ -82,9 +82,19 @@ class FermatIndex:
         return FermatIndex(self.n, -self.a, -self.b)
 
     def scaled(self, h: int) -> "FermatIndex":
-        if math.gcd(h, self.n) != 1:
-            raise ValueError(f"scaling by non-unit {h} mod {self.n}")
-        return FermatIndex(self.n, h * self.a, h * self.b)
+        n = self.n
+        if math.gcd(h, n) != 1:
+            raise ValueError(f"scaling by non-unit {h} mod {n}")
+        # a unit keeps a, b and a + b nonzero mod n, so the twist needs no other check
+        x = object.__new__(FermatIndex)
+        vars(x).update(n=n, a=h * self.a % n, b=h * self.b % n)
+        return x
+
+
+def _twisted_holomorphic(idx: FermatIndex, h: int) -> bool:
+    # idx.scaled(h).is_holomorphic() for a unit h, from the ints
+    n = idx.n
+    return h * idx.a % n + h * idx.b % n < n
 
 
 def index_set(n: int) -> list[FermatIndex]:
@@ -173,20 +183,33 @@ def kappa_exact(curve: FermatCurve, idx1: FermatIndex, idx2: FermatIndex) -> Del
 
 def _kappa_rs_terms(curve: FermatCurve, idx1: FermatIndex, idx2: FermatIndex) -> tuple:
     """(coefficient, u, v) terms, each coefficient * xi^{ur+vs}, of the kappa^{r,s} display
-    xi^{(a+c)r+(b+d)s} kappa - xi^{ar+bs} p1 (1-xi^{ds}) + xi^{cr+ds} p2 (1-xi^{bs})."""
+    xi^{(a+c)r+(b+d)s} kappa - xi^{ar+bs} p1 (1-xi^{ds}) + xi^{cr+ds} p2 (1-xi^{bs}).
+    Each coefficient is a function of no arguments, so a caller builds only the terms
+    it keeps."""
     n = curve.n
     a, b = idx1.a, idx1.b
     c, d = idx2.a, idx2.b
-    p1 = DeltaLinear.constant(one_minus_power(n, a) * one_minus_power(n, b))
-    p2 = DeltaLinear.constant(one_minus_power(n, c) * one_minus_power(n, d))
-    return ((kappa_exact(curve, idx1, idx2), a + c, b + d),
-            (-p1, a, b), (p1, a, b + d), (p2, c, d), (-p2, c, b + d))
+
+    def p(x, y, sign):
+        # sign (1-xi^x)(1-xi^y), a constant of the display
+        return lambda: DeltaLinear.constant(one_minus_power(n, x) * one_minus_power(n, y) * sign)
+    return ((lambda: kappa_exact(curve, idx1, idx2), a + c, b + d),
+            (p(a, b, -1), a, b), (p(a, b, 1), a, b + d), (p(c, d, 1), c, d),
+            (p(c, d, -1), c, b + d))
 
 
-# one entry per distinct closed form and digits, a 1.1-1.3 kB key and a 0.2 kB ball: oracle-test
-# --n 15, the largest the CLI admits, asks for 10,647 distinct forms in its 33,124 pairs
+# one entry per distinct closed form and digits, a 0.5-0.6 kB key of ints and a 0.2 kB ball:
+# oracle-test --n 15, the largest the CLI admits, asks for 10,647 distinct forms in its
+# 33,124 pairs
 _CLOSED_FORMS_MAX = 16_384
-_closed_form_cached = _memo(_CLOSED_FORMS_MAX)(_gamma_hyp)
+
+
+@_memo(_CLOSED_FORMS_MAX)
+def _closed_form_cached(n: int, gnum: tuple, gden: tuple, uppers: tuple, lowers: tuple,
+                        digits: int) -> BoundedReal:
+    # _gamma_hyp on the parameter tuples x / n, whose Fractions are built only on a miss
+    return _gamma_hyp(*(tuple(Fraction(x, n) for x in xs) for xs in (gnum, gden, uppers, lowers)),
+                      digits)
 
 
 def delta_iterated_integral(curve: FermatCurve, idx1: FermatIndex, idx2: FermatIndex,
@@ -196,18 +219,18 @@ def delta_iterated_integral(curve: FermatCurve, idx1: FermatIndex, idx2: FermatI
 
     The closed form is an exact function of its four parameter multisets
     (the gamma quotient and the series multiply exact integers), so it is
-    memoised on them, sorted, and on ``digits``.  The change of variables
-    (u, v) -> (1-v, 1-u) maps (a1, b1, a2, b2) to (b2, a2, b1, a1) with the
-    same multisets, so ``oracle-test`` evaluates 72 distinct forms for its
-    144 pairs at N = 5.
+    memoised on N, their numerators over N, sorted, and ``digits``.  The
+    change of variables (u, v) -> (1-v, 1-u) maps (a1, b1, a2, b2) to
+    (b2, a2, b1, a1) with the same multisets, so ``oracle-test`` evaluates
+    72 distinct forms for its 144 pairs at N = 5.
     """
     _check_degree(curve, idx1, idx2)
-    a1, b1 = idx1.alpha, idx1.beta
-    a2, b2 = idx2.alpha, idx2.beta
-    return _closed_form_cached(tuple(sorted([a1 + a2, b1 + b2, a1 + b1, a2 + b2])),
-                               tuple(sorted([a2, b1, a1 + a2 + b2, a1 + b1 + b2])),
-                               tuple(sorted([a1, b2, a1 + a2 + b1 + b2 - 1])),
-                               tuple(sorted([a1 + a2 + b2, a1 + b1 + b2])), digits)
+    n = curve.n
+    a1, b1, a2, b2 = idx1.a, idx1.b, idx2.a, idx2.b
+    return _closed_form_cached(n, tuple(sorted((a1 + a2, b1 + b2, a1 + b1, a2 + b2))),
+                               tuple(sorted((a2, b1, a1 + a2 + b2, a1 + b1 + b2))),
+                               tuple(sorted((a1, b2, a1 + a2 + b1 + b2 - n))),
+                               tuple(sorted((a1 + a2 + b2, a1 + b1 + b2))), digits)
 
 
 def _evaluate_delta_linear(curve, ex: DeltaLinear, idx1, idx2,
@@ -253,7 +276,7 @@ def assumption_check(curve: FermatCurve,
     for h in range(1, n):
         if math.gcd(h, n) != 1:
             continue
-        flags = [idx.scaled(h).is_holomorphic() for idx in (idx1, idx2, idx3)]
+        flags = [_twisted_holomorphic(idx, h) for idx in (idx1, idx2, idx3)]
         if flags[0] != flags[1]:
             pairwise = False
         if len(set(flags)) != 1:
@@ -273,7 +296,7 @@ def _require_supported(curve: FermatCurve, t: TripleConfig) -> None:
 def _sigma_exact_parts_cached(n: int, a1: int, b1: int, a2: int, b2: int,
                               a3: int, b3: int) -> DeltaLinear:
     terms = _kappa_rs_terms(FermatCurve(n), FermatIndex(n, a1, b1), FermatIndex(n, a2, b2))
-    total = sum((c for c, u, v in terms if (u + a3) % n == 0 and (v + b3) % n == 0),
+    total = sum((build() for build, u, v in terms if (u + a3) % n == 0 and (v + b3) % n == 0),
                 DeltaLinear.constant(CycloElem.zero(n)))
     return total * (n * n) * one_minus_power(n, -(a3 + b3)).inverse()
 
@@ -282,9 +305,11 @@ def harmonic_volume_exact_parts(curve: FermatCurve, t: TripleConfig) -> DeltaLin
     """The weighted loop sum divided by (1 - xi^{-(a3+b3)}), kept exact.
 
     Over the N^2 loops (r,s), xi^{(u+a3)r+(v+b3)s} sums to N^2 if u + a3 = v + b3
-    = 0 mod N and to 0 otherwise, so only those ``_kappa_rs_terms`` survive.  For a
-    zero-sum triple the delta coefficient is N^2 (1-xi^{-a3})(1-xi^{-b3})/(1-xi^{-(a3+b3)});
-    the tests check the result against the literal loop.
+    = 0 mod N and to 0 otherwise, so only those ``_kappa_rs_terms`` survive, and only
+    they are built.  For a zero-sum triple that is the kappa term alone (u + a3 is -c or
+    -a for the others, nonzero mod N), and the delta coefficient is
+    N^2 (1-xi^{-a3})(1-xi^{-b3})/(1-xi^{-(a3+b3)}); the tests check the result against
+    the literal loop.
     """
     _check_degree(curve, *t.indices)
     i1, i2, i3 = t.indices
@@ -311,8 +336,8 @@ def harmonic_volume_sigma(curve: FermatCurve, t: TripleConfig,
     _check_degree(curve, sigma)
     i1, i2, _ = t.indices
     h = sigma.h
-    holo1 = i1.scaled(h).is_holomorphic()
-    holo2 = i2.scaled(h).is_holomorphic()
+    holo1 = _twisted_holomorphic(i1, h)
+    holo2 = _twisted_holomorphic(i2, h)
     if holo1 != holo2:
         raise EtaNotZeroError(f"twist h={h} mixes holomorphy types")
     if not holo1:

@@ -107,8 +107,8 @@ def kappa_rs_exact(curve: FermatCurve, loop: LoopIndex,
                    idx1: FermatIndex, idx2: FermatIndex) -> DeltaLinear:
     """The (r,s)-rotated loop integral: the ``_kappa_rs_terms`` display at (r, s)."""
     n = curve.n
-    return sum((c * cyclo_from_power(n, u * loop.r + v * loop.s)
-                for c, u, v in _kappa_rs_terms(curve, idx1, idx2)),
+    return sum((build() * cyclo_from_power(n, u * loop.r + v * loop.s)
+                for build, u, v in _kappa_rs_terms(curve, idx1, idx2)),
                DeltaLinear.constant(CycloElem.zero(n)))
 
 

@@ -14,7 +14,9 @@ records every call of ``hyp_unit_sum``, ``gamma_quotient`` and ``ceresa._h_term`
 with its ball (mid, rad, exp) or its exception, and replays each distinct call from
 cold caches through the Fraction set-up of ``_series_reference`` (``hyp_unit_sum``,
 ``gamma_quotient``, ``h_term``), which must give the same ints or the same
-exception type and text:
+exception type and text.  Past the workloads it sums series whose negative
+parameters make the floor shift decide M (``negative_parameter_inputs``), which
+no workload input does, and replays them the same way:
 
     PYTHONPATH=src:tests python3 tests/series_identity_sweep.py
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
+from fractions import Fraction as F
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -106,6 +109,30 @@ def _recording(name, fn):
     return recorded
 
 
+# inputs with parameters negative enough that the floor shift decides M, so that the
+# floor shift, qscale and the abs error chain are replayed too: the -(k + 1/2) family
+# (M = 2k + 4 from k = 19 on), the same with a negative lower, and the Dixon members
+# whose upper s - 1 is negative (s = a1 + b1 + a2 + b2 < 1) at M = 1, 2 and 4
+NEGATIVE_K = range(1, 41)
+DIXON_SMALL_S = [(F(1, 7), F(1, 7), F(1, 7), F(2, 7)), (F(1, 9), F(2, 9), F(1, 9), F(1, 9)),
+                 (F(1, 5), F(1, 10), F(1, 4), F(1, 6)), (F(1, 13), F(3, 13), F(2, 13), F(1, 13))]
+SMALL_M = (1, 2, 4)
+
+
+def negative_parameter_inputs() -> None:
+    for k in NEGATIVE_K:
+        for uppers, lowers in [([-(k + F(1, 2)), F(1, 3)], [F(1, 2)]),
+                               ([F(1, 3), F(1, 4)], [-(k + F(1, 2)), F(k + 2)])]:
+            specfun.hyp_unit_sum(uppers, lowers, 10)
+    series = _recording("_hyp_unit_series", specfun._hyp_unit_series)
+    for params in DIXON_SMALL_S:
+        for _gnum, _gden, uppers, lowers in specfun._dixon_table(*params):
+            if min(uppers) < 0:
+                for digits in (10, 20):
+                    for M in SMALL_M:
+                        series(list(uppers), list(lowers), digits, M, int(digits * 0.46) + 8)
+
+
 def replay(solve, majorant, partial) -> None:
     for (uppers, lowers, K, M), run in attempts.items():
         uppers, lowers = list(uppers), list(lowers)
@@ -131,7 +158,9 @@ def replay(solve, majorant, partial) -> None:
     # the Fraction set-up from cold caches, on the arguments exactly as the run got them
     specfun.clear_caches()
     reference = {"hyp_unit_sum": ref.hyp_unit_sum, "gamma_quotient": ref.gamma_quotient,
-                 "_h_term": ref.h_term}
+                 "_h_term": ref.h_term,
+                 "_hyp_unit_series": lambda uppers, lowers, *rest: ref._hyp_unit_series(
+                     uppers, lowers, sum(lowers) - sum(uppers), *rest)}
     for (name, args), run in calls.items():
         want, _ = _outcome(reference[name], [list(a) if isinstance(a, tuple) else a
                                              for a in args])
@@ -149,6 +178,7 @@ def main() -> int:
                    if item.problem or item.line != reference[name].get(item.key)]
         print(f"{name}: {len(attempts)} distinct attempts, {len(sums)} distinct partial sums "
               f"so far", flush=True)
+    negative_parameter_inputs()
     replay(*kernels)
     for line in mismatches[:50]:
         print(f"mismatch: {line}")
@@ -161,11 +191,12 @@ def main() -> int:
           f"replayed (K up to {max((k[2] for k in attempts), default=0)}, M up to "
           f"{max((k[3] for k in attempts), default=0)}, prec up to "
           f"{max((k[3] for k in sums), default=0)}); {counts['hyp_unit_sum']} hyp_unit_sum, "
-          f"{counts['gamma_quotient']} gamma_quotient and {counts['_h_term']} _h_term calls "
-          f"({raised} raising) replayed; {len(mismatches)} mismatches, {len(failed)} failed "
-          f"items")
+          f"{counts['gamma_quotient']} gamma_quotient, {counts['_h_term']} _h_term and "
+          f"{counts['_hyp_unit_series']} small-M _hyp_unit_series calls ({raised} raising) "
+          f"replayed; {len(mismatches)} mismatches, {len(failed)} failed items")
     return 1 if mismatches or failed or not attempts or not sums or not all(
-        counts[name] for name in ("hyp_unit_sum", "gamma_quotient", "_h_term")) else 0
+        counts[name] for name in ("hyp_unit_sum", "gamma_quotient", "_h_term",
+                                  "_hyp_unit_series")) else 0
 
 
 if __name__ == "__main__":

@@ -61,35 +61,11 @@ def test_cold_table_computes_each_log_once(monkeypatch):
     assert computed == Counter(set(asked))
 
 
-# every Fraction operator that computes or compares; hashing is not one of them
-_FRACTION_OPS = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-                 "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__",
-                 "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__", "__neg__",
-                 "__pos__", "__abs__", "__trunc__", "__floor__", "__ceil__", "__round__",
-                 "__int__", "__float__", "__bool__", "__eq__", "__lt__", "__le__", "__gt__",
-                 "__ge__", "limit_denominator", "as_integer_ratio"]
-
-
-def test_cold_twist_term_does_no_fraction_arithmetic(monkeypatch):
+def test_cold_twist_term_does_no_fraction_arithmetic(monkeypatch, count_fractions):
     # a cold _h_term builds h/N, 1 - h/N and 1 - 2h/N from ints and hands them on; from
     # there to the kernels every parameter is read through its numerator and
     # denominator, so no Fraction is computed, compared or built again
-    used, built = Counter(), []
-    for name in _FRACTION_OPS:
-        op = getattr(Fraction, name)
-
-        def counted(*args, _op=op, _name=name, **kwargs):
-            used[_name] += 1
-            return _op(*args, **kwargs)
-
-        monkeypatch.setattr(Fraction, name, counted)
-    new = Fraction.__new__
-
-    def building(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", building)
+    used, built = count_fractions()
     clear_caches()
     term = ceresa._h_term(97, 23, 50)
     monkeypatch.undo()

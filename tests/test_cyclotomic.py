@@ -8,12 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from fermatvol import cyclotomic
 from fermatvol.cyclotomic import (CycloElem, EmbeddingIndex, cyclo_from_power,
                                   cyclotomic_polynomial, embed,
                                   embedding_indices, euler_phi, mobius,
                                   one_minus_power, trace_to_rationals)
+from fermatvol.specfun import DomainError, clear_caches
 
 import _cyclo_reference as cyclo_reference
+import _volume_reference as volume_reference
 
 F = Fraction
 
@@ -153,6 +156,48 @@ def test_embed_respects_equality():
     for sig in embedding_indices(n):
         va, vb = embed(big, sig, 30), embed(same, sig, 30)
         assert va.agrees_with(vb)
+
+
+def test_root_matches_workprec_route():
+    # the raw angle and one mpf_cos_sin give the raw tuple of mpmath's 2 pi r / n, cos and
+    # sin under workprec, bit for bit, for every residue of n = 3..59 at four precisions
+    for wp in (120, 140, 163, 200):
+        for n in range(3, 60):
+            for r in range(n):
+                assert cyclotomic._root.__wrapped__(n, r, wp) == volume_reference.root(n, r, wp)
+
+
+def test_embed_integer_coefficients_call_no_mpf_div(monkeypatch):
+    # with the roots cached, an integer coefficient is multiplied into the root's parts
+    # by mpf_mul_int, and only a coefficient with a denominator divides
+    sigma = EmbeddingIndex(5, 13)
+    whole = CycloElem(13, [3, -7, 0, 10 ** 30, 1, 1, 0, 0, -2, 5, 0, 9])
+    mixed = CycloElem(13, [F(1, 3), 2, 0, -4, F(5, 6)] + [0] * 7)
+    clear_caches()
+    for a in (whole, mixed):
+        embed(a, sigma, 30)
+    divisions = []
+    div = cyclotomic.mpf_div
+    monkeypatch.setattr(cyclotomic, "mpf_div", lambda *args: divisions.append(args) or div(*args))
+    for a, dividing in ((whole, 0), (mixed, 2)):
+        got, want = embed(a, sigma, 30), volume_reference.embed(a, sigma, 30)
+        assert len(divisions) == dividing
+        assert (got.re, got.im, got.rad, got.exp) == (want.re, want.im, want.rad, want.exp)
+        divisions.clear()
+
+
+def test_embed_coefficient_sum_beyond_float_range():
+    # the working precision is read from the float of the coefficient sum; past the float
+    # range that is a DomainError, and up to it the float size and the bits are as before
+    with pytest.raises(DomainError, match="beyond the float range"):
+        embed(CycloElem(5, [10 ** 400, 1]), EmbeddingIndex(1, 5), 30)
+    with pytest.raises(DomainError, match="float range"):
+        embed(CycloElem(5, [F(10 ** 320, 7), 10 ** 309]), EmbeddingIndex(2, 5), 30)
+    for coeffs in ([10 ** 308, 1], [F(10 ** 309, 7), -1, 3], [-(2 ** 1023), 2 ** 1022]):
+        a = CycloElem(5, coeffs)
+        got, want = embed(a, EmbeddingIndex(3, 5), 30), volume_reference.embed(
+            a, EmbeddingIndex(3, 5), 30)
+        assert (got.re, got.im, got.rad, got.exp) == (want.re, want.im, want.rad, want.exp)
 
 
 def test_embedding_index_validation():

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -17,6 +18,7 @@ from fermatvol.fermat import (DeltaLinear, EtaNotZeroError, FermatCurve,
                               kappa_exact, _sigma_exact_parts_cached)
 from fermatvol.specfun import BoundedComplex, clear_caches
 
+import _volume_reference as volume_reference
 from _fermat_reference import (LoopIndex, delta_path_data, example_triple,
                                kappa_iterated_integral, kappa_path_data,
                                kappa_rs_exact, kappa_rs_iterated_integral,
@@ -242,17 +244,53 @@ def test_delta_memo_keys_on_digits():
 @pytest.mark.parametrize("which", range(4))
 def test_delta_memo_keys_on_every_multiset(which):
     # on the arc integrals any three multisets fix the fourth, so only forms outside
-    # them show a key that drops one: moving one parameter of one list is a new entry
-    lists = [tuple(sorted(x)) for x in
+    # them show a key that drops one: moving one numerator over N of one list by 1 (the
+    # largest, so the key stays sorted) is a new entry
+    lists = [tuple(sorted(int(7 * x) for x in xs)) for xs in
              _closed_form_lists(FermatIndex(7, 2, 3), FermatIndex(7, 3, 5))]
     moved = list(lists)
-    moved[which] = (lists[which][0] + F(1, 2),) + lists[which][1:]
+    moved[which] = lists[which][:-1] + (lists[which][-1] + 1,)
     clear_caches()
-    fermat._closed_form_cached(*lists, 25)
-    got = fermat._closed_form_cached(*moved, 25)
+    fermat._closed_form_cached(7, *lists, 25)
+    got = fermat._closed_form_cached(7, *moved, 25)
     assert fermat._closed_form_cached.cache_info().currsize == 2
-    want = specfun._gamma_hyp(*moved, 25)
+    want = specfun._gamma_hyp(*[tuple(F(x, 7) for x in xs) for xs in moved], 25)
     assert (got.value._mpf_, got.err._mpf_) == (want.value._mpf_, want.err._mpf_)
+
+
+def test_delta_memo_hit_does_no_fraction_arithmetic(monkeypatch, count_fractions):
+    # the memo key is N and the integer numerators over N: a miss builds each parameter
+    # once as Fraction(x, N), and a hit, a twisted index included, computes, compares and
+    # builds no Fraction
+    curve = FermatCurve(7)
+    i1, i2 = FermatIndex(7, 2, 3), FermatIndex(7, 3, 5)
+    clear_caches()
+    used, built = count_fractions()
+    first = delta_iterated_integral(curve, i1, i2, 25)
+    assert used == Counter()
+    assert built == [(x, 7) for x in (5, 5, 8, 8, 3, 3, 10, 10, 2, 5, 6, 10, 10)]
+    built.clear()
+    again = delta_iterated_integral(curve, i1.scaled(1), i2, 25)
+    monkeypatch.undo()
+    assert used == Counter() and built == []
+    assert again is first
+    want = specfun._gamma_hyp(*volume_reference.closed_form_lists(i1, i2), 25)
+    assert (first.mid, first.rad, first.exp) == (want.mid, want.rad, want.exp)
+
+
+def test_twists_match_validated_index():
+    # scaled(h) builds its twist unchecked, and _twisted_holomorphic reads the twist's
+    # holomorphy from the ints: both agree with the validated FermatIndex(n, ha, hb) for
+    # every index and unit of N = 4..13
+    for n in range(4, 14):
+        for idx in index_set(n):
+            for h in range(1, n):
+                if math.gcd(h, n) == 1:
+                    want = FermatIndex(n, h * idx.a, h * idx.b)
+                    assert idx.scaled(h) == want
+                    assert fermat._twisted_holomorphic(idx, h) == want.is_holomorphic()
+    with pytest.raises(ValueError, match="non-unit 2 mod 6"):
+        FermatIndex(6, 1, 2).scaled(2)
 
 
 @pytest.mark.parametrize("n,forms", [(5, 72), (6, 180), (7, 375)])
