@@ -32,7 +32,8 @@ import mpmath
 
 from . import _memo
 from .specfun import (BoundedReal, DomainError, PrecisionError, _bits, _certified,
-                      _fixed_mpf, _gamma_hyp, _round_product, gamma_quotient, hyp_unit_sum)
+                      _check_digits, _fixed_mpf, _gamma_hyp, _round_product, gamma_quotient,
+                      hyp_unit_sum)
 
 MARGIN_FACTOR = 10  # non-integrality requires distance > MARGIN_FACTOR * err
 
@@ -137,8 +138,10 @@ def _certify(n: int, k: int, prefactor: int, digits: int,
     to the inner precision that ``_inner_digits`` escalates.  Their values and
     bounds are binary fractions, so the sum, the product with the integer
     prefactor, the fractional part and the distance to the nearest integer
-    are exact.  Raises PrecisionError when the bound exceeds 10^-digits.
+    are exact.  Raises PrecisionError when the bound exceeds 10^-digits, and
+    DomainError when digits < 1.
     """
+    _check_digits(digits)
     parts = terms(_inner_digits(prefactor, digits))
     total = sum(parts)
     v, e, prec = total.mid * prefactor, total.rad * prefactor, -total.exp

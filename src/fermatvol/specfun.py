@@ -2,7 +2,7 @@ r"""High-precision, error-bounded special functions.
 
 Everything analytic in this package flows through here: log-gamma and
 gamma quotients with proved Stirling remainders, generalized
-hypergeometric series pFq-1 at unit argument with a rigorous truncation
+hypergeometric series pF(p-1) at unit argument with a rigorous truncation
 bound, the Euler-type double integral over the ordered simplex (a
 quadrature oracle), and the ten-expression Dixon family used as a
 built-in consistency check.
@@ -76,10 +76,9 @@ rational; a terminating series has none) by ceil(E_M |W(M)|) + 1, and the
 truncation bound is rounded up from exact integers.  These ulp counts do
 not depend on prec, so one rerun with them times 10^digits below
 2^(prec-1) meets the contract when terms far above 1 break it.  Nor do
-the ratios, so the partial-sum half of the series' record keeps the
-ratios and the E_n for the most terms asked so far: another prec, or
-fewer terms, reruns only the T chain, and more terms continue the one
-loop from the stored end.
+the ratios, so the partial-sum half of the series' record keeps only the
+ratios, for the most terms asked so far; more terms extend them from the
+stored end, and every sum runs one loop over T, S and their ulp counts.
 
 Log-gamma rounds in the same fixed point.  Each Stirling term is one
 floor division of the exact Bernoulli numerator times D^{2j-1} by
@@ -174,6 +173,13 @@ def clear_caches() -> None:
 
 def _bits(digits: int) -> int:
     return int(digits * 3.3219281) + 1
+
+
+def _check_digits(digits: int) -> None:
+    # below one digit bits(digits) is negative and 10 ** digits a float, which no
+    # fixed-point precision or exact contract can take
+    if digits < 1:
+        raise DomainError(f"digits must be at least 1, got {digits}")
 
 
 def _param(x: Rational) -> Rational:
@@ -692,6 +698,7 @@ def ln_gamma(x: Rational, digits: int = 30) -> BoundedReal:
     all real positive arguments.  Raises PrecisionError when the bound
     exceeds 10^-digits.
     """
+    _check_digits(digits)
     q = _param(x)
     if q.numerator <= 0:
         raise DomainError(f"ln_gamma requires a positive argument, got {Fraction(q)}")
@@ -718,6 +725,7 @@ def gamma_quotient(numerators: Sequence[Rational], denominators: Sequence[Ration
     floor(2^prec e^x) within ``_EXP_ULPS``, and |e^L - e^x| <= e^x eps (1 + eps)
     for |L - x| <= eps < 1, rounded up.  Raises PrecisionError unless eps < 1,
     e^x needs at most ``_EXP_INT_BITS_MAX`` integer bits and err <= 10^-digits (1 + |value|)."""
+    _check_digits(digits)
     nums = [_param(a) for a in numerators]
     args = nums + [_param(b) for b in denominators]
     keys = [(a.numerator, a.denominator) for a in args]
@@ -812,8 +820,8 @@ def _margin(P, Q) -> tuple[int, int]:
 
 # one record per series, keyed on its exact (uppers, lowers): its partial-sum half and
 # its tail-solve half, each an immutable tuple at the most terms or the highest order
-# asked so far (None until asked).  A twist 3F2 holds 28-29 kB of term ratios and ulp
-# counts and 6-7 kB of solve at 62 digits (M = 248, K = 36), 58 kB and 13-16 kB at 126.
+# asked so far (None until asked).  A twist 3F2 holds 20 kB of term ratios and 6-7 kB
+# of solve at 62 digits (M = 248, K = 36), 40 kB and 15-16 kB at 126.
 # An all-k sweep of N = 4..9 keeps 13 series live
 _SERIES_MAX = 16
 _SERIES = OrderedDict()
@@ -994,20 +1002,24 @@ def _ratio_eventually_below_one(p, q, M):
 
 def hyp_unit_sum(uppers: Sequence[Rational], lowers: Sequence[Rational],
                  digits: int = 30) -> BoundedReal:
-    """Sum of the pFq-1 series at argument 1 with a rigorous error bound.
+    """Sum of the pF(p-1) series at argument 1 with a rigorous error bound.
 
-    The q lower parameters exclude the implicit (1,n); the convergence
-    margin sum(lowers) - sum(uppers) must be positive unless some upper
-    parameter is a non-positive integer (terminating series, summed
-    exactly).  Parameters are ints or Fractions (any other rational, a float,
-    is read as a Fraction).  Raises PrecisionError unless
-    err <= 10^-digits (1 + |value|).
+    The p - 1 lower parameters exclude the implicit (1)_n, and any other count
+    raises DomainError, as does digits < 1; the convergence margin
+    sum(lowers) - sum(uppers) must be positive unless some upper parameter is a
+    non-positive integer (terminating series, summed exactly).  Parameters are
+    ints or Fractions (any other rational, a float, is read as a Fraction).
+    Raises PrecisionError unless err <= 10^-digits (1 + |value|).
     """
+    _check_digits(digits)
     uppers = [_param(u) for u in uppers]
     lowers = [_param(b) for b in lowers]
     for low in lowers:
         if low.denominator == 1 and low.numerator <= 0:
             raise DomainError(f"lower parameter {Fraction(low)} is a non-positive integer")
+    if len(lowers) != len(uppers) - 1:
+        raise DomainError(f"a unit-argument series pF(p-1) needs one lower parameter fewer "
+                          f"than its uppers, got {len(uppers)} and {len(lowers)}")
     stops = [-a.numerator for a in uppers if a.denominator == 1 and a.numerator <= 0]
     if stops:
         return _fixed_point_sum(uppers, lowers, min(stops) + 1, digits)
@@ -1080,36 +1092,30 @@ def _partial_sum(uppers, lowers, terms, prec):
     one ulp, so the error E of T obeys E' = ceil(E |num| / |den|) + 1, computed as
     (E |num| - 1) // |den| + 2.
 
-    Neither the ratios nor E read prec, so the series' record keeps them for the
-    most terms asked so far: fewer terms run only the T loop, more continue one loop
-    over T, S and E from the stored end; S_err is the sum of the stored E below terms.
+    The ratios do not read prec, so the series' record keeps them for the most terms
+    asked so far, and more terms extend them from the stored end; one loop then steps
+    S, S_err, T and E over the first ``terms``.
     """
     key = _series_key(uppers, lowers)
-    nums, dens, Es = _series_half(key, 0) or ((), (), (0,))
-    T = 1 << prec
-    S = 0
-    for num, den in zip(nums[:terms], dens):
-        S += T
-        T = T * num // den
-    if terms <= len(nums):
-        return S, sum(Es[:terms]), T, Es[terms]
-    more_nums, more_dens = _term_ratios(*key, len(nums), terms)
-    for num, den in zip(more_nums, more_dens):
-        S += T
-        T = T * num // den
+    nums, dens = _series_half(key, 0) or ((), ())
+    if len(nums) < terms:
+        more_nums, more_dens = _term_ratios(*key, len(nums), terms)
+        nums, dens = nums + tuple(more_nums), dens + tuple(more_dens)
+        _store_half(key, 0, (nums, dens))
+    nums, dens = nums[:terms], dens[:terms]
     # the E chain needs |num| and |den|, which are num and den unless a parameter is
     # negative
-    Es = list(Es)
-    push_E = Es.append
-    E = Es[-1]
-    mags = more_nums, more_dens
+    mags = nums, dens
     if any(x < 0 for x, _ in key[0] + key[1]):
-        mags = map(abs, more_nums), map(abs, more_dens)
-    for num, den in zip(*mags):
-        E = (E * num - 1) // den + 2
-        push_E(E)
-    _store_half(key, 0, (nums + tuple(more_nums), dens + tuple(more_dens), tuple(Es)))
-    return S, sum(Es[:terms]), T, E
+        mags = map(abs, nums), map(abs, dens)
+    S = S_err = E = 0
+    T = 1 << prec
+    for num, den, anum, aden in zip(nums, dens, *mags):
+        S += T
+        S_err += E
+        T = T * num // den
+        E = (E * anum - 1) // aden + 2
+    return S, S_err, T, E
 
 
 # terms of the longest partial sum.  hyp_unit_sum([-(k + 1/2), 1/3], [1/2], 10), whose
@@ -1168,10 +1174,11 @@ def _round_product(factors: Sequence[BoundedReal], prec: int) -> BoundedReal:
 
 
 def _gamma_hyp(gnum, gden, uppers, lowers, digits: int) -> BoundedReal:
-    """Gamma[gnum; gden] * pFq-1(uppers; lowers; 1), the closed form of every
+    """Gamma[gnum; gden] * pF(p-1)(uppers; lowers; 1), the closed form of every
     twist term, arc integral and Dixon member: both factors are
     certified with six guard digits, and their product is rounded once at
     2^-(bits(digits) + 40)."""
+    _check_digits(digits)
     return _round_product([gamma_quotient(gnum, gden, digits + 6),
                            hyp_unit_sum(uppers, lowers, digits + 6)], _bits(digits) + 40)
 

@@ -122,7 +122,7 @@ SMALL_M = (1, 2, 4)
 def negative_parameter_inputs() -> None:
     for k in NEGATIVE_K:
         for uppers, lowers in [([-(k + F(1, 2)), F(1, 3)], [F(1, 2)]),
-                               ([F(1, 3), F(1, 4)], [-(k + F(1, 2)), F(k + 2)])]:
+                               ([F(1, 3), F(1, 4), F(1, 5)], [-(k + F(1, 2)), F(k + 2)])]:
             specfun.hyp_unit_sum(uppers, lowers, 10)
     series = _recording("_hyp_unit_series", specfun._hyp_unit_series)
     for params in DIXON_SMALL_S:

@@ -83,6 +83,14 @@ def test_f71_and_f99_match_published_fraction():
     assert r.h_terms == 30
 
 
+@pytest.mark.parametrize("digits", [0, -400])
+def test_f_value_refuses_fewer_than_one_digit(digits):
+    # -400 once returned a row certified against the float 10 ** -400 == 0.0
+    for call in [lambda: f_value(5, 1, digits), lambda: ceresa.klein_value(1, digits)]:
+        with pytest.raises(DomainError, match=f"digits must be at least 1, got {digits}"):
+            call()
+
+
 def test_f_value_k_range_guard():
     with pytest.raises(DomainError):
         f_value(4, 2, 20)  # genus 3 allows only k = 1
@@ -325,10 +333,12 @@ def test_certify_enforces_digits_contract(monkeypatch):
     prefactor = ceresa._prefactor(5, 1)
     with pytest.raises(PrecisionError):
         ceresa._certify(5, 1, prefactor, 30, lambda inner: [wide(5, 1, inner)] * 3)
-    at = ceresa._certify(5, 1, 1, 0, lambda inner: [BoundedReal(mp.mpf(0.5), 1)])
-    assert at.err == 1 and at.verdict == "inconclusive"
+    # the largest bound in ulps of 2^-200 within 10^-1, and one ulp more
+    at_bound = mp.make_mpf(from_man_exp((1 << 200) // 10, -200))
+    at = ceresa._certify(5, 1, 1, 1, lambda inner: [BoundedReal(mp.mpf(0.5), at_bound)])
+    assert at.err == at_bound and at.verdict == "inconclusive"
     with pytest.raises(PrecisionError):
-        ceresa._certify(5, 1, 1, 0, lambda inner: [BoundedReal(mp.mpf(0.5), 1),
+        ceresa._certify(5, 1, 1, 1, lambda inner: [BoundedReal(mp.mpf(0.5), at_bound),
                                                    BoundedReal(0, mp.mpf(2) ** -200)])
     # table1 reports the row as a failure
     monkeypatch.setattr(ceresa, "_h_term", wide)

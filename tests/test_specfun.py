@@ -697,6 +697,35 @@ def test_hyp3f2_bad_lower_raises():
         hyp_unit_sum([F(1, 2), F(1, 2), F(1, 2)], [F(0), F(1)])
 
 
+@pytest.mark.parametrize("uppers,lowers", [
+    ([2], [1]),                                 # 1F1(2; 1; 1) = 2e, convergent
+    ([], []),                                   # e
+    ([F(-1, 2), F(-1, 3), F(-1, 4)], []),       # 3F0, divergent
+    ([F(-2), F(1, 3)], []),                     # terminating 2F0
+    ([F(1, 3)], [F(1, 2), F(2)]),
+])
+def test_hyp_unit_sum_refuses_all_but_pFp_1(uppers, lowers):
+    # P and Q are padded to one degree, so for any other shape P(1/n)/Q(1/n) is the term
+    # ratio times a power of n: refused, after the non-positive lower check
+    with pytest.raises(DomainError, match=r"pF\(p-1\) needs one lower parameter fewer"):
+        hyp_unit_sum(uppers, lowers, 25)
+    with pytest.raises(DomainError, match="non-positive integer"):
+        hyp_unit_sum(uppers, lowers + [F(-1)], 25)
+
+
+@pytest.mark.parametrize("digits", [0, -400])
+def test_fewer_than_one_digit_is_a_domain_error(digits):
+    # -400 once shifted by a negative count (bare ValueError) in each of these
+    twist = [F(1, 3), F(1, 3), F(1, 3)], [1, 1]
+    for call in [lambda: ln_gamma(F(1, 3), digits),
+                 lambda: gamma_quotient([F(1, 3)], [1], digits),
+                 lambda: hyp_unit_sum(*twist, digits),
+                 lambda: specfun._gamma_hyp([F(2, 3)], [F(1, 3)], *twist, digits),
+                 lambda: dixon_family(F(1, 3), F(1, 2), F(1, 4), F(2, 5), digits)]:
+        with pytest.raises(DomainError, match=f"digits must be at least 1, got {digits}"):
+            call()
+
+
 def test_hyp3f2_terminating_is_exact():
     # upper -3 terminates after 4 terms; compare against the explicit sum
     r = hyp_unit_sum([F(-3), F(1, 2), F(1, 3)], [F(5, 4), F(7, 4)], 30)
@@ -958,6 +987,30 @@ def test_cold_hyp_unit_sum_forms_its_term_ratios_once(monkeypatch):
     assert dens == [(n + 1) * 6 * (2 * n + 3) for n in range(2, 9)]
 
 
+def test_partial_sum_forms_only_the_ratios_it_lacks(monkeypatch):
+    # the record keeps the ratios for the most terms asked: a new precision or fewer
+    # terms form none, more terms form only those past the stored end, and every sum is
+    # the cold reference's integers
+    calls = []
+    ratios = specfun._term_ratios
+
+    def counted(ups, lows, start, stop):
+        calls.append((start, stop))
+        return ratios(ups, lows, start, stop)
+
+    monkeypatch.setattr(specfun, "_term_ratios", counted)
+    clear_caches()
+    for uppers, lowers in _TAIL_GRID[:2]:
+        calls.clear()
+        for terms, prec, formed in [(40, 100, [(0, 40)]), (40, 211, []), (7, 100, []),
+                                    (90, 60, [(40, 90)]), (90, 100, []), (1, 4, [])]:
+            assert (_partial_sum(uppers, lowers, terms, prec)
+                    == series_reference.partial_sum(uppers, lowers, terms, prec))
+            assert calls == formed
+            calls.clear()
+        assert len(specfun._SERIES[specfun._series_key(uppers, lowers)][0]) == 2
+
+
 # an int parameter and the same value as a Fraction; the second form of an int-valued
 # Fraction is an int, so each draw may take either
 _FORM = st.fractions(min_value=-3, max_value=3, max_denominator=6).flatmap(
@@ -980,21 +1033,25 @@ def _outcome(fn, *args):
 @example([F(1, 2), F(3, 4), F(1)], [F(5, 4), F(1, 2)], 9)  # divergent, margin -1/2
 @example([F(1, 3)], [F(-2)], 9)                           # non-positive integer lower
 @example([F(-61, 2), F(1, 3)], [F(1, 2)], 5)              # the floor shift sets M = 64
-@example([F(1, 3), F(1, 4)], [F(-41, 3), 16], 6)          # ... and a negative lower qscale
-@example([F(-45, 4), 2], [F(-7, 2), 3], 5)
+@example([F(1, 3), F(1, 4), F(1, 5)], [F(-41, 3), 16], 6)  # ... and a negative lower qscale
+@example([F(-45, 4), 2, F(1, 5)], [F(-7, 2), 3], 5)
+@example([2], [1], 9)                                     # 1F1: not a pF(p-1)
 def test_parameters_as_ints_or_fractions_give_the_same_ints(uppers, lowers, digits):
     # hyp_unit_sum, gamma_quotient and ln_gamma read ints and Fractions through their
     # numerators and denominators: the same ball, or the same exception and text, for
-    # either form, and those of the Fraction set-up they replaced
+    # either form, and those of the Fraction set-up they replaced; hyp_unit_sum refuses
+    # any series that is not a pF(p-1) with DomainError
     as_fractions = [F(x) for x in uppers], [F(x) for x in lowers]
     forms = [list(as_fractions), [uppers, lowers]]
     for fn, reference in [(hyp_unit_sum, series_reference.hyp_unit_sum),
                           (gamma_quotient, series_reference.gamma_quotient)]:
         clear_caches()
-        want = _outcome(reference, *as_fractions, digits)
+        unbalanced = fn is hyp_unit_sum and len(lowers) != len(uppers) - 1
+        want = "DomainError" if unbalanced else _outcome(reference, *as_fractions, digits)
         for ups, lows in forms:
             clear_caches()
-            assert _outcome(fn, ups, lows, digits) == want
+            got = _outcome(fn, ups, lows, digits)
+            assert (got[0] if unbalanced else got) == want
     for x in uppers:
         want = _outcome(series_reference.ln_gamma, F(x), digits)
         assert _outcome(ln_gamma, x, digits) == _outcome(ln_gamma, F(x), digits) == want
@@ -1112,8 +1169,8 @@ def test_tail_solve_memo_evicts_least_recently_used(monkeypatch):
 
 def test_interrupted_tail_solve_keeps_the_stored_entry(monkeypatch):
     # an exception part-way through an extension leaves the stored half as it was,
-    # whichever half it extends; a series with a negative parameter, whose error chain
-    # reads abs (all-positive ratios are their own magnitudes)
+    # whichever half it extends: the tail solve's and the term ratios' products both
+    # go through mul
     uppers, lowers = _TAIL_GRID[1]
     key = specfun._series_key(uppers, lowers)
     clear_caches()
@@ -1122,18 +1179,16 @@ def test_interrupted_tail_solve_keeps_the_stored_entry(monkeypatch):
     sums, solve = specfun._SERIES[key]
     calls = []
 
-    def failing(op):
-        def wrapped(*args):
-            calls.append(1)
-            if len(calls) > 40:
-                raise RuntimeError("interrupted")
-            return op(*args)
-        return wrapped
+    def failing(*args):
+        calls.append(1)
+        if len(calls) > 40:
+            raise RuntimeError("interrupted")
+        return mul(*args)
 
-    for name, op, extend in [("mul", mul, lambda: _solve_tail_series(uppers, lowers, 30)),
-                             ("abs", abs, lambda: _partial_sum(uppers, lowers, 60, 100))]:
+    for extend in [lambda: _solve_tail_series(uppers, lowers, 30),
+                   lambda: _partial_sum(uppers, lowers, 60, 100)]:
         calls.clear()
-        monkeypatch.setattr(specfun, name, failing(op), raising=False)
+        monkeypatch.setattr(specfun, "mul", failing)
         with pytest.raises(RuntimeError, match="interrupted"):
             extend()
         monkeypatch.undo()
