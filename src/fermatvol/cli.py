@@ -30,8 +30,8 @@ from .specfun import DomainError
 # minute; it caps value/check/scan --n and the whole table range, weighted by _term_weight
 TWIST_TERMS_MAX = 20_000
 # f(N,k) sums its twist terms at ceresa._inner_digits(k! 2 N^{2k}, digits) digits.
-# The series engine certifies them at 500 digits and more, but ln_gamma
-# (inner + 18) gives up from 355
+# The series engine and ln_gamma certify them at 1,000 digits and more, so this cap
+# rests only on _term_weight's fit, measured up to 250 digits
 INNER_DIGITS_MAX = 250
 # oracle-test --n N runs ((N-1)(N-2))^2 closed-form/quadrature pairs and evaluates each
 # distinct closed form once: 72/144, 180/400, 375/900, 1,872/5,184 and 10,647/33,124 at

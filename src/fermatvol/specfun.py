@@ -176,10 +176,10 @@ def _bits(digits: int) -> int:
 
 
 def _check_digits(digits: int) -> None:
-    # below one digit bits(digits) is negative and 10 ** digits a float, which no
-    # fixed-point precision or exact contract can take
-    if digits < 1:
-        raise DomainError(f"digits must be at least 1, got {digits}")
+    # below one digit, or not an int, bits(digits) is negative or 10 ** digits a float,
+    # which no fixed-point precision or exact contract can take
+    if not isinstance(digits, int) or digits < 1:
+        raise DomainError(f"digits must be an int of at least 1, got {digits!r}")
 
 
 def _param(x: Rational) -> Rational:
@@ -477,55 +477,61 @@ def _stirling_coeffs(J: int) -> list[Optional[tuple[int, int]]]:
     return row
 
 
-def _stirling_log_terms() -> tuple[tuple[int, float], ...]:
-    # (2J+1, ln of |B_{2J+2}| / ((2J+2)(2J+1)) for J = 1..259, the Bernoulli magnitude
-    # estimated through |B_{2n}| ~ 2 (2n)!/(2pi)^{2n}
-    log2, log2pi = math.log(2), math.log(2 * math.pi)
-    out = []
-    for J in range(1, 260):
-        n = 2 * J + 2
-        logB = log2 + math.lgamma(n + 1) - n * log2pi
-        out.append((n - 1, logB - math.log((n) * (n - 1))))
-    return tuple(out)
-
-
-_STIRLING_LOG_TERMS = _stirling_log_terms()
+# the largest Stirling order J that ln Gamma sums: a cold row to J = 1,025 took
+# 0.9-1.7 s, and ln_gamma reaches 1,339 digits (N = 23's top k needs J = 860)
+_STIRLING_ORDER_MAX = 1 << 10
 
 
 def _stirling_order(y: float, digits: int) -> Optional[int]:
-    """Smallest J with |B_{2J+2}|/((2J+2)(2J+1) y^{2J+1}) <= 10^{-digits-4}, as the
-    scan of the tabulated log terms t_J = c - e ln y from J = 1 finds it.
+    """Smallest J <= ``_STIRLING_ORDER_MAX`` with
+    |B_{2J+2}|/((2J+2)(2J+1) y^{2J+1}) <= 10^{-digits-4}, as a scan from J = 1 of
+    t_J = ln 2 + lgamma(n+1) - n ln(2 pi) - ln(n(n-1)) - (n-1) ln y, n = 2J + 2,
+    finds it (|B_n| ~ 2 n!/(2 pi)^n); None if no such J.
 
-    t_{J+1} - t_J = ln(n (n-1)) - 2 ln(2 pi y), n = 2J + 2, so t falls at least up to
-    J = floor(pi y) - 1.  There, a J whose t_J clears the target by far more than
-    float error is passed by the scan with every J below it; the scan starts after the
-    last such J that bisection finds."""
+    t_{J+1} - t_J = ln(n (n-1)) - 2 ln(2 pi y), so t falls up to J = floor(pi y), and
+    one J more while (2J+2)(2J+1) < (2 pi y)^2, and rises after.  A J whose t_J clears
+    the target by far more than float error is passed by the scan with every J below
+    it; past the fall, one that clears it ends the scan.  Bisection finds the last such
+    J on the fall, and the scan starts after it."""
     target = -(digits + 4) * math.log(10)
-    logy = math.log(y)
-    terms = _STIRLING_LOG_TERMS
-    lo, hi = 0, min(len(terms), int(math.pi * y) - 1)
+    log2, log2pi, logy = math.log(2), math.log(2 * math.pi), math.log(y)
+    lgamma, log = math.lgamma, math.log
+
+    def t(J):
+        n = 2 * J + 2
+        logB = log2 + lgamma(n + 1) - n * log2pi
+        return logB - log(n * (n - 1)) - (n - 1) * logy
+
+    # the last J of the fall, within the cap; pi y is compared before int() takes it,
+    # since it is infinite near the float maximum
+    top = _STIRLING_ORDER_MAX
+    if math.pi * y < top:
+        top = int(math.pi * y)
+        top += (2 * top + 2) * (2 * top + 1) < (2 * math.pi * y) ** 2
+    lo, hi = 0, top
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        e, c = terms[mid - 1]
-        if c - e * logy > target + 1e-6:
+        if t(mid) > target + 1e-6:
             lo = mid
         else:
             hi = mid - 1
-    for J in range(lo + 1, len(terms) + 1):
-        e, c = terms[J - 1]
-        if c - e * logy <= target:
+    for J in range(lo + 1, _STIRLING_ORDER_MAX + 1):
+        tJ = t(J)
+        if tJ <= target:
             return J
+        if J >= top and tJ > target + 1e-6:
+            return None
     return None
 
 
-def _stirling_sum(A: int, D: int, J: int, prec: int) -> tuple[int, int, int]:
+def _stirling_sum(A: int, D: int, J: int, prec: int) -> tuple[int, int]:
     """Stirling's series sum_{j=1}^{J} B_{2j} / ((2j)(2j-1) y^{2j-1}) at y = A/D,
     in units of 2^-prec.
 
-    Returns (S, S_err, rem): every term is one floor division of exact
-    integers, off by less than one ulp, so |S - 2^prec sum| <= S_err = J;
-    rem is the first omitted term |B_{2J+2}| / ((2J+2)(2J+1) y^{2J+1}) in
-    ulps, rounded up, which bounds the remainder for every real y > 0.
+    Returns (S, rem): every term is one floor division of exact integers, off by
+    less than one ulp, so |S - 2^prec sum| <= J; rem is the first omitted term
+    |B_{2J+2}| / ((2J+2)(2J+1) y^{2J+1}) in ulps, rounded up, which bounds the
+    remainder for every real y > 0 (NIST DLMF 5.11.ii).
     """
     coeffs = _stirling_coeffs(J + 1)
     num, den = D << prec, A          # 2^prec D^{2j-1} and A^{2j-1}
@@ -538,7 +544,7 @@ def _stirling_sum(A: int, D: int, J: int, prec: int) -> tuple[int, int, int]:
         den *= A2
     bn, bd = coeffs[J + 1]
     rem = -(-abs(bn) * num // (bd * den))
-    return S, J, rem
+    return S, rem
 
 
 # ulps charged to each fixed-point log.  _log_fixed returns the exact floor, off by
@@ -548,9 +554,6 @@ _LOG_ULPS = 2
 
 # guard bits of _log_fixed's first attempt; each failed attempt doubles them
 _LOG_GUARD = 20
-# ratios p/q with q below this many bits step the atanh series by T p^2 // q^2; a
-# larger q (a rising factorial) steps by a fixed-point z^2
-_ATANH_RATIO_BITS = 32
 # ln 2 = 18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749), as (coefficient, q)
 _LN2_MACHIN = ((18, 26), (-2, 4801), (8, 8749))
 
@@ -560,9 +563,8 @@ def _atanh_fixed(p: int, q: int, wp: int, cut: int = 0) -> tuple[int, int]:
     |value - 2^wp atanh(p/q)| <= err.
 
     atanh z = sum_k z^(2k+1) / (2k+1).  T_k, the k-th floor of 2^wp z^(2k+1), is
-    below its true value by delta_k < 2: delta_0 < 1, and a step by the exact ratio
-    p^2/q^2 gives delta_{k+1} < delta_k z^2 + 1, one by the fixed-point
-    Z2 = floor(floor(2^wp z)^2 / 2^wp), short of 2^wp z^2 by less than 2z + 1, gives
+    below its true value by delta_k < 2: delta_0 < 1, and a step by the fixed-point
+    Z2 = floor(T_0^2 / 2^wp), short of 2^wp z^2 by less than 2z + 1, gives
     delta_{k+1} < delta_k z^2 + z (2z + 1) + 1.  So term k, floor(T_k / (2k+1)), is
     short by less than 2 ulps (by delta_0 < 1 for k = 0).  After term 0 the sum
     stops at the first T_K < 2^cut, and the tail sum_{k>=K} is at most
@@ -570,20 +572,12 @@ def _atanh_fixed(p: int, q: int, wp: int, cut: int = 0) -> tuple[int, int]:
     """
     T = (p << wp) // q
     S, d, top = T, 1, 1 << cut          # d = 2k + 1; term 0 is T itself
-    if q.bit_length() < _ATANH_RATIO_BITS:
-        pp, qq = p * p, q * q
-        T = T * pp // qq
-        while T >= top:
-            d += 2
-            S += T // d
-            T = T * pp // qq
-    else:
-        z2 = T * T >> wp
+    z2 = T * T >> wp
+    T = T * z2 >> wp
+    while T >= top:
+        d += 2
+        S += T // d
         T = T * z2 >> wp
-        while T >= top:
-            d += 2
-            S += T // d
-            T = T * z2 >> wp
     return S, d + 1 - (-33 * (T + 2) // (32 * (d + 2)))
 
 
@@ -669,7 +663,8 @@ def _ln_gamma_fixed(q: Fraction, digits: int) -> tuple[int, int, int, int]:
     A = a + m * D
     J = _stirling_order(xf + m, digits)
     if J is None:
-        raise PrecisionError("Stirling order selection failed")
+        raise PrecisionError(f"ln_gamma at {digits} digits needs more Stirling terms than "
+                             f"_STIRLING_ORDER_MAX = {_STIRLING_ORDER_MAX}")
     # ulps from the logs and the two floor divisions; (y - 1/2) amplifies the
     # error of ln y = ln A - ln D, and the Stirling sum adds J more
     eD = _LOG_ULPS if D > 1 else 0
@@ -677,12 +672,12 @@ def _ln_gamma_fixed(q: Fraction, digits: int) -> tuple[int, int, int, int]:
     round_err = lead_err + 1 + _LOG_ULPS + _LOG_ULPS * (m > 0) + m * eD
     prec = _bits(digits) + 30 + (round_err + J).bit_length()
     LA, LD = _log_fixed(A, prec), _log_fixed(D, prec)
-    S, S_err, rem = _stirling_sum(A, D, J, prec)
+    S, rem = _stirling_sum(A, D, J, prec)
     value = ((2 * A - D) * (LA - LD) // (2 * D)        # (y - 1/2) ln y
              - (A << prec) // D                         # - y
              + _half_ln_2pi(prec) + S
              - _log_fixed(math.prod(range(a, A, D)), prec) + m * LD)   # - ln(R / D^m)
-    return value, round_err + S_err, rem, prec
+    return value, round_err + J, rem, prec
 
 
 def ln_gamma(x: Rational, digits: int = 30) -> BoundedReal:
@@ -696,7 +691,8 @@ def ln_gamma(x: Rational, digits: int = 30) -> BoundedReal:
     R = prod_{i<m} (a + iD) being the exact integer rising factorial.  The
     remainder bound is the first omitted Stirling term, which is valid for
     all real positive arguments.  Raises PrecisionError when the bound
-    exceeds 10^-digits.
+    exceeds 10^-digits, or when the order passes ``_STIRLING_ORDER_MAX``
+    (above 1,339 digits).
     """
     _check_digits(digits)
     q = _param(x)

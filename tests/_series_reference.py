@@ -23,8 +23,9 @@ from fractions import Fraction
 import mpmath
 from mpmath.libmp import from_int, from_man_exp, mpf_exp, mpf_log, round_floor, to_fixed
 
-from fermatvol.specfun import (_EXP_INT_BITS_MAX, _EXP_ULPS, DivergenceError, DomainError,
-                               PrecisionError, _bits, _certified, _fixed_mpf, _fixed_point_sum,
+from fermatvol.specfun import (_EXP_INT_BITS_MAX, _EXP_ULPS, _STIRLING_ORDER_MAX,
+                               DivergenceError, DomainError, PrecisionError, _bits, _certified,
+                               _fixed_mpf, _fixed_point_sum,
                                _ln_gamma_fixed, _poly_mul, _ratio_eventually_below_one,
                                _round_product, _series_polys, _solve_tail_series,
                                _tail_defect_majorant)
@@ -121,10 +122,10 @@ def partial_sum(uppers, lowers, terms, prec):
 
 
 def stirling_order(y, digits):
-    """J of ``specfun._stirling_order``, every term recomputed per J."""
+    """J of ``specfun._stirling_order``, every term recomputed per J up to the cap."""
     target = -(digits + 4) * math.log(10)
     log2, log2pi, logy = math.log(2), math.log(2 * math.pi), math.log(y)
-    for J in range(1, 260):
+    for J in range(1, _STIRLING_ORDER_MAX + 1):
         n = 2 * J + 2
         logB = log2 + math.lgamma(n + 1) - n * log2pi
         logbound = logB - math.log((n) * (n - 1)) - (n - 1) * logy

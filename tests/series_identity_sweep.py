@@ -14,13 +14,17 @@ records every call of ``hyp_unit_sum``, ``gamma_quotient`` and ``ceresa._h_term`
 with its ball (mid, rad, exp) or its exception, and replays each distinct call from
 cold caches through the Fraction set-up of ``_series_reference`` (``hyp_unit_sum``,
 ``gamma_quotient``, ``h_term``), which must give the same ints or the same
-exception type and text.  Past the workloads it sums series whose negative
-parameters make the floor shift decide M (``negative_parameter_inputs``), which
-no workload input does, and replays them the same way:
+exception type and text.  Since that set-up calls the live ``_ln_gamma_fixed``,
+every ``_stirling_order(y, digits)`` of the run is recorded too, and each distinct
+one must equal the per-J scan ``stirling_order``.  Past the workloads it sums series
+whose negative parameters make the floor shift decide M
+(``negative_parameter_inputs``), which no workload input does, and replays them the
+same way:
 
     PYTHONPATH=src:tests python3 tests/series_identity_sweep.py
 
-Prints the distinct attempts, partial sums and calls and every mismatch; exits 1 on
+Prints the distinct attempts, partial sums, calls and order searches and every
+mismatch; exits 1 on
 any mismatch, on any workload item that reports a problem or differs from
 perfbench's reference line, or when nothing was replayed.
 """
@@ -46,6 +50,8 @@ attempts: dict = {}
 sums: dict = {}
 # (function name, args) -> ("ball", (mid, rad, exp)) or ("raise", type name, text)
 calls: dict = {}
+# (y, digits) -> the J of specfun._stirling_order
+orders: dict = {}
 mismatches: list[str] = []
 
 
@@ -79,9 +85,15 @@ def install() -> None:
         _note(sums, (*_series(uppers, lowers), terms, prec), out)
         return out
 
+    def ordering(y, digits, order=specfun._stirling_order):
+        out = order(y, digits)
+        _note(orders, (y, digits), out)
+        return out
+
     specfun._solve_tail_series = solving
     specfun._tail_defect_majorant = bounding
     specfun._partial_sum = summing
+    specfun._stirling_order = ordering
     for module, name in [(specfun, "hyp_unit_sum"), (specfun, "gamma_quotient"),
                          (ceresa, "hyp_unit_sum"), (ceresa, "gamma_quotient"),
                          (ceresa, "_h_term")]:
@@ -166,6 +178,11 @@ def replay(solve, majorant, partial) -> None:
                                              for a in args])
         if run != want:
             mismatches.append(f"{name}{args}: {run} in the run, {want} from the reference")
+    for (y, digits), J in orders.items():
+        want = ref.stirling_order(y, digits)
+        if J != want:
+            mismatches.append(f"_stirling_order({y!r}, {digits}): {J} in the run, {want} "
+                              f"from the reference")
 
 
 def main() -> int:
@@ -193,8 +210,10 @@ def main() -> int:
           f"{max((k[3] for k in sums), default=0)}); {counts['hyp_unit_sum']} hyp_unit_sum, "
           f"{counts['gamma_quotient']} gamma_quotient, {counts['_h_term']} _h_term and "
           f"{counts['_hyp_unit_series']} small-M _hyp_unit_series calls ({raised} raising) "
-          f"replayed; {len(mismatches)} mismatches, {len(failed)} failed items")
-    return 1 if mismatches or failed or not attempts or not sums or not all(
+          f"replayed; {len(orders)} distinct _stirling_order calls (J up to "
+          f"{max(filter(None, orders.values()), default=0)}) scanned; {len(mismatches)} mismatches, "
+          f"{len(failed)} failed items")
+    return 1 if mismatches or failed or not attempts or not sums or not orders or not all(
         counts[name] for name in ("hyp_unit_sum", "gamma_quotient", "_h_term",
                                   "_hyp_unit_series")) else 0
 

@@ -83,11 +83,13 @@ def test_f71_and_f99_match_published_fraction():
     assert r.h_terms == 30
 
 
-@pytest.mark.parametrize("digits", [0, -400])
+@pytest.mark.parametrize("digits", [0, -400, 12.5])
 def test_f_value_refuses_fewer_than_one_digit(digits):
-    # -400 once returned a row certified against the float 10 ** -400 == 0.0
+    # -400 once returned a row certified against the float 10 ** -400 == 0.0, and 12.5
+    # a row too
     for call in [lambda: f_value(5, 1, digits), lambda: ceresa.klein_value(1, digits)]:
-        with pytest.raises(DomainError, match=f"digits must be at least 1, got {digits}"):
+        with pytest.raises(DomainError, match=f"digits must be an int of at least 1, got "
+                                              f"{digits}"):
             call()
 
 
@@ -155,6 +157,15 @@ def test_nonintegrality_check_examples():
     assert genus(8) == 21
     r = f_value(8, 19, 30)
     assert r.verdict == "non-integral"
+
+
+@pytest.mark.parametrize("n, k, digits, more", [(13, 64, 100, 130), (17, 118, 30, 60)])
+def test_f_value_past_355_ln_gamma_digits(n, k, digits, more):
+    # the twist terms' ln_gamma calls need more than 355 digits (and a Stirling order
+    # above 259), where the order search once stopped with PrecisionError
+    r = f_value(n, k, digits)
+    assert r.verdict == "non-integral"
+    assert r.value.agrees_with(f_value(n, k, more).value)
 
 
 def test_trace_cross_identity_small():

@@ -307,18 +307,19 @@ def test_ln_gamma_core_independent_of_bernoulli_growth():
 def test_stirling_sum_within_rounding_term(A, D, J, prec):
     # the fixed-point sum against the exact rational sum, and the remainder
     # bound against the exact first omitted term
-    S, S_err, rem = _stirling_sum(A, D, J, prec)
+    S, rem = _stirling_sum(A, D, J, prec)
     y = F(A, D)
     exact = sum(_BERNOULLI[2 * j] / ((2 * j) * (2 * j - 1) * y ** (2 * j - 1))
                 for j in range(1, J + 1))
     omitted = abs(_BERNOULLI[2 * J + 2]) / ((2 * J + 2) * (2 * J + 1) * y ** (2 * J + 1))
     ulp = F(1, 2 ** prec)
-    assert abs(S * ulp - exact) <= S_err * ulp
+    assert abs(S * ulp - exact) <= J * ulp
     assert omitted <= rem * ulp < omitted + ulp
 
 
 def test_stirling_order_matches_per_call_loop():
-    # the tabulated J-only terms keep the float operations, so J is identical
+    # the search evaluates the scan's float expression, so J is identical, also past
+    # J = 259 (where a table of the terms once stopped) and up to the cap
     for y in (0.5, 1.0, 2.5, 10.0, 10.5, 17.25, 40.0 / 3, 106.0, 361.5, 1000.0):
         for digits in range(0, 801, 7):
             assert _stirling_order(y, digits) == series_reference.stirling_order(y, digits)
@@ -327,13 +328,16 @@ def test_stirling_order_matches_per_call_loop():
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(st.floats(0.05, 2000), st.integers(1, 400).map(float),
                  st.integers(2, 800).map(lambda k: k / 2)),
-       st.integers(0, 1500))
-@example(0.3, 0)                   # no falling stretch to bisect
-@example(10 ** 12, 3)              # one term suffices
-@example(81.9, 1400)               # the answer near the falling stretch's end
+       st.integers(0, 3000))
+@example(0.3, 0)                    # no falling stretch to bisect
+@example(10 ** 12, 3)               # one term suffices
+@example(81.9, 1400)                # the answer near the falling stretch's end
+@example(1.7e308, 10)               # pi y is infinite
+@example(806.0, 2000)               # the answer past the cap
+@example(457.39130434782606, 1128)  # J = 860, the largest of f_value(23, 229, 30)
 def test_stirling_order_bisected_start_matches_scan(y, digits):
     # the scan starts after a bisected J that it would have passed, so J is identical,
-    # None included where no tabulated J reaches the target
+    # None included where no J up to the cap reaches the target
     assert _stirling_order(y, digits) == series_reference.stirling_order(y, digits)
 
 
@@ -470,6 +474,41 @@ def test_ln_gamma_rejects_arguments_beyond_floats():
         gamma_quotient([10 ** 400], [1], 20)
     # the largest floats still work
     assert ln_gamma(10 ** 300, 20).value > 0
+
+
+def test_ln_gamma_certifies_near_the_float_maximum():
+    # pi y is infinite here; the order search once took int() of it (bare OverflowError)
+    r = ln_gamma(10 ** 308, 10)
+    assert r.err <= mp.mpf(10) ** -10
+    with mp.workdps(360):
+        assert abs(r.value - mpmath.loggamma(mp.mpf(10) ** 308)) <= r.err
+    q = gamma_quotient([10 ** 308], [10 ** 308 + 1], 10)
+    assert q.err <= mp.mpf(10) ** -10
+    with mp.workdps(30):
+        assert abs(q.value - mp.mpf(10) ** -308) <= q.err
+
+
+@pytest.mark.parametrize("digits", [360, 600, 1000])
+@pytest.mark.parametrize("x", [F(12, 13), F(1, 3), F(5, 7)])
+def test_ln_gamma_past_355_digits(x, digits):
+    # these need a Stirling order above 259, where a table of the order search once
+    # stopped (PrecisionError from 355 digits)
+    r = ln_gamma(x, digits)
+    assert r.err <= mp.mpf(10) ** -digits
+    with mp.workdps(digits + 30):
+        assert abs(r.value - mpmath.loggamma(mp.mpf(x.numerator) / x.denominator)) <= r.err
+
+
+def test_ln_gamma_past_the_order_cap_refuses_before_building():
+    # J of about 1,540 is over the cap: refused before any Stirling coefficient is built
+    clear_caches()
+    ln_gamma(F(1, 3), 30)
+    before = len(specfun._STIRLING_COEFFS)
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError, match=f"_STIRLING_ORDER_MAX = {1 << 10}"):
+        ln_gamma(F(1, 3), 2000)
+    assert time.perf_counter() - start < 1
+    assert len(specfun._STIRLING_COEFFS) == before
 
 
 @settings(max_examples=100, deadline=None)
@@ -713,16 +752,18 @@ def test_hyp_unit_sum_refuses_all_but_pFp_1(uppers, lowers):
         hyp_unit_sum(uppers, lowers + [F(-1)], 25)
 
 
-@pytest.mark.parametrize("digits", [0, -400])
+@pytest.mark.parametrize("digits", [0, -400, 12.5])
 def test_fewer_than_one_digit_is_a_domain_error(digits):
-    # -400 once shifted by a negative count (bare ValueError) in each of these
+    # -400 once shifted by a negative count (bare ValueError) in each of these, and 12.5
+    # stopped hyp_unit_sum with a bare AttributeError
     twist = [F(1, 3), F(1, 3), F(1, 3)], [1, 1]
     for call in [lambda: ln_gamma(F(1, 3), digits),
                  lambda: gamma_quotient([F(1, 3)], [1], digits),
                  lambda: hyp_unit_sum(*twist, digits),
                  lambda: specfun._gamma_hyp([F(2, 3)], [F(1, 3)], *twist, digits),
                  lambda: dixon_family(F(1, 3), F(1, 2), F(1, 4), F(2, 5), digits)]:
-        with pytest.raises(DomainError, match=f"digits must be at least 1, got {digits}"):
+        with pytest.raises(DomainError, match=f"digits must be an int of at least 1, got "
+                                              f"{digits}"):
             call()
 
 
